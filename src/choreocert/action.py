@@ -10,6 +10,14 @@ one speed profile). The potential part uses the trapezoid rule on a uniform
 periodic grid, which for smooth non-collision loops converges spectrally and
 reduces to the plain node average. The gradient is the exact gradient of the
 discretized functional, projected onto the zero center-of-mass subspace.
+
+ActionWorkspace evaluates on one fundamental domain of g1. Every admissible
+frequency satisfies m = d (mod r), so q(t + 1/r) = e^(2 pi i d/r) q(t) for
+every body: pair distances and the potential integrand are 1/r-periodic, and
+in the gradient sum the factor conj(e_m(t + 1/r)) e^(2 pi i d/r) is 1. On a
+grid of M nodes (a multiple of r), value, gradient and minimum separation
+therefore equal their averages or minima over the first M/r nodes, up to
+rounding.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .loops import SystemLoop, sample, valid_grid
+from .loops import SystemLoop, chain_nodes, require_grid, sample, winding_number
 from .symmetry import SymmetryParams
 
 TWO_PI = 2.0 * np.pi
@@ -117,32 +125,44 @@ def total_action(system: SystemLoop, m_samples: int) -> ActionBreakdown:
     return ActionBreakdown(kinetic=kin, potential=pot, total=kin + pot, pairs=pairs)
 
 
+def _phase_table(freqs: np.ndarray, m_samples: int) -> np.ndarray:
+    """(F, M) table of e^(2 pi i m k / M), with m*k reduced modulo M first."""
+    ticks = np.outer(freqs, np.arange(m_samples)) % m_samples
+    return np.exp((TWO_PI / m_samples) * 1j * ticks)
+
+
+def _chain_phases(freqs: np.ndarray, chain_length: int) -> np.ndarray:
+    """(L, F) table of e^(-2 pi i m b / L): body b's conjugate phase per frequency."""
+    ticks = np.outer(np.arange(chain_length), freqs) % chain_length
+    return np.exp((-TWO_PI / chain_length) * 1j * ticks)
+
+
 class ActionWorkspace:
-    """Cached phase tables for repeated evaluation on a fixed frequency basis.
+    """Phase tables for repeated evaluation on a fixed frequency basis and grid.
 
     Coefficients are passed as two complex arrays (cm, ct) aligned with
-    main_freqs and triple_freqs. All evaluations share one discretization, so
-    value_and_gradient returns the exact gradient of the value it reports.
+    main_freqs and triple_freqs. Each generator is sampled on all M nodes from
+    one (F, M) phase table, and every other body reads its generator at
+    shifted nodes. Value, gradient and separation scan run on the first M/r
+    nodes, one fundamental domain of g1 (see the module docstring). All
+    evaluations share one discretization, so value_and_gradient returns the
+    exact gradient of the value it reports.
     """
 
     def __init__(self, params: SymmetryParams, main_freqs, triple_freqs, m_samples: int):
-        if not valid_grid(params, m_samples):
-            raise ValueError(
-                f"invalid grid: M={m_samples} must be a positive multiple of "
-                f"lcm(3, N, r) = {params.grid_unit}"
-            )
+        require_grid(params, m_samples)
         self.params = params
         self.m_samples = m_samples
+        self.m_domain = m_samples // params.r
         self.main_freqs = np.array(sorted(int(m) for m in main_freqs), dtype=np.int64)
         self.triple_freqs = np.array(sorted(int(m) for m in triple_freqs), dtype=np.int64)
         n = params.n_main
-        times = np.arange(m_samples) / m_samples
-        shifts_main = np.arange(n) / n
-        shifts_tri = np.arange(3) / 3
-        u_main = shifts_main[:, None] + times[None, :]   # (N, M)
-        u_tri = shifts_tri[:, None] + times[None, :]     # (3, M)
-        self._em = np.exp(2j * np.pi * self.main_freqs[None, :, None] * u_main[:, None, :])
-        self._et = np.exp(2j * np.pi * self.triple_freqs[None, :, None] * u_tri[:, None, :])
+        self._em = _phase_table(self.main_freqs, m_samples)      # (F, M)
+        self._et = _phase_table(self.triple_freqs, m_samples)
+        self._main_nodes = chain_nodes(n, m_samples)[:, : self.m_domain]
+        self._triple_nodes = chain_nodes(3, m_samples)[:, : self.m_domain]
+        self._main_phase = _chain_phases(self.main_freqs, n)    # (N, F)
+        self._triple_phase = _chain_phases(self.triple_freqs, 3)
         self.kinetic_weights_main = n * (TWO_PI * self.main_freqs.astype(float)) ** 2
         self.kinetic_weights_triple = 3 * (TWO_PI * self.triple_freqs.astype(float)) ** 2
         coupling = 3 * n
@@ -168,32 +188,45 @@ class ActionWorkspace:
             ct[it] -= 3.0 * lam
         return cm, ct
 
-    def complex_positions(self, cm: np.ndarray, ct: np.ndarray) -> np.ndarray:
-        pm = np.einsum("f,bft->bt", cm, self._em)
-        pt = np.einsum("f,bft->bt", ct, self._et)
-        return np.concatenate([pm, pt], axis=0)
+    def _generators(self, cm: np.ndarray, ct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Main and triple generator on all M nodes, as complex samples."""
+        return np.einsum("f,fk->k", cm, self._em), np.einsum("f,fk->k", ct, self._et)
 
     def positions(self, cm: np.ndarray, ct: np.ndarray) -> np.ndarray:
-        z = self.complex_positions(cm, ct)
-        return np.ascontiguousarray(np.stack([z.real, z.imag], axis=-1))
+        """(N+3, M/r, 2) positions of every body on the fundamental domain."""
+        zm, zt = self._generators(cm, ct)
+        z = np.concatenate([zm[self._main_nodes], zt[self._triple_nodes]])
+        return np.stack([z.real, z.imag], axis=-1)
 
-    def velocities(self, cm: np.ndarray, ct: np.ndarray) -> np.ndarray:
-        vm = cm * (2j * np.pi * self.main_freqs)
-        vt = ct * (2j * np.pi * self.triple_freqs)
-        z = np.concatenate(
-            [np.einsum("f,bft->bt", vm, self._em), np.einsum("f,bft->bt", vt, self._et)],
-            axis=0,
-        )
-        return np.ascontiguousarray(np.stack([z.real, z.imag], axis=-1))
+    def windings(self, cm: np.ndarray, ct: np.ndarray) -> dict[str, list[list[int]]]:
+        """Windings of all same-chain pairs, in the layout of loops.winding_table.
 
-    def accelerations(self, cm: np.ndarray, ct: np.ndarray) -> np.ndarray:
-        am = cm * -((TWO_PI * self.main_freqs.astype(float)) ** 2)
-        at = ct * -((TWO_PI * self.triple_freqs.astype(float)) ** 2)
-        z = np.concatenate(
-            [np.einsum("f,bft->bt", am, self._em), np.einsum("f,bft->bt", at, self._et)],
-            axis=0,
-        )
-        return np.ascontiguousarray(np.stack([z.real, z.imag], axis=-1))
+        Main pair (i, j) is pair (1, 1+s) advanced in time, s = j - i, and
+        the negative of pair (1, 1+N-s) advanced in time; neither changes a
+        winding number, so floor(N/2) offsets cover the main chain. The three
+        triple pairs are all pair (N+1, N+2) advanced in time. Representatives
+        are taken from the full-grid generator samples; an undersampled one
+        raises ValueError as winding_number does.
+        """
+        zm, zt = self._generators(cm, ct)
+        n, m_samples = self.params.n_main, self.m_samples
+
+        def wind(z, shift):
+            rel = z - np.roll(z, -shift)
+            return winding_number(np.stack([rel.real, rel.imag], axis=-1), (0.0, 0.0))
+
+        by_offset = {s: wind(zm, s * m_samples // n) for s in range(1, n // 2 + 1)}
+        triple = wind(zt, m_samples // 3)
+        return {
+            "main": [
+                [i + 1, j + 1, by_offset[min(j - i, n - (j - i))]]
+                for i in range(n)
+                for j in range(i + 1, n)
+            ],
+            "triple": [
+                [i + 1, j + 1, triple] for i in range(n, n + 3) for j in range(i + 1, n + 3)
+            ],
+        }
 
     def kinetic(self, cm: np.ndarray, ct: np.ndarray) -> float:
         return float(
@@ -201,24 +234,30 @@ class ActionWorkspace:
             + 0.5 * np.sum(self.kinetic_weights_triple * np.abs(ct) ** 2)
         )
 
-    def min_separation(self, cm: np.ndarray, ct: np.ndarray) -> float:
-        return kernels.min_separation_scan(self.positions(cm, ct))[0]
-
     def value(self, cm: np.ndarray, ct: np.ndarray) -> float:
         pos = self.positions(cm, ct)
         _check_separation(pos)
         return self.kinetic(cm, ct) + float(kernels.pair_mean_inverse_distance(pos).sum())
 
-    def value_and_gradient(self, cm, ct) -> tuple[float, np.ndarray, np.ndarray]:
-        """Discretized action and its exact coefficient gradient (projected)."""
-        pos = self.positions(cm, ct)
-        _check_separation(pos)
+    def value_and_gradient(self, cm, ct, pos=None) -> tuple[float, np.ndarray, np.ndarray]:
+        """Discretized action and its exact coefficient gradient (projected).
+
+        ``pos`` may pass positions(cm, ct) whose separation the caller has
+        already checked; otherwise they are computed and checked here.
+        """
+        if pos is None:
+            pos = self.positions(cm, ct)
+            _check_separation(pos)
         pot = float(kernels.pair_mean_inverse_distance(pos).sum())
         forces = kernels.pair_forces(pos)
         fz = forces[..., 0] + 1j * forces[..., 1]  # dU/dq_i as complex numbers
-        n = self.params.n_main
-        gm = self.kinetic_weights_main * cm + np.einsum("bt,bft->f", fz[:n], np.conj(self._em)) / self.m_samples
-        gt = self.kinetic_weights_triple * ct + np.einsum("bt,bft->f", fz[n:], np.conj(self._et)) / self.m_samples
+        n, md = self.params.n_main, self.m_domain
+        gm = self.kinetic_weights_main * cm + np.einsum(
+            "bk,fk,bf->f", fz[:n], np.conj(self._em[:, :md]), self._main_phase
+        ) / md
+        gt = self.kinetic_weights_triple * ct + np.einsum(
+            "bk,fk,bf->f", fz[n:], np.conj(self._et[:, :md]), self._triple_phase
+        ) / md
         gm, gt = self.project(gm, gt)
         return self.kinetic(cm, ct) + pot, gm, gt
 

@@ -237,11 +237,17 @@ def _cmd_minimize(args) -> int:
             print(f"error reading --loop-in: {exc}", file=sys.stderr)
             return 2
         params = start.params
-        if args.n is not None and args.n != params.n_main:
-            print("error: --n conflicts with --loop-in parameters", file=sys.stderr)
-            return 2
         if not _check_params(params):
             return 2
+        for flag, value in (("n", params.n_main), ("r", params.r), ("d", params.d),
+                            ("k1", params.k1), ("k2", params.k2)):
+            given = getattr(args, flag)
+            if flag == "d" and given is not None:
+                given %= params.r  # SymmetryParams stores d modulo r
+            if given is not None and given != value:
+                print(f"error: --{flag} conflicts with --loop-in parameters "
+                      f"({flag}={value})", file=sys.stderr)
+                return 2
     else:
         params = _params_from_args(args)
         if params is None or not _check_params(params):
@@ -251,7 +257,11 @@ def _cmd_minimize(args) -> int:
             return 2
         from .testorbits import build_test_orbit
 
-        start = build_test_orbit(params, args.a, args.b)
+        try:
+            start = build_test_orbit(params, args.a, args.b)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     if args.grid is not None and (args.grid <= 0 or args.grid % params.grid_unit):
         print(
@@ -264,13 +274,25 @@ def _cmd_minimize(args) -> int:
     if modes < params.n_main:
         print(f"error: --modes must be at least N = {params.n_main}", file=sys.stderr)
         return 2
-    options = MinimizeOptions(
-        cutoff=modes,
-        m_samples=args.grid,
-        max_iterations=args.max_iter if args.max_iter is not None else 500,
-        gtol=args.gtol if args.gtol is not None else 1e-8,
-        eps_sep=args.eps_sep if args.eps_sep is not None else 1e-3,
-    )
+    needed = max((abs(m) for spec in (start.main, start.triple) for m in spec.freqs), default=0)
+    if modes < needed:
+        print(
+            f"error: --modes {modes} is below the loop's largest frequency; "
+            f"use --modes {needed} or more",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        options = MinimizeOptions(
+            cutoff=modes,
+            m_samples=args.grid,
+            max_iterations=args.max_iter if args.max_iter is not None else 500,
+            gtol=args.gtol if args.gtol is not None else 1e-8,
+            eps_sep=args.eps_sep if args.eps_sep is not None else 1e-3,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         result = minimize(start, options)
     except ValueError as exc:

@@ -147,14 +147,31 @@ def valid_grid(params: SymmetryParams, m_samples: int) -> bool:
     return m_samples > 0 and m_samples % params.grid_unit == 0
 
 
-def sample(system: SystemLoop, m_samples: int) -> Trajectory:
-    """Sample all bodies at t_k = k/M. M must be a multiple of lcm(3, N, r)."""
-    params = system.params
+def require_grid(params: SymmetryParams, m_samples: int) -> None:
+    """Raise ValueError unless M is a positive multiple of lcm(3, N, r)."""
     if not valid_grid(params, m_samples):
         raise ValueError(
             f"invalid grid: M={m_samples} must be a positive multiple of "
             f"lcm(3, N, r) = {params.grid_unit}"
         )
+
+
+def chain_nodes(chain_length: int, m_samples: int) -> np.ndarray:
+    """(L, M) node indices: row b holds (k + b*M/L) mod M for k = 0..M-1.
+
+    Body b of a chain of L bodies is its generator advanced by b/L in time,
+    so on a grid of M nodes (a multiple of L) it reads the generator's
+    samples at these nodes.
+    """
+    k = np.arange(m_samples)
+    step = m_samples // chain_length
+    return (k[None, :] + step * np.arange(chain_length)[:, None]) % m_samples
+
+
+def sample(system: SystemLoop, m_samples: int) -> Trajectory:
+    """Sample all bodies at t_k = k/M. M must be a multiple of lcm(3, N, r)."""
+    params = system.params
+    require_grid(params, m_samples)
     times = np.arange(m_samples) / m_samples
     B = params.n_bodies
     pos = np.empty((B, m_samples, 2))

@@ -25,14 +25,17 @@ from .loops import (
     GeneratorSpectrum,
     MinSeparation,
     SystemLoop,
+    chain_nodes,
     com_drift,
     evaluate,
     max_symmetry_residual,
     min_separation,
+    require_grid,
     sample,
     winding_number,
+    winding_table,
 )
-from .symmetry import ROLE_MAIN, ROLE_TRIPLE, SymmetryParams, allowed_frequencies
+from .symmetry import ROLE_MAIN, ROLE_TRIPLE, allowed_frequencies
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,12 @@ class MinimizeOptions:
             raise ValueError("eps_sep must be at least 1e-6")
         if not (0 < self.shrink < 1):
             raise ValueError("shrink must lie in (0, 1)")
+        if not (0 < self.armijo < 1):
+            raise ValueError("armijo must lie in (0, 1)")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be nonnegative")
+        if self.memory < 0:
+            raise ValueError("memory must be nonnegative")
 
     def to_dict(self) -> dict:
         return {
@@ -148,20 +157,6 @@ def _unpack(x: np.ndarray, n_main_coeffs: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _pair_windings(params: SymmetryParams, positions: np.ndarray) -> dict:
-    """Winding table of all main-main and triple-triple pairs from samples."""
-    n = params.n_main
-    origin = (0.0, 0.0)
-    main, triple = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            main.append([i + 1, j + 1, winding_number(positions[i] - positions[j], origin)])
-    for i in range(n, n + 3):
-        for j in range(i + 1, n + 3):
-            triple.append([i + 1, j + 1, winding_number(positions[i] - positions[j], origin)])
-    return {"main": main, "triple": triple}
-
-
 def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
     """Descend the discretized action from a starting loop.
 
@@ -194,9 +189,9 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
             f"separation guard hit at start: min separation {start_minsep:.3e} "
             f"< eps_sep {options.eps_sep:.3e}"
         )
-    ref_windings = _pair_windings(params, pos)
+    ref_windings = ws.windings(cm, ct)
 
-    f, gm, gt = ws.value_and_gradient(cm, ct)
+    f, gm, gt = ws.value_and_gradient(cm, ct, pos)
     x = _pack(cm, ct)
     g = _pack(gm, gt)
     evaluations = 1
@@ -213,7 +208,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
     iterations = 0
 
     def admissible_probe(base, direction, step):
-        """Projected step as (x, cm, ct, positions, minsep), or None on guard."""
+        """Projected step as (x, cm, ct, domain positions, minsep), or None on guard."""
         xn = _pack(*ws.project(*_unpack(base + step * direction, nm)))
         cmn, ctn = _unpack(xn, nm)
         pos = ws.positions(cmn, ctn)
@@ -222,10 +217,10 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
             return None
         return xn, cmn, ctn, pos, minsep
 
-    def windings_unchanged(pos):
+    def windings_unchanged(xn):
         try:
-            return _pair_windings(params, pos) == ref_windings
-        except ValueError:
+            return ws.windings(*_unpack(xn, nm)) == ref_windings
+        except ValueError:  # undersampled: treated as a change
             return False
 
     def flat_probe(base, direction, step):
@@ -235,9 +230,9 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
         if hit is None:
             return None
         xn, cmn, ctn, pos, minsep = hit
-        fn, gmn, gtn = ws.value_and_gradient(cmn, ctn)
+        fn, gmn, gtn = ws.value_and_gradient(cmn, ctn, pos)
         evaluations += 1
-        return xn, fn, _pack(gmn, gtn), pos, minsep
+        return xn, fn, _pack(gmn, gtn), minsep
 
     def flat_search(direction, gnorm, f_floor):
         """Smallest-|g| admissible point along the ray, expanding from step 1."""
@@ -290,7 +285,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
         # comparisons are meaningless: switch to gradient contraction.
         flat = abs(options.armijo * slope) < 64.0 * eps64 * max(1.0, abs(f))
 
-        accepted = None  # (xn, f, g, pos, minsep, step)
+        accepted = None  # (xn, f, g, minsep, step)
         if not flat:
             step = 1.0
             for _ in range(200):
@@ -302,9 +297,9 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
                     )
                     evaluations += 1
                     if fn <= f + options.armijo * step * slope:
-                        fn2, gmn, gtn = ws.value_and_gradient(cmn, ctn)
+                        fn2, gmn, gtn = ws.value_and_gradient(cmn, ctn, pos)
                         evaluations += 1
-                        accepted = (xn, fn2, _pack(gmn, gtn), pos, minsep, step)
+                        accepted = (xn, fn2, _pack(gmn, gtn), minsep, step)
                         break
                 step *= options.shrink
                 if step < 1e-18:
@@ -316,16 +311,16 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
                 history.clear()
                 found = flat_search(-g / prec, gnorm, f_floor)
             if found is not None:
-                step, (xn, fn2, gn_vec, pos, minsep) = found
-                accepted = (xn, fn2, gn_vec, pos, minsep, step)
+                step, (xn, fn2, gn_vec, minsep) = found
+                accepted = (xn, fn2, gn_vec, minsep, step)
 
-        if accepted is not None and not windings_unchanged(accepted[3]):
+        if accepted is not None and not windings_unchanged(accepted[0]):
             accepted = None
         if accepted is None:
             termination = "no_admissible_step"
             break
 
-        xn, fn2, gn_vec, pos, minsep, step = accepted
+        xn, fn2, gn_vec, minsep, step = accepted
         s_vec, y_vec = xn - x, gn_vec - g
         sy = float(s_vec @ y_vec)
         meaningful = float(np.linalg.norm(s_vec)) > 1e-13 * (1.0 + float(np.linalg.norm(x)))
@@ -346,7 +341,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
         GeneratorSpectrum(ROLE_TRIPLE, tuple(int(m) for m in ws.triple_freqs), ct),
     )
     traj = sample(final, m_samples)
-    windings = _pair_windings(params, traj.positions)
+    windings = winding_table(traj)
     minsep_info = min_separation(traj)
     threshold = collision_threshold(params).threshold
     certified = (
@@ -389,12 +384,23 @@ def acceleration_residual_rms(positions: np.ndarray, accelerations: np.ndarray) 
 
 
 def ode_residual(system: SystemLoop, m_samples: int) -> float:
-    """Equations-of-motion residual of a loop, with exact spectral acceleration."""
-    traj = sample(system, m_samples)
-    acc = np.empty_like(traj.positions)
-    for body in range(1, system.params.n_bodies + 1):
-        acc[body - 1] = evaluate(system, body, traj.times, derivative=2)
-    return acceleration_residual_rms(traj.positions, acc)
+    """Equations-of-motion residual of a loop, with exact spectral acceleration.
+
+    Only the two generators are evaluated; every other body reads its
+    generator at shifted nodes. Like the loop, the residual turns by a fixed
+    rotation under a time shift of 1/r, so its RMS over the first M/r nodes
+    is its RMS over all M.
+    """
+    params = system.params
+    require_grid(params, m_samples)
+    times = np.arange(m_samples) / m_samples
+    domain = m_samples // params.r
+    pos, acc = [], []
+    for generator, chain in ((1, params.n_main), (params.n_main + 1, 3)):
+        nodes = chain_nodes(chain, m_samples)[:, :domain]
+        pos.append(evaluate(system, generator, times)[nodes])
+        acc.append(evaluate(system, generator, times, derivative=2)[nodes])
+    return acceleration_residual_rms(np.concatenate(pos), np.concatenate(acc))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ over the symmetric class is collision-free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,8 @@ from .symmetry import ROLE_MAIN, ROLE_TRIPLE, SymmetryParams, frequency_allowed
 
 def build_test_orbit(params: SymmetryParams, a: float, b: float) -> SystemLoop:
     """Circular loop: main radius a at frequency 3, triple radius b at -N."""
-    if a <= 0 or b <= 0:
-        raise ValueError("radii must be positive")
+    if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b > 0):
+        raise ValueError("radii must be positive and finite")
     n = params.n_main
     for role, m in ((ROLE_MAIN, 3), (ROLE_TRIPLE, -n)):
         if not frequency_allowed(params, role, m):

@@ -149,6 +149,33 @@ def brute_potential(system: SystemLoop, m_samples: int) -> float:
     return total
 
 
+def full_grid_evaluation(ws, cm, ct):
+    """Reference for ActionWorkspace: per-body phase tables on all M nodes.
+
+    Every body of both chains is evaluated on the whole grid, and the value,
+    projected gradient and minimum separation come from the kernels over all
+    (N+3)(N+2)/2 pairs and M nodes. Returns (value, gm, gt, min separation).
+    """
+    n, m_samples = ws.params.n_main, ws.m_samples
+    times = np.arange(m_samples) / m_samples
+
+    def table(freqs, chain):
+        shifts = np.arange(chain) / chain
+        u = shifts[:, None] + times[None, :]
+        return np.exp(2j * np.pi * freqs[None, :, None] * u[:, None, :])
+
+    em, et = table(ws.main_freqs, n), table(ws.triple_freqs, 3)
+    z = np.concatenate([np.einsum("f,bft->bt", cm, em), np.einsum("f,bft->bt", ct, et)])
+    pos = np.ascontiguousarray(np.stack([z.real, z.imag], axis=-1))
+    value = ws.kinetic(cm, ct) + float(kernels.pair_mean_inverse_distance(pos).sum())
+    forces = kernels.pair_forces(pos)
+    fz = forces[..., 0] + 1j * forces[..., 1]
+    gm = ws.kinetic_weights_main * cm + np.einsum("bt,bft->f", fz[:n], np.conj(em)) / m_samples
+    gt = ws.kinetic_weights_triple * ct + np.einsum("bt,bft->f", fz[n:], np.conj(et)) / m_samples
+    gm, gt = ws.project(gm, gt)
+    return value, gm, gt, kernels.min_separation_scan(pos)[0]
+
+
 def circular_kinetic(params: SymmetryParams, a: float, b: float) -> float:
     """Closed-form kinetic action of the circular family: per-body speed 2*pi*|m|*R."""
     n = params.n_main

@@ -11,7 +11,8 @@ from choreocert.action import (
     total_action,
     wirtinger_margins,
 )
-from choreocert.loops import GeneratorSpectrum, SystemLoop
+from choreocert import kernels
+from choreocert.loops import GeneratorSpectrum, SystemLoop, sample, winding_table
 from choreocert.symmetry import SymmetryParams
 from choreocert.testorbits import build_test_orbit
 
@@ -19,6 +20,7 @@ from conftest import (
     REFERENCE_CASES,
     brute_potential,
     circular_kinetic,
+    full_grid_evaluation,
     random_admissible_system,
 )
 
@@ -207,6 +209,53 @@ class TestGradient:
         c = grad.main[list(grad.main_freqs).index(24)]
         b = grad.triple[list(grad.triple_freqs).index(24)]
         assert abs(4 * c + 3 * b) <= 1e-12 * max(1.0, abs(c))
+
+
+# The reference families, N=5 with r=2 (half-grid domain), and two larger
+# (N, N+3) families.
+DOMAIN_FAMILIES = [case["params"] for case in REFERENCE_CASES] + [
+    SymmetryParams(5, 2, 3, 3, -5),
+    SymmetryParams(8, 11, 3, 3, -8),
+    SymmetryParams(10, 13, 3, 3, -10),
+]
+
+
+class TestFundamentalDomain:
+    """ActionWorkspace on M/r nodes against the full-grid reference in conftest."""
+
+    @pytest.mark.parametrize("cutoff", [24, 48])
+    @pytest.mark.parametrize(
+        "params", DOMAIN_FAMILIES, ids=lambda p: f"N{p.n_main}r{p.r}"
+    )
+    def test_matches_full_grid(self, params, cutoff):
+        system = random_admissible_system(params, cutoff, seed=1000 * params.n_main + cutoff)
+        m_samples = params.default_grid()
+        ws = ActionWorkspace.for_system(system, m_samples)
+        assert ws.positions(*ws.coefficients_of(system)).shape == (
+            params.n_bodies, m_samples // params.r, 2)
+        cm, ct = ws.project(*ws.coefficients_of(system))
+        value, gm, gt = ws.value_and_gradient(cm, ct)
+        ref_value, ref_gm, ref_gt, ref_sep = full_grid_evaluation(ws, cm, ct)
+        assert abs(value - ref_value) <= 1e-13 * abs(ref_value)
+        assert ws.value(cm, ct) == value
+        grad, ref_grad = np.concatenate([gm, gt]), np.concatenate([ref_gm, ref_gt])
+        assert np.abs(grad - ref_grad).max() <= 1e-11 * max(1.0, np.abs(grad).max())
+        sep = kernels.min_separation_scan(ws.positions(cm, ct))[0]
+        assert abs(sep - ref_sep) <= 1e-13 * ref_sep
+        assert ws.windings(cm, ct) == winding_table(sample(system, m_samples))
+
+    def test_windings_differ_by_offset(self):
+        # frequency -18 cancels in pair (1, 3) (offset 2) but dominates the
+        # offset-1 pairs, so the expansion must place each offset's value
+        system = SystemLoop(
+            PARAMS4,
+            GeneratorSpectrum("main", (-18, 3), np.array([0.09 + 0j, 0.1 + 0j])),
+            GeneratorSpectrum("triple", (-4,), np.array([0.005 + 0j])),
+        )
+        ws = ActionWorkspace.for_system(system, 1344)
+        table = ws.windings(*ws.coefficients_of(system))
+        assert table == winding_table(sample(system, 1344))
+        assert {w for _, _, w in table["main"]} == {-18, 3}
 
 
 class TestDiagnostics:

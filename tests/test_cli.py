@@ -1,9 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from choreocert.cli import main
+from choreocert.loops import GeneratorSpectrum, SystemLoop, system_to_dict
+from choreocert.symmetry import SymmetryParams
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +93,12 @@ class TestCertify:
         assert code == 2
         assert "--a and --b" in err
 
+    @pytest.mark.parametrize("radii", [("nan", "0.088"), ("0.23", "inf")])
+    def test_non_finite_radii_exit_2(self, capsys, radii):
+        code, _, err = run_cli(capsys, "certify", *PARAMS4, "--a", radii[0], "--b", radii[1])
+        assert code == 2
+        assert "radii must be positive and finite" in err
+
     def test_json_round_trips(self, capsys):
         code, out, _ = run_cli(
             capsys, "certify", *PARAMS4, "--a", "0.23", "--b", "0.088", "--format", "json"
@@ -175,6 +184,74 @@ class TestMinimize:
         code, _, err = run_cli(capsys, "minimize", *PARAMS4)
         assert code == 2
         assert "--a/--b or --loop-in" in err
+
+    def test_non_finite_radius_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "minimize", *PARAMS4, "--a", "nan", "--b", "0.088")
+        assert code == 2
+        assert "radii must be positive and finite" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--gtol", "-1", "gtol must be positive"),
+            ("--eps-sep", "0", "eps_sep must be at least"),
+            ("--max-iter", "-1", "max_iterations must be nonnegative"),
+        ],
+    )
+    def test_bad_options_exit_2(self, capsys, tmp_path, flag, value, message):
+        code, _, err = run_cli(
+            capsys,
+            "minimize", *PARAMS4, "--a", "0.23", "--b", "0.088",
+            flag, value, "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert message in err
+
+    @staticmethod
+    def _stored_loop(tmp_path, main_freqs=(3,), main_coeffs=(0.23,)):
+        loop = SystemLoop(
+            SymmetryParams(4, 7, 3, 3, -4),
+            GeneratorSpectrum("main", main_freqs, np.array(main_coeffs, dtype=complex)),
+            GeneratorSpectrum("triple", (-4,), np.array([0.088 + 0j])),
+        )
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(system_to_dict(loop)))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--r", "11", "--d", "5"], "--r"),
+            (["--n", "5"], "--n"),
+            (["--d", "5"], "--d"),
+            (["--k1", "6"], "--k1"),
+            (["--k2", "-8"], "--k2"),
+        ],
+    )
+    def test_loop_in_conflicts_exit_2(self, capsys, tmp_path, flags, named):
+        code, _, err = run_cli(
+            capsys, "minimize", "--loop-in", self._stored_loop(tmp_path), *flags,
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert f"{named} conflicts with --loop-in" in err
+
+    def test_loop_in_matching_flags_accepted(self, capsys, tmp_path):
+        # d = 10 is d = 3 modulo r = 7, the stored value
+        code, _, _ = run_cli(
+            capsys, "minimize", "--loop-in", self._stored_loop(tmp_path), *PARAMS4,
+            "--d", "10", "--modes", "5", "--grid", "672", "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 0
+
+    def test_modes_below_stored_loop_exit_2(self, capsys, tmp_path):
+        loop = self._stored_loop(tmp_path, (3, 24), (0.23, 0.001))
+        code, _, err = run_cli(
+            capsys, "minimize", "--loop-in", loop, "--modes", "12",
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert "--modes 24" in err
 
 
 class TestLemmas:

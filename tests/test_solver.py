@@ -107,6 +107,9 @@ class TestMinimize:
             MinimizeOptions(cutoff=24, gtol=0.0)
         with pytest.raises(ValueError):
             MinimizeOptions(cutoff=24, eps_sep=1e-9)
+        for bad in ({"max_iterations": -1}, {"memory": -1}, {"armijo": 0.0}, {"armijo": 1.0}):
+            with pytest.raises(ValueError):
+                MinimizeOptions(cutoff=24, **bad)
         with pytest.raises(ValueError):
             minimize(
                 build_test_orbit(PARAMS4, 0.23, 0.088),

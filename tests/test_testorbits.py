@@ -67,6 +67,11 @@ class TestBuildTestOrbit:
         with pytest.raises(ValueError, match="positive"):
             build_test_orbit(PARAMS4, 0.0, 0.1)
 
+    @pytest.mark.parametrize("a, b", [(float("nan"), 0.1), (0.23, float("inf"))])
+    def test_finite_radii_required(self, a, b):
+        with pytest.raises(ValueError, match="radii must be positive and finite"):
+            build_test_orbit(PARAMS4, a, b)
+
 
 class TestCertify:
     def test_reference_cases_certified(self, reference_case):
