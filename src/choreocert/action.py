@@ -234,13 +234,8 @@ class ActionWorkspace:
             + 0.5 * np.sum(self.kinetic_weights_triple * np.abs(ct) ** 2)
         )
 
-    def value(self, cm: np.ndarray, ct: np.ndarray) -> float:
-        pos = self.positions(cm, ct)
-        _check_separation(pos)
-        return self.kinetic(cm, ct) + float(kernels.pair_mean_inverse_distance(pos).sum())
-
-    def value_and_gradient(self, cm, ct, pos=None) -> tuple[float, np.ndarray, np.ndarray]:
-        """Discretized action and its exact coefficient gradient (projected).
+    def value(self, cm: np.ndarray, ct: np.ndarray, pos=None) -> float:
+        """Discretized action.
 
         ``pos`` may pass positions(cm, ct) whose separation the caller has
         already checked; otherwise they are computed and checked here.
@@ -248,7 +243,10 @@ class ActionWorkspace:
         if pos is None:
             pos = self.positions(cm, ct)
             _check_separation(pos)
-        pot = float(kernels.pair_mean_inverse_distance(pos).sum())
+        return self.kinetic(cm, ct) + float(kernels.pair_mean_inverse_distance(pos).sum())
+
+    def gradient(self, cm, ct, pos) -> tuple[np.ndarray, np.ndarray]:
+        """Exact coefficient gradient (projected) of the value at positions(cm, ct)."""
         forces = kernels.pair_forces(pos)
         fz = forces[..., 0] + 1j * forces[..., 1]  # dU/dq_i as complex numbers
         n, md = self.params.n_main, self.m_domain
@@ -258,8 +256,14 @@ class ActionWorkspace:
         gt = self.kinetic_weights_triple * ct + np.einsum(
             "bk,fk,bf->f", fz[n:], np.conj(self._et[:, :md]), self._triple_phase
         ) / md
-        gm, gt = self.project(gm, gt)
-        return self.kinetic(cm, ct) + pot, gm, gt
+        return self.project(gm, gt)
+
+    def value_and_gradient(self, cm, ct, pos=None) -> tuple[float, np.ndarray, np.ndarray]:
+        """Discretized action and its exact coefficient gradient; ``pos`` as in value."""
+        if pos is None:
+            pos = self.positions(cm, ct)
+            _check_separation(pos)
+        return (self.value(cm, ct, pos), *self.gradient(cm, ct, pos))
 
     def coefficients_of(self, system: SystemLoop) -> tuple[np.ndarray, np.ndarray]:
         """Embed a system's spectra into this workspace's frequency basis."""

@@ -119,6 +119,20 @@ def _check_params(params: SymmetryParams) -> bool:
     return result.ok
 
 
+def _resolve_grid(grid: int | None, params: SymmetryParams) -> int | None:
+    """--grid, or the default grid when it is absent; None after an error."""
+    if grid is None:
+        return params.default_grid()
+    if grid <= 0 or grid % params.grid_unit:
+        print(
+            f"error: --grid must be a positive multiple of lcm(3, N, r) = "
+            f"{params.grid_unit}",
+            file=sys.stderr,
+        )
+        return None
+    return grid
+
+
 def _emit(text: str, out: str | None) -> None:
     print(text, end="" if text.endswith("\n") else "\n")
     if out:
@@ -210,7 +224,9 @@ def _cmd_certify(args) -> int:
     if args.a is None or args.b is None:
         print("error: certify requires --a and --b", file=sys.stderr)
         return 2
-    m_samples = args.grid or params.default_grid()
+    m_samples = _resolve_grid(args.grid, params)
+    if m_samples is None:
+        return 2
     try:
         report = certify(params, args.a, args.b, m_samples)
     except ValueError as exc:
@@ -263,12 +279,8 @@ def _cmd_minimize(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
-    if args.grid is not None and (args.grid <= 0 or args.grid % params.grid_unit):
-        print(
-            f"error: --grid must be a positive multiple of lcm(3, N, r) = "
-            f"{params.grid_unit}",
-            file=sys.stderr,
-        )
+    m_samples = _resolve_grid(args.grid, params)
+    if m_samples is None:
         return 2
     modes = args.modes if args.modes is not None else max(24, params.n_main)
     if modes < params.n_main:
@@ -307,7 +319,7 @@ def _cmd_minimize(args) -> int:
     out = args.out or "result.json"
     stem = out[:-5] if out.endswith(".json") else out
     atomic_write_text(out, json.dumps(result.to_dict(), indent=2) + "\n")
-    traj = sample(result.system, options.m_samples or params.default_grid())
+    traj = sample(result.system, m_samples)
     atomic_write_text(stem + ".traj.csv", trajectory_to_csv(traj))
     atomic_write_text(stem + ".iters.csv", result.log_csv())
     if args.emit_plot:

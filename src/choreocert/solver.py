@@ -52,6 +52,10 @@ class MinimizeOptions:
     memory: int = 12               # L-BFGS history length
 
     def __post_init__(self):
+        if self.cutoff < 1:
+            raise ValueError("cutoff must be at least 1")
+        if self.m_samples is not None and self.m_samples <= 0:
+            raise ValueError("m_samples must be positive")
         if self.gtol <= 0:
             raise ValueError("gtol must be positive")
         if self.eps_sep < 1e-6:
@@ -172,7 +176,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
     params = start.params
     if options.cutoff < params.n_main:
         raise ValueError("cutoff must be at least N so the triple basis is nonempty")
-    m_samples = options.m_samples or params.default_grid()
+    m_samples = params.default_grid() if options.m_samples is None else options.m_samples
     ws = ActionWorkspace(
         params,
         allowed_frequencies(params, ROLE_MAIN, options.cutoff),
@@ -292,14 +296,11 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
                 hit = admissible_probe(x, direction, step)
                 if hit is not None:
                     xn, cmn, ctn, pos, minsep = hit
-                    fn = ws.kinetic(cmn, ctn) + float(
-                        kernels.pair_mean_inverse_distance(pos).sum()
-                    )
+                    fn = ws.value(cmn, ctn, pos)
                     evaluations += 1
                     if fn <= f + options.armijo * step * slope:
-                        fn2, gmn, gtn = ws.value_and_gradient(cmn, ctn, pos)
                         evaluations += 1
-                        accepted = (xn, fn2, _pack(gmn, gtn), minsep, step)
+                        accepted = (xn, fn, _pack(*ws.gradient(cmn, ctn, pos)), minsep, step)
                         break
                 step *= options.shrink
                 if step < 1e-18:

@@ -58,12 +58,6 @@ def case_seed(n: int, kind: str) -> tuple[int, int]:
     }[kind]
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    """Compile the JIT kernels once so timed tests measure steady state."""
-    kernels.warmup()
-
-
 @pytest.fixture(params=range(3), ids=["N4", "N5", "N7"])
 def reference_case(request):
     return REFERENCE_CASES[request.param]

@@ -99,6 +99,14 @@ class TestCertify:
         assert code == 2
         assert "radii must be positive and finite" in err
 
+    @pytest.mark.parametrize("grid", ["0", "-84", "85"])
+    def test_bad_grid_exit_2(self, capsys, grid):
+        code, _, err = run_cli(
+            capsys, "certify", *PARAMS4, "--a", "0.23", "--b", "0.088", "--grid", grid
+        )
+        assert code == 2
+        assert "--grid must be a positive multiple of lcm(3, N, r) = 84" in err
+
     def test_json_round_trips(self, capsys):
         code, out, _ = run_cli(
             capsys, "certify", *PARAMS4, "--a", "0.23", "--b", "0.088", "--format", "json"
@@ -196,6 +204,7 @@ class TestMinimize:
             ("--gtol", "-1", "gtol must be positive"),
             ("--eps-sep", "0", "eps_sep must be at least"),
             ("--max-iter", "-1", "max_iterations must be nonnegative"),
+            ("--grid", "0", "--grid must be a positive multiple of lcm(3, N, r) = 84"),
         ],
     )
     def test_bad_options_exit_2(self, capsys, tmp_path, flag, value, message):

@@ -25,6 +25,20 @@ def brute_pair_forces(pos):
     return out
 
 
+def brute_pair_scan(pos):
+    """Per-pair mean 1/distance and the first minimum (d, i, j, k), pair by pair."""
+    B, M, _ = pos.shape
+    means, best = [], (np.inf, 0, 1, 0)
+    for i in range(B):
+        for j in range(i + 1, B):
+            d = np.sqrt(((pos[i] - pos[j]) ** 2).sum(axis=1))
+            means.append((1.0 / d).mean())
+            for k in range(M):
+                if d[k] < best[0]:
+                    best = (d[k], i, j, k)
+    return np.array(means), best
+
+
 def test_pair_table_order():
     table = kernels.pair_index_table(4)
     assert table.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
@@ -34,6 +48,15 @@ def test_forces_match_brute_force(random_positions):
     got = kernels.pair_forces(random_positions)
     want = brute_pair_forces(random_positions)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_pair_means_and_scan_match_brute_force(random_positions):
+    want_means, (want_d, *want_ijk) = brute_pair_scan(random_positions)
+    got_means = kernels.pair_mean_inverse_distance(random_positions)
+    assert np.all(np.abs(got_means - want_means) <= 1e-12 * want_means)
+    d, i, j, k = kernels.min_separation_scan(random_positions)
+    assert [i, j, k] == want_ijk
+    assert abs(d - want_d) <= 1e-14 * want_d
 
 
 def test_constant_distance_pair_mean():
@@ -88,27 +111,6 @@ def test_repeated_calls_bit_identical(random_positions):
     assert kernels.min_separation_scan(random_positions) == kernels.min_separation_scan(
         random_positions
     )
-
-
-@pytest.mark.skipif(kernels.BACKEND != "numba", reason="numba backend not active")
-def test_backends_agree(random_positions):
-    pos = random_positions
-    pairs = [
-        (kernels._nb_pair_mean_inverse_distance, kernels._np_pair_mean_inverse_distance),
-        (
-            kernels._nb_pair_mean_square_relative_velocity,
-            kernels._np_pair_mean_square_relative_velocity,
-        ),
-        (kernels._nb_pair_forces, kernels._np_pair_forces),
-    ]
-    for nb_fn, np_fn in pairs:
-        a, b = nb_fn(pos), np_fn(pos)
-        scale = max(np.abs(b).max(), 1.0)
-        assert np.abs(a - b).max() <= 1e-12 * scale
-    d1 = kernels._nb_min_separation_scan(pos)
-    d2 = kernels._np_min_separation_scan(pos)
-    assert d1[1:] == tuple(d2[1:])
-    assert abs(d1[0] - d2[0]) <= 1e-14
 
 
 def test_shape_validation():

@@ -107,9 +107,12 @@ class TestMinimize:
             MinimizeOptions(cutoff=24, gtol=0.0)
         with pytest.raises(ValueError):
             MinimizeOptions(cutoff=24, eps_sep=1e-9)
-        for bad in ({"max_iterations": -1}, {"memory": -1}, {"armijo": 0.0}, {"armijo": 1.0}):
+        for bad in (
+            {"max_iterations": -1}, {"memory": -1}, {"armijo": 0.0}, {"armijo": 1.0},
+            {"cutoff": 0}, {"m_samples": 0}, {"m_samples": -672},
+        ):
             with pytest.raises(ValueError):
-                MinimizeOptions(cutoff=24, **bad)
+                MinimizeOptions(**{"cutoff": 24, **bad})
         with pytest.raises(ValueError):
             minimize(
                 build_test_orbit(PARAMS4, 0.23, 0.088),
