@@ -319,11 +319,11 @@ def _cmd_minimize(args) -> int:
     out = args.out or "result.json"
     stem = out[:-5] if out.endswith(".json") else out
     atomic_write_text(out, json.dumps(result.to_dict(), indent=2) + "\n")
-    traj = sample(result.system, m_samples)
-    atomic_write_text(stem + ".traj.csv", trajectory_to_csv(traj))
+    traj_csv = trajectory_to_csv(sample(result.system, m_samples))
+    atomic_write_text(stem + ".traj.csv", traj_csv)
     atomic_write_text(stem + ".iters.csv", result.log_csv())
     if args.emit_plot:
-        atomic_write_text(args.emit_plot, trajectory_to_csv(traj))
+        atomic_write_text(args.emit_plot, traj_csv)
     if result.termination != "converged":
         print(f"solver did not converge: {result.termination}", file=sys.stderr)
         return 3

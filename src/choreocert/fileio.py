@@ -6,12 +6,24 @@ import os
 import tempfile
 
 
+def _creation_mode() -> int:
+    """0o666 less the process umask: the mode open(path, "w") gives a new file."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+    """Write via a temp file in the same directory plus rename.
+
+    The file gets the mode a plain open(path, "w") would create, not the
+    0o600 of the temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as handle:
+            os.chmod(tmp, _creation_mode())
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -103,29 +103,40 @@ class SystemLoop:
         return self.main if body <= self.params.n_main else self.triple
 
 
-def _spectral_sum(freqs, coeffs, u, derivative: int = 0) -> np.ndarray:
-    """sum_m c_m (2*pi*i*m)^derivative e^(2*pi*i*m*u), elementwise over u.
+def _spectral_sums(freqs, coeffs, u, derivatives) -> list[np.ndarray]:
+    """sum_m c_m (2*pi*i*m)^d e^(2*pi*i*m*u) for each order d, elementwise over u.
 
-    Accumulates frequency by frequency in ascending order so the result is
-    identical bit for bit regardless of the shape of u.
+    Each exponential is computed once and shared by every order. Accumulates
+    frequency by frequency in ascending order so each result is identical bit
+    for bit regardless of the shape of u and of the other orders asked for.
     """
     u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape, dtype=complex)
+    outs = [np.zeros(u.shape, dtype=complex) for _ in derivatives]
     for m, c in zip(freqs, coeffs):
-        factor = c * (TWO_PI * 1j * m) ** derivative
-        out += factor * np.exp((TWO_PI * m) * 1j * u)
-    return out
+        wave = np.exp((TWO_PI * m) * 1j * u)
+        for out, derivative in zip(outs, derivatives):
+            factor = c * (TWO_PI * 1j * m) ** derivative
+            out += factor * wave
+    return outs
 
 
 def _complex_to_planar(z: np.ndarray) -> np.ndarray:
     return np.stack([z.real, z.imag], axis=-1)
 
 
-def evaluate(system: SystemLoop, body: int, t, derivative: int = 0) -> np.ndarray:
-    """Position (or time derivative) of one body at time(s) t, shape (..., 2)."""
+def evaluate(
+    system: SystemLoop, body: int, t, derivative: int | tuple[int, ...] = 0
+) -> np.ndarray | tuple[np.ndarray, ...]:
+    """Position (or time derivative) of one body at time(s) t, shape (..., 2).
+
+    ``derivative`` may also be a tuple of orders; then one array per order is
+    returned, each equal bit for bit to its single-order evaluation.
+    """
     spec = system.generator_for(body)
     u = np.asarray(t, dtype=float) + system.body_shift(body)
-    return _complex_to_planar(_spectral_sum(spec.freqs, spec.coeffs, u, derivative))
+    orders = derivative if isinstance(derivative, tuple) else (derivative,)
+    planar = [_complex_to_planar(z) for z in _spectral_sums(spec.freqs, spec.coeffs, u, orders)]
+    return tuple(planar) if isinstance(derivative, tuple) else planar[0]
 
 
 @dataclass(frozen=True)
@@ -177,8 +188,7 @@ def sample(system: SystemLoop, m_samples: int) -> Trajectory:
     pos = np.empty((B, m_samples, 2))
     vel = np.empty((B, m_samples, 2))
     for body in range(1, B + 1):
-        pos[body - 1] = evaluate(system, body, times)
-        vel[body - 1] = evaluate(system, body, times, derivative=1)
+        pos[body - 1], vel[body - 1] = evaluate(system, body, times, derivative=(0, 1))
     return Trajectory(params, m_samples, times, pos, vel)
 
 
@@ -348,13 +358,28 @@ def system_from_json(text: str) -> SystemLoop:
     return system_from_dict(json.loads(text))
 
 
+# Grid nodes converted to Python floats at a time by trajectory_to_csv.
+_CSV_BLOCK_NODES = 256
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV with header t,body,x,y,vx,vy; row-major by time then body; 17 digits."""
-    lines = ["t,body,x,y,vx,vy"]
-    for k in range(traj.m_samples):
-        t = traj.times[k]
-        for b in range(traj.n_bodies):
-            x, y = traj.positions[b, k]
-            vx, vy = traj.velocities[b, k]
-            lines.append(f"{t:.17g},{b + 1},{x:.17g},{y:.17g},{vx:.17g},{vy:.17g}")
-    return "\n".join(lines) + "\n"
+    """CSV with header t,body,x,y,vx,vy; row-major by time then body; 17 digits.
+
+    Every value is written as "%.17g", the format of f"{x:.17g}", so the text
+    is that of one f-string per row. Blocks of nodes are turned into Python
+    objects at once, and the rows of one node are filled by one template,
+    with its time formatted once for all bodies.
+    """
+    n_bodies = traj.n_bodies
+    # (M, B, 4): node-major, then body, then x, y, vx, vy.
+    values = np.concatenate([traj.positions, traj.velocities], axis=2).transpose(1, 0, 2)
+    times = np.array(["%.17g" % t for t in traj.times.tolist()], dtype=object)
+    node_rows = "".join(f"%s,{b + 1},%.17g,%.17g,%.17g,%.17g\n" for b in range(n_bodies))
+    parts = ["t,body,x,y,vx,vy\n"]
+    for start in range(0, traj.m_samples, _CSV_BLOCK_NODES):
+        block = values[start:start + _CSV_BLOCK_NODES]
+        cells = np.empty((len(block), n_bodies, 5), dtype=object)
+        cells[:, :, 0] = times[start:start + len(block), None]
+        cells[:, :, 1:] = block
+        parts.extend(node_rows % tuple(row) for row in cells.reshape(len(block), -1).tolist())
+    return "".join(parts)

@@ -399,8 +399,9 @@ def ode_residual(system: SystemLoop, m_samples: int) -> float:
     pos, acc = [], []
     for generator, chain in ((1, params.n_main), (params.n_main + 1, 3)):
         nodes = chain_nodes(chain, m_samples)[:, :domain]
-        pos.append(evaluate(system, generator, times)[nodes])
-        acc.append(evaluate(system, generator, times, derivative=2)[nodes])
+        position, acceleration = evaluate(system, generator, times, derivative=(0, 2))
+        pos.append(position[nodes])
+        acc.append(acceleration[nodes])
     return acceleration_residual_rms(np.concatenate(pos), np.concatenate(acc))
 
 

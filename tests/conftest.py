@@ -113,6 +113,18 @@ def random_admissible_system(
     raise RuntimeError("could not draw a well-separated random system")
 
 
+def reference_trajectory_csv(traj) -> str:
+    """Byte oracle for loops.trajectory_to_csv: one f-string per row."""
+    lines = ["t,body,x,y,vx,vy"]
+    for k in range(traj.m_samples):
+        t = traj.times[k]
+        for b in range(traj.n_bodies):
+            x, y = traj.positions[b, k]
+            vx, vy = traj.velocities[b, k]
+            lines.append(f"{t:.17g},{b + 1},{x:.17g},{y:.17g},{vx:.17g},{vy:.17g}")
+    return "\n".join(lines) + "\n"
+
+
 def brute_force_frequencies(params: SymmetryParams, role: str, cutoff: int) -> list[int]:
     """Literal congruence scan used as the oracle for allowed_frequencies."""
     anchor = 3 if role == ROLE_MAIN else params.n_main

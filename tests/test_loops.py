@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from choreocert import loops
 from choreocert.loops import (
     GeneratorSpectrum,
     SystemLoop,
@@ -20,7 +21,7 @@ from choreocert.loops import (
 from choreocert.symmetry import SymmetryParams
 from choreocert.testorbits import build_test_orbit
 
-from conftest import REFERENCE_CASES, random_admissible_system
+from conftest import REFERENCE_CASES, random_admissible_system, reference_trajectory_csv
 
 PARAMS4 = SymmetryParams(4, 7, 3, 3, -4)
 
@@ -75,10 +76,21 @@ class TestSample:
 
     def test_evaluate_matches_samples_bitwise(self, orbit4):
         traj = sample(orbit4, 84)
-        for body in (1, 4, 5, 7):
+        for body in range(1, traj.n_bodies + 1):
             for k in (0, 13, 83):
                 exact = evaluate(orbit4, body, traj.times[k])
                 assert np.array_equal(exact, traj.positions[body - 1, k])
+                exact = evaluate(orbit4, body, traj.times[k], derivative=1)
+                assert np.array_equal(exact, traj.velocities[body - 1, k])
+
+    def test_evaluate_orders_match_single_orders_bitwise(self):
+        system = random_admissible_system(PARAMS4, 30, seed=11)
+        ts = np.linspace(0.0, 1.0, 97)
+        for body in (1, 3, 5, 7):
+            several = evaluate(system, body, ts, derivative=(2, 0, 1))
+            assert len(several) == 3
+            for order, values in zip((2, 0, 1), several):
+                assert np.array_equal(values, evaluate(system, body, ts, derivative=order))
 
     def test_velocities_match_finite_differences(self):
         system = random_admissible_system(PARAMS4, 45, seed=5)
@@ -268,6 +280,32 @@ class TestSerialization:
         assert float(row[0]) == traj.times[k]
         assert float(row[2]) == traj.positions[b, k, 0]
         assert float(row[4]) == traj.velocities[b, k, 0]
+
+    @pytest.mark.parametrize("case", range(3), ids=["N4", "N5", "N7"])
+    def test_trajectory_csv_bytes_match_reference(self, case):
+        ref = REFERENCE_CASES[case]
+        orbit = build_test_orbit(ref["params"], ref["a"], ref["b"])
+        traj = sample(orbit, 2 * ref["params"].grid_unit)
+        assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
+
+    def test_trajectory_csv_partial_last_block(self):
+        params = SymmetryParams(8, 11, 3, 3, -8)
+        m_samples = 2 * params.grid_unit
+        assert m_samples > loops._CSV_BLOCK_NODES
+        assert m_samples % loops._CSV_BLOCK_NODES != 0
+        traj = sample(random_admissible_system(params, 30, seed=3), m_samples)
+        assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
+
+    def test_trajectory_csv_special_values(self):
+        special = np.array([-0.0, 0.0, 5e-324, 2.0e-310, 1e300, -1e300, np.inf, np.nan])
+        positions = np.stack([special.reshape(4, 2), -special[::-1].reshape(4, 2)])
+        traj = Trajectory(PARAMS4, 4, np.array([0.0, -0.0, 5e-324, 1e300]),
+                          positions, positions[::-1] * 3.0)
+        text = trajectory_to_csv(traj)
+        assert text == reference_trajectory_csv(traj)
+        assert text.splitlines()[1] == "0,1,-0,0,nan,-inf"
+        fields = set(text.replace("\n", ",").split(","))
+        assert {"-0", "0", "4.9406564584124654e-324", "1.0000000000000001e+300", "inf"} <= fields
 
     def test_spectrum_sorted_and_validated(self):
         spec = GeneratorSpectrum("main", (24, 3), np.array([1j, 2 + 0j]))
