@@ -18,6 +18,30 @@ in the gradient sum the factor conj(e_m(t + 1/r)) e^(2 pi i d/r) is 1. On a
 grid of M nodes (a multiple of r), value, gradient and minimum separation
 therefore equal their averages or minima over the first M/r nodes, up to
 rounding.
+
+It also evaluates only a few representative pairs, by g2 and g3. Main
+frequencies satisfy m = 0 (mod 3) and triple frequencies m = 0 (mod N), so
+the main generator q_1 has period 1/3 and the triple generator q_{N+1} has
+period 1/N. With q_i(t) = q_1(t + (i-1)/N) and q_{N+j}(t) = q_{N+1}(t + (j-1)/3):
+
+  main pair (i, j), s = j - i:  q_i - q_j at t is q_1 - q_{1+s} at
+      t + (i-1)/N, and minus q_1 - q_{1+N-s} at t + (j-1)/N. So the pairs
+      with offset s or N - s are time shifts of (1, 1+s), s = 1..floor(N/2):
+      N of them, or N/2 when s = N/2.
+  triple pair:  the 3 pairs are time shifts of (N+1, N+2).
+  cross pair (i, N+j):  |q_i - q_{N+j}| at t is |q_1 - q_{N+1}| at
+      t + (i-1)/N + (j-1)/3, by the two periods: all 3N cross pairs are
+      time shifts of (1, N+1).
+
+The weights N (or N/2), 3 and 3N sum to (N+3)(N+2)/2. M is a multiple of
+lcm(3, N), so every shift is a whole number of nodes, and the node average
+and the minimum of a periodic sequence do not change under a shift. The
+potential is the weighted sum of the representatives' node averages, and the
+minimum separation is their minimum. The representatives need bodies
+1..floor(N/2)+1, N+1 and N+2 only, the reduced body set; the gradient of the
+weighted sum reaches the generator coefficients through the phase of each
+reduced row. total_action and certify keep the full-pair path on all M
+nodes, an independent check of this reduction.
 """
 
 from __future__ import annotations
@@ -27,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .loops import SystemLoop, chain_nodes, require_grid, sample, winding_number
+from .loops import SystemLoop, require_grid, sample, winding_number
 from .symmetry import SymmetryParams
 
 TWO_PI = 2.0 * np.pi
@@ -91,13 +115,17 @@ def kinetic_action(system: SystemLoop) -> float:
     return float(km + kt)
 
 
-def _check_separation(positions: np.ndarray) -> None:
-    d, i, j, k = kernels.min_separation_scan(positions)
+def _require_separated(d: float, i: int, j: int, k: int) -> None:
+    """Raise on a near-collision sample: distance d of 1-based bodies i, j at node k."""
     if d < DISTANCE_FLOOR:
         raise ValueError(
-            f"near-collision sample: bodies {i + 1} and {j + 1} at node {k} "
-            f"are {d:.3e} apart"
+            f"near-collision sample: bodies {i} and {j} at node {k} are {d:.3e} apart"
         )
+
+
+def _check_separation(positions: np.ndarray) -> None:
+    d, i, j, k = kernels.min_separation_scan(positions)
+    _require_separated(d, i + 1, j + 1, k)
 
 
 def potential_action(system: SystemLoop, m_samples: int) -> float:
@@ -125,28 +153,53 @@ def total_action(system: SystemLoop, m_samples: int) -> ActionBreakdown:
     return ActionBreakdown(kinetic=kin, potential=pot, total=kin + pot, pairs=pairs)
 
 
-def _phase_table(freqs: np.ndarray, m_samples: int) -> np.ndarray:
-    """(F, M) table of e^(2 pi i m k / M), with m*k reduced modulo M first."""
-    ticks = np.outer(freqs, np.arange(m_samples)) % m_samples
+def representative_pairs(n_main: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Reduced body set, its representative pairs and their multiplicities.
+
+    Returns (bodies, pairs, weights): the 1-based body numbers of the reduced
+    rows (1..floor(N/2)+1, N+1, N+2), a (P, 2) table of row indices in
+    lexicographic order, and the number of pairs of the full system each
+    representative stands for (see the module docstring). The weights sum to
+    (N+3)(N+2)/2.
+    """
+    half = n_main // 2
+    bodies = tuple(range(1, half + 2)) + (n_main + 1, n_main + 2)
+    triple = half + 1
+    pairs = [(0, s) for s in range(1, half + 1)] + [(0, triple), (triple, triple + 1)]
+    weights = [n_main / 2 if 2 * s == n_main else n_main for s in range(1, half + 1)]
+    weights += [3 * n_main, 3]
+    return bodies, np.array(pairs, dtype=np.int64), np.array(weights, dtype=float)
+
+
+def _phase_table(freqs: np.ndarray, m_samples: int, m_nodes: int) -> np.ndarray:
+    """(F, m_nodes) table of e^(2 pi i m k / M) for k < m_nodes, m*k reduced modulo M."""
+    ticks = np.outer(freqs, np.arange(m_nodes)) % m_samples
     return np.exp((TWO_PI / m_samples) * 1j * ticks)
 
 
-def _chain_phases(freqs: np.ndarray, chain_length: int) -> np.ndarray:
-    """(L, F) table of e^(-2 pi i m b / L): body b's conjugate phase per frequency."""
-    ticks = np.outer(np.arange(chain_length), freqs) % chain_length
-    return np.exp((-TWO_PI / chain_length) * 1j * ticks)
+def _chain_phases(freqs: np.ndarray, chain_length: int, rows: int) -> np.ndarray:
+    """(rows, F) table of e^(2 pi i m b / L): the phase of body b+1 of a chain of L."""
+    ticks = np.outer(np.arange(rows), freqs) % chain_length
+    return np.exp((TWO_PI / chain_length) * 1j * ticks)
+
+
+def _chain_gradient(fz: np.ndarray, table: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """sum over rows b and nodes k of fz[b, k] conj(phase[b, f] table[f, k]), per f."""
+    return ((fz @ table.conj().T) * phase.conj()).sum(axis=0)
 
 
 class ActionWorkspace:
     """Phase tables for repeated evaluation on a fixed frequency basis and grid.
 
     Coefficients are passed as two complex arrays (cm, ct) aligned with
-    main_freqs and triple_freqs. Each generator is sampled on all M nodes from
-    one (F, M) phase table, and every other body reads its generator at
-    shifted nodes. Value, gradient and separation scan run on the first M/r
-    nodes, one fundamental domain of g1 (see the module docstring). All
-    evaluations share one discretization, so value_and_gradient returns the
-    exact gradient of the value it reports.
+    main_freqs and triple_freqs. Everything runs on the reduced body set of
+    ``representative_pairs`` and on the first M/r nodes, one fundamental
+    domain of g1 (see the module docstring): the value and separation scan
+    over the weighted representative pairs, the gradient through the
+    generator phases of the reduced rows, and the winding guard over one
+    domain arc per same-chain representative. All evaluations share one
+    discretization, so value_and_gradient returns the exact gradient of the
+    value it reports.
     """
 
     def __init__(self, params: SymmetryParams, main_freqs, triple_freqs, m_samples: int):
@@ -157,12 +210,12 @@ class ActionWorkspace:
         self.main_freqs = np.array(sorted(int(m) for m in main_freqs), dtype=np.int64)
         self.triple_freqs = np.array(sorted(int(m) for m in triple_freqs), dtype=np.int64)
         n = params.n_main
-        self._em = _phase_table(self.main_freqs, m_samples)      # (F, M)
-        self._et = _phase_table(self.triple_freqs, m_samples)
-        self._main_nodes = chain_nodes(n, m_samples)[:, : self.m_domain]
-        self._triple_nodes = chain_nodes(3, m_samples)[:, : self.m_domain]
-        self._main_phase = _chain_phases(self.main_freqs, n)    # (N, F)
-        self._triple_phase = _chain_phases(self.triple_freqs, 3)
+        self.bodies, self._pairs, self._weights = representative_pairs(n)
+        self._n_main_rows = n // 2 + 1
+        self._em = _phase_table(self.main_freqs, m_samples, self.m_domain)   # (F, M/r)
+        self._et = _phase_table(self.triple_freqs, m_samples, self.m_domain)
+        self._main_phase = _chain_phases(self.main_freqs, n, self._n_main_rows)  # (rows, F)
+        self._triple_phase = _chain_phases(self.triple_freqs, 3, 2)
         self.kinetic_weights_main = n * (TWO_PI * self.main_freqs.astype(float)) ** 2
         self.kinetic_weights_triple = 3 * (TWO_PI * self.triple_freqs.astype(float)) ** 2
         coupling = 3 * n
@@ -188,35 +241,49 @@ class ActionWorkspace:
             ct[it] -= 3.0 * lam
         return cm, ct
 
-    def _generators(self, cm: np.ndarray, ct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Main and triple generator on all M nodes, as complex samples."""
-        return np.einsum("f,fk->k", cm, self._em), np.einsum("f,fk->k", ct, self._et)
-
     def positions(self, cm: np.ndarray, ct: np.ndarray) -> np.ndarray:
-        """(N+3, M/r, 2) positions of every body on the fundamental domain."""
-        zm, zt = self._generators(cm, ct)
-        z = np.concatenate([zm[self._main_nodes], zt[self._triple_nodes]])
+        """(floor(N/2)+3, M/r, 2) positions of the reduced rows on the domain.
+
+        The rows are bodies 1..floor(N/2)+1 (the main generator advanced by
+        b/N, b = 0..floor(N/2)) and bodies N+1, N+2 (the triple generator
+        advanced by 0 and 1/3), as listed in ``bodies``.
+        """
+        zm = (cm * self._main_phase) @ self._em
+        zt = (ct * self._triple_phase) @ self._et
+        z = np.concatenate([zm, zt])
         return np.stack([z.real, z.imag], axis=-1)
 
-    def windings(self, cm: np.ndarray, ct: np.ndarray) -> dict[str, list[list[int]]]:
+    def min_separation(self, pos: np.ndarray) -> tuple[float, int, int, int]:
+        """Minimum pair distance of positions(cm, ct): (distance, body i, body j, node).
+
+        Bodies are 1-based; every pair of the full system is a node shift of
+        a representative, so this is the minimum over all pairs and nodes.
+        """
+        d, a, b, k = kernels.min_separation_scan(pos, self._pairs)
+        return d, self.bodies[a], self.bodies[b], k
+
+    def windings(self, cm: np.ndarray, ct: np.ndarray, pos=None) -> dict[str, list[list[int]]]:
         """Windings of all same-chain pairs, in the layout of loops.winding_table.
 
         Main pair (i, j) is pair (1, 1+s) advanced in time, s = j - i, and
         the negative of pair (1, 1+N-s) advanced in time; neither changes a
-        winding number, so floor(N/2) offsets cover the main chain. The three
-        triple pairs are all pair (N+1, N+2) advanced in time. Representatives
-        are taken from the full-grid generator samples; an undersampled one
-        raises ValueError as winding_number does.
+        winding number, so the floor(N/2) main representatives cover the main
+        chain, and the triple representative (N+1, N+2) covers the triple
+        chain. Each is wound over its arc on the M/r domain nodes, which the
+        next domain continues rotated by 2 pi d/r, so the full loop is r such
+        arcs. ``pos`` may pass positions(cm, ct). An undersampled
+        representative raises ValueError as winding_number does.
         """
-        zm, zt = self._generators(cm, ct)
-        n, m_samples = self.params.n_main, self.m_samples
+        if pos is None:
+            pos = self.positions(cm, ct)
+        n, r = self.params.n_main, self.params.r
+        turn = TWO_PI * self.params.d / r
 
-        def wind(z, shift):
-            rel = z - np.roll(z, -shift)
-            return winding_number(np.stack([rel.real, rel.imag], axis=-1), (0.0, 0.0))
+        def wind(a, b):
+            return winding_number(pos[a] - pos[b], (0.0, 0.0), arcs=r, arc_turn=turn)
 
-        by_offset = {s: wind(zm, s * m_samples // n) for s in range(1, n // 2 + 1)}
-        triple = wind(zt, m_samples // 3)
+        by_offset = {s: wind(0, s) for s in range(1, n // 2 + 1)}
+        triple = wind(self._n_main_rows, self._n_main_rows + 1)
         return {
             "main": [
                 [i + 1, j + 1, by_offset[min(j - i, n - (j - i))]]
@@ -234,6 +301,11 @@ class ActionWorkspace:
             + 0.5 * np.sum(self.kinetic_weights_triple * np.abs(ct) ** 2)
         )
 
+    def _checked_positions(self, cm, ct) -> np.ndarray:
+        pos = self.positions(cm, ct)
+        _require_separated(*self.min_separation(pos))
+        return pos
+
     def value(self, cm: np.ndarray, ct: np.ndarray, pos=None) -> float:
         """Discretized action.
 
@@ -241,28 +313,27 @@ class ActionWorkspace:
         already checked; otherwise they are computed and checked here.
         """
         if pos is None:
-            pos = self.positions(cm, ct)
-            _check_separation(pos)
-        return self.kinetic(cm, ct) + float(kernels.pair_mean_inverse_distance(pos).sum())
+            pos = self._checked_positions(cm, ct)
+        potential = self._weights @ kernels.pair_mean_inverse_distance(pos, self._pairs)
+        return self.kinetic(cm, ct) + float(potential)
 
     def gradient(self, cm, ct, pos) -> tuple[np.ndarray, np.ndarray]:
         """Exact coefficient gradient (projected) of the value at positions(cm, ct)."""
-        forces = kernels.pair_forces(pos)
-        fz = forces[..., 0] + 1j * forces[..., 1]  # dU/dq_i as complex numbers
-        n, md = self.params.n_main, self.m_domain
-        gm = self.kinetic_weights_main * cm + np.einsum(
-            "bk,fk,bf->f", fz[:n], np.conj(self._em[:, :md]), self._main_phase
-        ) / md
-        gt = self.kinetic_weights_triple * ct + np.einsum(
-            "bk,fk,bf->f", fz[n:], np.conj(self._et[:, :md]), self._triple_phase
-        ) / md
+        forces = kernels.pair_forces(pos, self._pairs, self._weights)
+        fz = forces[..., 0] + 1j * forces[..., 1]  # dU/dq of each reduced row
+        rows, md = self._n_main_rows, self.m_domain
+        gm = self.kinetic_weights_main * cm + (
+            _chain_gradient(fz[:rows], self._em, self._main_phase) / md
+        )
+        gt = self.kinetic_weights_triple * ct + (
+            _chain_gradient(fz[rows:], self._et, self._triple_phase) / md
+        )
         return self.project(gm, gt)
 
     def value_and_gradient(self, cm, ct, pos=None) -> tuple[float, np.ndarray, np.ndarray]:
         """Discretized action and its exact coefficient gradient; ``pos`` as in value."""
         if pos is None:
-            pos = self.positions(cm, ct)
-            _check_separation(pos)
+            pos = self._checked_positions(cm, ct)
         return (self.value(cm, ct, pos), *self.gradient(cm, ct, pos))
 
     def coefficients_of(self, system: SystemLoop) -> tuple[np.ndarray, np.ndarray]:

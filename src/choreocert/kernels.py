@@ -1,10 +1,12 @@
 """Hot numeric kernels: pairwise distance/force scans over sampled trajectories.
 
 Every kernel takes positions or velocities shaped (bodies, samples, 2) in
-float64 and works on all unordered body pairs at once as numpy arrays, with
-pairs in lexicographic order and time ascending. There is one implementation
-per kernel and no run-time selection, so results are deterministic and runs
-are repeatable bit for bit.
+float64 and works on a table of body pairs at once as numpy arrays, time
+ascending. By default the table is every unordered pair in lexicographic
+order; a caller may pass its own (P, 2) table of row indices instead, such as
+the representative pairs of a symmetry-reduced body set. There is one
+implementation per kernel and no run-time selection, so results are
+deterministic and runs are repeatable bit for bit.
 """
 
 from __future__ import annotations
@@ -27,50 +29,54 @@ def _as_pos(arr):
     return arr
 
 
-def pair_mean_inverse_distance(pos) -> np.ndarray:
-    """Per-pair time average of 1/|q_i - q_j|, pairs in lexicographic order."""
-    pos = _as_pos(pos)
-    ii, jj = pair_index_table(pos.shape[0]).T
-    diff = pos[ii] - pos[jj]
+def _pair_differences(arr, pairs):
+    """Row indices (ii, jj) of the pair table and arr[ii] - arr[jj], shaped (P, M, 2)."""
+    arr = _as_pos(arr)
+    table = pair_index_table(arr.shape[0]) if pairs is None else np.asarray(pairs, np.int64)
+    ii, jj = table.T
+    return ii, jj, arr[ii] - arr[jj]
+
+
+def pair_mean_inverse_distance(pos, pairs=None) -> np.ndarray:
+    """Per-pair time average of 1/|q_i - q_j|, in the order of the pair table."""
+    _, _, diff = _pair_differences(pos, pairs)
     dist = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
     return (1.0 / dist).mean(axis=1)
 
 
 def pair_mean_square_relative_velocity(vel) -> np.ndarray:
     """Per-pair time average of |v_i - v_j|^2, pairs in lexicographic order."""
-    vel = _as_pos(vel)
-    ii, jj = pair_index_table(vel.shape[0]).T
-    diff = vel[ii] - vel[jj]
+    _, _, diff = _pair_differences(vel, None)
     return (diff[..., 0] ** 2 + diff[..., 1] ** 2).mean(axis=1)
 
 
-def pair_forces(pos) -> np.ndarray:
-    """Gradient of sum_{i<j} 1/|q_i - q_j| with respect to each body position.
+def pair_forces(pos, pairs=None, weights=None) -> np.ndarray:
+    """Gradient of sum_p w_p/|q_i - q_j| over the pair table, per row position.
 
-    Row i holds sum_{j != i} (q_j - q_i)/|q_i - q_j|^3, which is also the
-    Newtonian acceleration of unit-mass body i.
+    With the default table and unit weights, row i holds
+    sum_{j != i} (q_j - q_i)/|q_i - q_j|^3, which is also the Newtonian
+    acceleration of unit-mass body i. The per-pair terms are gathered onto
+    the rows by one dense (B, P) incidence of +-w_p, contracted over pairs.
     """
-    pos = _as_pos(pos)
-    ii, jj = pair_index_table(pos.shape[0]).T
-    diff = pos[ii] - pos[jj]
+    ii, jj, diff = _pair_differences(pos, pairs)
     d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
     g = -diff / (d2 * np.sqrt(d2))[..., None]
-    out = np.zeros_like(pos)
-    np.add.at(out, ii, g)
-    np.subtract.at(out, jj, g)
-    return out
+    w = np.ones(len(ii)) if weights is None else np.asarray(weights, dtype=np.float64)
+    incidence = np.zeros((len(pos), len(ii)))
+    cols = np.arange(len(ii))
+    incidence[ii, cols] = w
+    incidence[jj, cols] = -w
+    return np.tensordot(incidence, g, axes=(1, 0))
 
 
-def min_separation_scan(pos) -> tuple[float, int, int, int]:
+def min_separation_scan(pos, pairs=None) -> tuple[float, int, int, int]:
     """Global minimum pair distance: (distance, i, j, sample index), 0-based.
 
-    Ties break to the smallest (i, j, k) lexicographically: argmin returns
-    the first minimum of the (pair, sample) table, whose rows are the pairs
-    in lexicographic order.
+    Ties break to the first minimum of the (pair, sample) table, pairs in
+    table order: with the default table, the smallest (i, j, k)
+    lexicographically.
     """
-    pos = _as_pos(pos)
-    ii, jj = pair_index_table(pos.shape[0]).T
-    diff = pos[ii] - pos[jj]
+    ii, jj, diff = _pair_differences(pos, pairs)
     dist = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
     p, k = divmod(int(np.argmin(dist)), dist.shape[1])
     return float(dist[p, k]), int(ii[p]), int(jj[p]), int(k)

@@ -271,13 +271,18 @@ def max_symmetry_residual(traj: Trajectory) -> float:
     return max(group_action_residual(traj, g) for g in _GENERATORS)
 
 
-def winding_number(points, base) -> int:
+def winding_number(points, base, arcs: int = 1, arc_turn: float = 0.0) -> int:
     """Signed turns of a closed sampled curve around a base point.
 
     Accumulates the angle of (x - base)/|x - base| step by step; each step must
     stay below pi in magnitude, which makes the rounded total exact. Positive
     means counterclockwise. The closing segment from the last sample back to
     the first is included.
+
+    The points may instead sample the first of ``arcs`` congruent arcs of the
+    curve, each the previous one rotated about ``base`` by ``arc_turn``
+    radians. The arc then closes at its first point so rotated, and the curve
+    turns ``arcs`` times as often as the arc.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
@@ -285,13 +290,17 @@ def winding_number(points, base) -> int:
     rel = pts - np.asarray(base, dtype=float)
     if np.any((rel[:, 0] == 0.0) & (rel[:, 1] == 0.0)):
         raise ValueError("base point lies on the curve")
-    nxt = np.roll(rel, -1, axis=0)
+    end = rel[:1]
+    if arc_turn:
+        c, s = math.cos(arc_turn), math.sin(arc_turn)
+        end = np.array([[c * end[0, 0] - s * end[0, 1], s * end[0, 0] + c * end[0, 1]]])
+    nxt = np.concatenate([rel[1:], end])
     cross = rel[:, 0] * nxt[:, 1] - rel[:, 1] * nxt[:, 0]
     dot = rel[:, 0] * nxt[:, 0] + rel[:, 1] * nxt[:, 1]
     steps = np.arctan2(cross, dot)
     if np.any(np.abs(steps) >= np.pi * (1.0 - 1e-12)):
         raise ValueError("undersampled: angular step >= pi between adjacent samples")
-    total = steps.sum() / TWO_PI
+    total = arcs * steps.sum() / TWO_PI
     n = round(total)
     if abs(total - n) > 1e-6:
         raise ValueError(f"accumulated angle {total!r} turns is not an integer")

@@ -187,13 +187,13 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
     cm, ct = ws.project(*ws.coefficients_of(start))
 
     pos = ws.positions(cm, ct)
-    start_minsep = kernels.min_separation_scan(pos)[0]
+    start_minsep = ws.min_separation(pos)[0]
     if start_minsep < options.eps_sep:
         raise ValueError(
             f"separation guard hit at start: min separation {start_minsep:.3e} "
             f"< eps_sep {options.eps_sep:.3e}"
         )
-    ref_windings = ws.windings(cm, ct)
+    ref_windings = ws.windings(cm, ct, pos)
 
     f, gm, gt = ws.value_and_gradient(cm, ct, pos)
     x = _pack(cm, ct)
@@ -216,14 +216,14 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
         xn = _pack(*ws.project(*_unpack(base + step * direction, nm)))
         cmn, ctn = _unpack(xn, nm)
         pos = ws.positions(cmn, ctn)
-        minsep = kernels.min_separation_scan(pos)[0]
+        minsep = ws.min_separation(pos)[0]
         if minsep < options.eps_sep:
             return None
         return xn, cmn, ctn, pos, minsep
 
-    def windings_unchanged(xn):
+    def windings_unchanged(cmn, ctn, pos):
         try:
-            return ws.windings(*_unpack(xn, nm)) == ref_windings
+            return ws.windings(cmn, ctn, pos) == ref_windings
         except ValueError:  # undersampled: treated as a change
             return False
 
@@ -236,7 +236,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
         xn, cmn, ctn, pos, minsep = hit
         fn, gmn, gtn = ws.value_and_gradient(cmn, ctn, pos)
         evaluations += 1
-        return xn, fn, _pack(gmn, gtn), minsep
+        return xn, fn, _pack(gmn, gtn), minsep, (cmn, ctn, pos)
 
     def flat_search(direction, gnorm, f_floor):
         """Smallest-|g| admissible point along the ray, expanding from step 1."""
@@ -289,7 +289,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
         # comparisons are meaningless: switch to gradient contraction.
         flat = abs(options.armijo * slope) < 64.0 * eps64 * max(1.0, abs(f))
 
-        accepted = None  # (xn, f, g, minsep, step)
+        accepted = None  # (xn, f, g, minsep, step, (cm, ct, positions))
         if not flat:
             step = 1.0
             for _ in range(200):
@@ -300,7 +300,8 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
                     evaluations += 1
                     if fn <= f + options.armijo * step * slope:
                         evaluations += 1
-                        accepted = (xn, fn, _pack(*ws.gradient(cmn, ctn, pos)), minsep, step)
+                        gn_vec = _pack(*ws.gradient(cmn, ctn, pos))
+                        accepted = (xn, fn, gn_vec, minsep, step, (cmn, ctn, pos))
                         break
                 step *= options.shrink
                 if step < 1e-18:
@@ -312,16 +313,16 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
                 history.clear()
                 found = flat_search(-g / prec, gnorm, f_floor)
             if found is not None:
-                step, (xn, fn2, gn_vec, minsep) = found
-                accepted = (xn, fn2, gn_vec, minsep, step)
+                step, (xn, fn2, gn_vec, minsep, probe) = found
+                accepted = (xn, fn2, gn_vec, minsep, step, probe)
 
-        if accepted is not None and not windings_unchanged(accepted[0]):
+        if accepted is not None and not windings_unchanged(*accepted[5]):
             accepted = None
         if accepted is None:
             termination = "no_admissible_step"
             break
 
-        xn, fn2, gn_vec, minsep, step = accepted
+        xn, fn2, gn_vec, minsep, step, _ = accepted
         s_vec, y_vec = xn - x, gn_vec - g
         sy = float(s_vec @ y_vec)
         meaningful = float(np.linalg.norm(s_vec)) > 1e-13 * (1.0 + float(np.linalg.norm(x)))

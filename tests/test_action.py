@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from choreocert.action import (
     kinetic_action,
     lagrangian_identity_gap,
     potential_action,
+    representative_pairs,
     sobolev_margins,
     total_action,
     wirtinger_margins,
@@ -232,7 +235,7 @@ class TestFundamentalDomain:
         m_samples = params.default_grid()
         ws = ActionWorkspace.for_system(system, m_samples)
         assert ws.positions(*ws.coefficients_of(system)).shape == (
-            params.n_bodies, m_samples // params.r, 2)
+            params.n_main // 2 + 3, m_samples // params.r, 2)
         cm, ct = ws.project(*ws.coefficients_of(system))
         value, gm, gt = ws.value_and_gradient(cm, ct)
         ref_value, ref_gm, ref_gt, ref_sep = full_grid_evaluation(ws, cm, ct)
@@ -256,6 +259,107 @@ class TestFundamentalDomain:
         table = ws.windings(*ws.coefficients_of(system))
         assert table == winding_table(sample(system, 1344))
         assert {w for _, _, w in table["main"]} == {-18, 3}
+
+    def test_domain_arc_agrees_on_undersampled_grids(self):
+        # frequency -102 (offset-1 pairs) aliases below 672 nodes: both tables
+        # then read the same wrong winding rather than raising
+        system = SystemLoop(
+            PARAMS4,
+            GeneratorSpectrum("main", (-102, 3), np.array([0.09 + 0j, 0.1 + 0j])),
+            GeneratorSpectrum("triple", (-4,), np.array([0.005 + 0j])),
+        )
+        for m_samples in (84, 168, 252, 672):
+            ws = ActionWorkspace.for_system(system, m_samples)
+            cm, ct = ws.coefficients_of(system)
+            table = ws.windings(cm, ct, ws.positions(cm, ct))
+            assert table == winding_table(sample(system, m_samples))
+        assert {w for _, _, w in table["main"]} == {-102, 3}
+
+    @pytest.mark.parametrize("m_samples", [30, 480])
+    def test_half_turn_step_rejected(self, m_samples):
+        # |c_3| = |c_-3| makes every main pair difference a segment through
+        # the origin: crossing it between two nodes is a half-turn step
+        params = SymmetryParams(5, 2, 3, 3, -5)
+        system = SystemLoop(
+            params,
+            GeneratorSpectrum("main", (-3, 3), np.array([0.1 + 0j, 0.1 * np.exp(0.5j)])),
+            GeneratorSpectrum("triple", (-5,), np.array([0.05 + 0j])),
+        )
+        ws = ActionWorkspace.for_system(system, m_samples)
+        with pytest.raises(ValueError, match="undersampled"):
+            winding_table(sample(system, m_samples))
+        with pytest.raises(ValueError, match="undersampled"):
+            ws.windings(*ws.coefficients_of(system))
+
+    def test_near_collision_names_real_bodies(self):
+        # equal radii: body 1 meets body N+1 = 5 at t = 0, a cross pair
+        system = SystemLoop(
+            PARAMS4,
+            GeneratorSpectrum("main", (3,), np.array([0.1 + 0j])),
+            GeneratorSpectrum("triple", (-4,), np.array([0.1 + 0j])),
+        )
+        ws = ActionWorkspace.for_system(system, 168)
+        cm, ct = ws.coefficients_of(system)
+        with pytest.raises(ValueError, match="near-collision sample") as err:
+            ws.value(cm, ct)
+        i, j = (int(b) for b in re.search(r"bodies (\d+) and (\d+)", str(err.value)).groups())
+        assert 1 <= i <= 4 < j <= 7
+        assert ws.min_separation(ws.positions(cm, ct))[1:3] == (i, j)
+
+
+def _moved(body: int, n: int, c: int, e: int) -> int:
+    """Body reached from ``body`` by c steps of g3 (main chain) and e of g2 (triple)."""
+    if body <= n:
+        return (body - 1 + c) % n + 1
+    return n + (body - n - 1 + e) % 3 + 1
+
+
+# Every admissible N from 4 to 20 with r = N + 3, and N = 5 with r = 2.
+REPRESENTATIVE_FAMILIES = [
+    SymmetryParams(n, n + 3, 3, 3, -n) for n in range(4, 21) if n % 3
+] + [SymmetryParams(5, 2, 3, 3, -5)]
+
+
+class TestRepresentativePairs:
+    @pytest.mark.parametrize("params", DOMAIN_FAMILIES, ids=lambda p: f"N{p.n_main}r{p.r}")
+    def test_reduced_rows_are_their_bodies(self, params):
+        system = random_admissible_system(params, 48, seed=params.n_main)
+        m_samples = params.default_grid()
+        ws = ActionWorkspace.for_system(system, m_samples)
+        rows = ws.positions(*ws.coefficients_of(system))
+        bodies = sample(system, m_samples).positions[np.array(ws.bodies) - 1, : ws.m_domain]
+        assert np.abs(rows - bodies).max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        "params", REPRESENTATIVE_FAMILIES, ids=lambda p: f"N{p.n_main}r{p.r}"
+    )
+    def test_node_shifts_cover_every_pair_once(self, params):
+        n = params.n_main
+        bodies, pairs, weights = representative_pairs(n)
+        assert weights.sum() == (n + 3) * (n + 2) // 2
+        # two modes per chain, so no pair distance is constant in time
+        system = random_admissible_system(params, n * params.r + n, seed=n, min_sep=0.0)
+        m_samples = 2 * params.grid_unit
+        pos = sample(system, m_samples).positions
+
+        def distance(i, j):
+            diff = pos[i - 1] - pos[j - 1]
+            return np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
+
+        covered = []
+        for (a, b), weight in zip(pairs, weights):
+            rep = distance(bodies[a], bodies[b])
+            orbit = set()
+            for c in range(n):
+                for e in range(3):
+                    pair = tuple(sorted(_moved(x, n, c, e) for x in (bodies[a], bodies[b])))
+                    shift = c * m_samples // n + e * m_samples // 3
+                    assert np.allclose(distance(*pair), np.roll(rep, -shift), rtol=0, atol=1e-12)
+                    orbit.add(pair)
+            assert len(orbit) == weight
+            covered += sorted(orbit)
+        every = [(i, j) for i in range(1, n + 4) for j in range(i + 1, n + 4)]
+        assert sorted(covered) == every
 
 
 class TestDiagnostics:

@@ -39,6 +39,35 @@ def brute_pair_scan(pos):
     return np.array(means), best
 
 
+def brute_table_forces(pos, pairs, weights):
+    """Gradient of sum_p w_p/|q_i - q_j| over a pair table, pair by pair."""
+    out = np.zeros_like(pos)
+    for (i, j), w in zip(pairs, weights):
+        diff = pos[j] - pos[i]
+        d = np.sqrt((diff**2).sum(axis=1))
+        out[i] += w * diff / d[:, None] ** 3
+        out[j] -= w * diff / d[:, None] ** 3
+    return out
+
+
+def brute_table_scan(pos, pairs):
+    """Per-pair mean 1/distance and the first minimum (d, i, j, k) in table order."""
+    means, best = [], (np.inf, 0, 0, 0)
+    for i, j in pairs:
+        d = np.sqrt(((pos[i] - pos[j]) ** 2).sum(axis=1))
+        means.append((1.0 / d).mean())
+        for k in range(len(d)):
+            if d[k] < best[0]:
+                best = (d[k], i, j, k)
+    return np.array(means), best
+
+
+# A pair table out of lexicographic order, with a reversed pair (4, 3), rows
+# shared between pairs and a row (5) in no pair.
+TABLE = np.array([[2, 6], [0, 1], [4, 3], [1, 2], [0, 4]])
+TABLE_WEIGHTS = np.array([3.0, 0.5, 7.0, 2.0, 21.0])
+
+
 def test_pair_table_order():
     table = kernels.pair_index_table(4)
     assert table.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
@@ -57,6 +86,38 @@ def test_pair_means_and_scan_match_brute_force(random_positions):
     d, i, j, k = kernels.min_separation_scan(random_positions)
     assert [i, j, k] == want_ijk
     assert abs(d - want_d) <= 1e-14 * want_d
+
+
+def test_table_kernels_match_brute_force(random_positions):
+    got = kernels.pair_forces(random_positions, TABLE, TABLE_WEIGHTS)
+    want = brute_table_forces(random_positions, TABLE, TABLE_WEIGHTS)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert not got[5].any()
+    want_means, (want_d, *want_ijk) = brute_table_scan(random_positions, TABLE)
+    got_means = kernels.pair_mean_inverse_distance(random_positions, TABLE)
+    assert np.all(np.abs(got_means - want_means) <= 1e-12 * want_means)
+    d, i, j, k = kernels.min_separation_scan(random_positions, TABLE)
+    assert [i, j, k] == want_ijk
+    assert abs(d - want_d) <= 1e-14 * want_d
+
+
+def test_table_unit_weights_match_default(random_positions):
+    full = kernels.pair_index_table(7)
+    assert np.array_equal(
+        kernels.pair_forces(random_positions, full, np.ones(len(full))),
+        kernels.pair_forces(random_positions),
+    )
+    assert np.array_equal(
+        kernels.pair_mean_inverse_distance(random_positions, full),
+        kernels.pair_mean_inverse_distance(random_positions),
+    )
+
+
+def test_table_min_scan_tie_breaks_in_table_order():
+    pos = np.zeros((3, 2, 2))
+    pos[1, :, 0] = 1.0
+    pos[2, :, 0] = 2.0  # pairs (1, 2) and (0, 1) both at distance 1
+    assert kernels.min_separation_scan(pos, [[1, 2], [0, 1]]) == (1.0, 1, 2, 0)
 
 
 def test_constant_distance_pair_mean():
