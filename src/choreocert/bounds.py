@@ -6,6 +6,14 @@ are handled exactly as integer ticks modulo L = 3*N*r, on which every
 symmetry shift (1/r, 1/3, 1/N) is an integer, so the propagation closure and
 the distinctness checks involve no floating point at all.
 
+The closure is one group orbit, enumerated directly. A pair kind has three
+propagation maps (the rotation t + L/r, a pure time shift, and the chain
+relabelling with its time shift), and they commute: relabelling does not
+depend on t and every shift is additive. Their orders are r, 3 and N (N and
+3 for triple pairs; for cross pairs the pure shift is replaced by the second
+chain's relabelling), so the orbit of a seed at t = 0 has at most 3*N*r
+states.
+
 Each pair's contribution to the action is bounded below with the two-body
 bounds: between consecutive forced collisions by the fixed-end bound, and for
 never-colliding pairs by the zero-mean periodic bound applied on the pair's
@@ -18,7 +26,7 @@ action of any loop exhibiting the seed collision.
 from __future__ import annotations
 
 import math
-from collections import deque
+import operator
 from dataclasses import dataclass
 
 from .symmetry import SymmetryParams
@@ -54,7 +62,7 @@ class TimeLattice:
     ticks: tuple[int, ...]
 
     def __post_init__(self):
-        ts = tuple(sorted(int(t) % self.modulus for t in self.ticks))
+        ts = tuple(sorted(map(self.modulus.__rmod__, map(int, self.ticks))))
         if len(set(ts)) != len(ts):
             raise ValueError("duplicate ticks")
         object.__setattr__(self, "ticks", ts)
@@ -63,25 +71,36 @@ class TimeLattice:
     def size(self) -> int:
         return len(self.ticks)
 
+    def gaps(self) -> list[int]:
+        """Tick counts of the consecutive inter-collision intervals (wrap included)."""
+        ts = self.ticks
+        gaps = list(map(operator.sub, ts[1:], ts))
+        gaps.append(self.modulus + ts[0] - ts[-1])
+        return gaps
+
     def durations(self) -> list[float]:
         """Lengths of the consecutive inter-collision intervals (wrap included)."""
-        ts = self.ticks
-        gaps = [ts[i + 1] - ts[i] for i in range(len(ts) - 1)]
-        gaps.append(self.modulus + ts[0] - ts[-1])
-        return [g / self.modulus for g in gaps]
+        return list(map(self.modulus.__rtruediv__, self.gaps()))
 
     @property
     def is_arithmetic(self) -> bool:
-        ts = self.ticks
-        if len(ts) < 2:
-            return True
-        gaps = {ts[i + 1] - ts[i] for i in range(len(ts) - 1)}
-        gaps.add(self.modulus + ts[0] - ts[-1])
-        return len(gaps) == 1
+        return len(set(self.gaps())) == 1
 
 
 def _canonical(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
+
+
+def lattice_modulus(params: SymmetryParams) -> int:
+    """Common tick denominator L = 3*N*r of every collision time and scan.
+
+    Raises ValueError unless N >= 1 and r >= 1: with either below 1 there is
+    no lattice, and every orbit and distinctness scan would be empty.
+    """
+    n, r = params.n_main, params.r
+    if n < 1 or r < 1:
+        raise ValueError(f"collision lattices need N >= 1 and r >= 1, got N={n}, r={r}")
+    return 3 * n * r
 
 
 def collision_closure(
@@ -98,51 +117,51 @@ def collision_closure(
       cross:           succ on the main index with t -> t - L/N,
                        succ on the triple index with t -> t - L/3
     where succ is the cyclic successor on its chain. Returns every reachable
-    pair with its full tick lattice.
+    pair with its full tick lattice, pairs in ascending order.
+
+    The three rules of a pair kind are commuting maps: relabelling does not
+    depend on t and every time shift is additive. Each has finite order (r
+    for the rotation, 3 or N for the pure shift, N or 3 for succ with its
+    shift, since N * L/N = L), so the reachable set is exactly the orbit
+    {rot^a shift^b succ^c (seed, 0)}, and for cross seeds
+    {rot^a succ_main^c succ_triple^e (seed, 0)}: at most 3*N*r states,
+    enumerated directly rather than searched.
     """
     n, r = params.n_main, params.r
+    L = lattice_modulus(params)
     B = n + 3
     i0, j0 = seed
     if not (1 <= i0 <= B and 1 <= j0 <= B) or i0 == j0:
         raise ValueError(f"seed pair {seed} invalid for {B} bodies")
-    L = 3 * n * r
-    rot = L // r
-    third = L // 3
-    enth = L // n
+    rot, third, enth = L // r, L // 3, L // n
 
-    def succ_main(i):
-        return i % n + 1
+    def main(i, c):
+        return (i - 1 + c) % n + 1
 
-    def succ_triple(i):
-        return n + 1 + (i - n) % 3
+    def triple(i, e):
+        return n + 1 + (i - n - 1 + e) % 3
 
-    start = (*_canonical(i0, j0), 0)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        i, j, t = queue.popleft()
-        nexts = [(i, j, (t + rot) % L)]
-        if j <= n:
-            nexts.append((i, j, (t + third) % L))
-            nexts.append((*_canonical(succ_main(i), succ_main(j)), (t - enth) % L))
-        elif i > n:
-            nexts.append((i, j, (t + enth) % L))
-            nexts.append((*_canonical(succ_triple(i), succ_triple(j)), (t - third) % L))
-        else:
-            nexts.append((*_canonical(succ_main(i), j), (t - enth) % L))
-            nexts.append((i, succ_triple(j), (t - third) % L))
-        for state in nexts:
-            if state not in seen:
-                seen.add(state)
-                queue.append(state)
+    # Each relabelling power gives a pair and a base tick; the free shifts
+    # give the ticks every such pair collides at beyond its base.
+    i0, j0 = _canonical(i0, j0)
+    if j0 <= n:
+        powers = [(main(i0, c), main(j0, c), -c * enth) for c in range(n)]
+        free = {(a * rot + b * third) % L for a in range(r) for b in range(3)}
+    elif i0 > n:
+        powers = [(triple(i0, e), triple(j0, e), -e * third) for e in range(3)]
+        free = {(a * rot + b * enth) % L for a in range(r) for b in range(n)}
+    else:
+        powers = [
+            (main(i0, c), triple(j0, e), -c * enth - e * third)
+            for c in range(n)
+            for e in range(3)
+        ]
+        free = {a * rot for a in range(r)}
 
     by_pair: dict[tuple[int, int], set[int]] = {}
-    for i, j, t in seen:
-        by_pair.setdefault((i, j), set()).add(t)
-    return {
-        pair: TimeLattice(L, tuple(sorted(ticks)))
-        for pair, ticks in sorted(by_pair.items())
-    }
+    for i, j, base in powers:
+        by_pair.setdefault(_canonical(i, j), set()).update([(base + t) % L for t in free])
+    return {pair: TimeLattice(L, tuple(ticks)) for pair, ticks in sorted(by_pair.items())}
 
 
 @dataclass(frozen=True)
@@ -163,15 +182,6 @@ class CaseBound:
         }
 
 
-def _relative_period(params: SymmetryParams, i: int, j: int) -> float:
-    n = params.n_main
-    if j <= n:
-        return 1.0 / 3.0
-    if i > n:
-        return 1.0 / n
-    return 1.0
-
-
 def case_lower_bound(
     params: SymmetryParams, seed: tuple[int, int], label: str | None = None
 ) -> CaseBound:
@@ -185,17 +195,23 @@ def case_lower_bound(
     n = params.n_main
     B = n + 3
     strength = float(B)
+    # relative periods: 1/3 for main-main, 1 for cross, 1/N for triple-triple
+    main_term, cross_term, triple_term = (
+        gordon_periodic(strength, p) / p for p in (1.0 / 3.0, 1.0, 1.0 / n)
+    )
     total = 0.0
     sizes = []
     for i in range(1, B + 1):
         for j in range(i + 1, B + 1):
             lattice = closure.get((i, j))
-            if lattice is not None:
-                sizes.append(lattice.size)
-                total += sum(gordon_segment(strength, d) for d in lattice.durations())
-            else:
-                p = _relative_period(params, i, j)
-                total += gordon_periodic(strength, p) / p
+            if lattice is None:
+                total += main_term if j <= n else cross_term if i <= n else triple_term
+                continue
+            sizes.append(lattice.size)
+            # one Gordon segment per distinct gap, summed in lattice order
+            gaps = lattice.gaps()
+            segment = {g: gordon_segment(strength, g / lattice.modulus) for g in set(gaps)}
+            total += sum(map(segment.__getitem__, gaps))
     return CaseBound(
         label=label if label is not None else f"seed {seed}",
         pair=_canonical(*seed),
@@ -279,15 +295,32 @@ class LatticeCheckReport:
         return next((c for c in self.checks if not c.passed), None)
 
 
-def _distinct(name: str, states, denominator: int) -> LatticeCheck:
-    """All (indices -> tick mod denominator) values distinct, exact integers."""
-    seen: dict[int, tuple] = {}
-    for indices, tick in states:
-        tick %= denominator
-        if tick in seen:
-            return LatticeCheck(name, False, (seen[tick], indices, tick, denominator))
-        seen[tick] = indices
-    return LatticeCheck(name, True, None)
+def _distinct(name: str, denominator: int, *axes: tuple[int, range]) -> LatticeCheck:
+    """All ticks sum(c * x) mod denominator over a grid distinct, exact integers.
+
+    Each axis is (coefficient c, range of its index x), innermost loop first;
+    the witness lists indices in the same order. A failure's witness pairs
+    the first state in loop order whose tick repeats with the first state
+    that had that tick: ((indices a), (indices b), tick, denominator).
+    """
+    ticks = [0]
+    for c, x in reversed(axes):
+        ticks = [t + c * i for t in ticks for i in x]
+    ticks = [t % denominator for t in ticks]
+    if len(set(ticks)) == len(ticks):
+        return LatticeCheck(name, True, None)
+
+    def indices(flat):
+        out = []
+        for _, x in axes:
+            flat, k = divmod(flat, len(x))
+            out.append(x[k])
+        return tuple(out)
+
+    first: dict[int, int] = {}
+    repeat = next(k for k, tick in enumerate(ticks) if first.setdefault(tick, k) != k)
+    tick = ticks[repeat]
+    return LatticeCheck(name, False, (indices(first[tick]), indices(repeat), tick, denominator))
 
 
 def verify_time_lemmas(params: SymmetryParams) -> LatticeCheckReport:
@@ -306,42 +339,31 @@ def verify_time_lemmas(params: SymmetryParams) -> LatticeCheckReport:
     generic d it can fail for even r, e.g. i/8 + j/6 has 4/8 = 3/6.)
 
     With 3 | r the first scan finds a coincidence, which is what a caller
-    probing bad parameters sees.
+    probing bad parameters sees. N < 1 or r < 1 raises ValueError, since
+    every scan would be empty and pass vacuously.
     """
     n, r = params.n_main, params.r
+    L = lattice_modulus(params)
 
-    checks = []
-
-    # i/r vs j/r + k/3 over 3r
-    states = [((i, k), 3 * i + k * r) for k in range(3) for i in range(r)]
-    checks.append(_distinct("rotation-vs-thirds", states, 3 * r))
-
-    # i/(3r) + j/N over 3rN, j = 1..N-1
-    states = [
-        ((i, j), n * i + 3 * r * j) for j in range(1, n) for i in range(3 * r)
+    checks = [
+        # i/r vs j/r + k/3 over 3r
+        _distinct("rotation-vs-thirds", 3 * r, (3, range(r)), (r, range(3))),
+        # i/(3r) + j/N over 3rN, j = 1..N-1
+        _distinct("thirds-lattice-vs-main-shifts", L, (n, range(3 * r)), (3 * r, range(1, n))),
     ]
-    checks.append(_distinct("thirds-lattice-vs-main-shifts", states, 3 * r * n))
-
     if n % 2 == 0:
         # i/r + j/6 over 6r
-        states = [((i, j), 6 * i + r * j) for j in range(6) for i in range(r)]
-        checks.append(_distinct("rotation-vs-sixths", states, 6 * r))
-
+        checks.append(_distinct("rotation-vs-sixths", 6 * r, (6, range(r)), (r, range(6))))
         # i/(6r) + j/N over 6rN, j = 1..N/2-1
-        states = [
-            ((i, j), n * i + 6 * r * j)
-            for j in range(1, n // 2)
-            for i in range(6 * r)
-        ]
-        checks.append(_distinct("sixths-lattice-vs-main-shifts", states, 6 * r * n))
-
+        checks.append(
+            _distinct(
+                "sixths-lattice-vs-main-shifts", 2 * L, (n, range(6 * r)), (6 * r, range(1, n // 2))
+            )
+        )
     # i/r + j/N + k/3 over 3rN, j = 1..N-1
-    states = [
-        ((i, j, k), 3 * n * i + 3 * r * j + n * r * k)
-        for k in range(3)
-        for j in range(1, n)
-        for i in range(r)
-    ]
-    checks.append(_distinct("rotation-main-thirds-joint", states, 3 * r * n))
-
+    checks.append(
+        _distinct(
+            "rotation-main-thirds-joint", L, (3 * n, range(r)), (3 * r, range(1, n)), (n * r, range(3))
+        )
+    )
     return LatticeCheckReport(params=params, checks=tuple(checks))

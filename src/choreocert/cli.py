@@ -17,7 +17,7 @@ import json
 import sys
 from collections import Counter
 
-from .bounds import ThresholdReport, collision_threshold, verify_time_lemmas
+from .bounds import ThresholdReport, collision_threshold, lattice_modulus, verify_time_lemmas
 from .fileio import atomic_write_text, read_config
 from .loops import sample, system_from_dict, trajectory_to_csv
 from .solver import MinimizeOptions, minimize
@@ -333,6 +333,11 @@ def _cmd_minimize(args) -> int:
 def _cmd_lemmas(args) -> int:
     params = _params_from_args(args)
     if params is None:
+        return 2
+    try:
+        lattice_modulus(params)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.force and not _check_params(params):
         return 2

@@ -1,11 +1,22 @@
 """Shared fixtures: reference parameter sets, random admissible systems, oracles."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
 from choreocert import kernels
+from choreocert.bounds import (
+    CaseBound,
+    LatticeCheck,
+    LatticeCheckReport,
+    ThresholdReport,
+    TimeLattice,
+    gordon_periodic,
+    gordon_segment,
+    representative_seeds,
+)
 from choreocert.loops import GeneratorSpectrum, SystemLoop, com_project, sample
 from choreocert.symmetry import (
     ROLE_MAIN,
@@ -186,3 +197,113 @@ def circular_kinetic(params: SymmetryParams, a: float, b: float) -> float:
     """Closed-form kinetic action of the circular family: per-body speed 2*pi*|m|*R."""
     n = params.n_main
     return n * 0.5 * (2 * math.pi * 3 * a) ** 2 + 3 * 0.5 * (2 * math.pi * n * b) ** 2
+
+
+# -- oracles for the collision lattices ------------------------------------------
+# Breadth-first search over the propagation rules, one (pair, tick) state at a
+# time: the reference for the orbit enumeration in bounds.collision_closure.
+def bfs_closure(params: SymmetryParams, seed: tuple[int, int]) -> dict:
+    n, r = params.n_main, params.r
+    L = 3 * n * r
+    rot, third, enth = L // r, L // 3, L // n
+
+    def canonical(i, j):
+        return (i, j) if i < j else (j, i)
+
+    def succ_main(i):
+        return i % n + 1
+
+    def succ_triple(i):
+        return n + 1 + (i - n) % 3
+
+    start = (*canonical(*seed), 0)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        i, j, t = queue.popleft()
+        nexts = [(i, j, (t + rot) % L)]
+        if j <= n:
+            nexts.append((i, j, (t + third) % L))
+            nexts.append((*canonical(succ_main(i), succ_main(j)), (t - enth) % L))
+        elif i > n:
+            nexts.append((i, j, (t + enth) % L))
+            nexts.append((*canonical(succ_triple(i), succ_triple(j)), (t - third) % L))
+        else:
+            nexts.append((*canonical(succ_main(i), j), (t - enth) % L))
+            nexts.append((i, succ_triple(j), (t - third) % L))
+        for state in nexts:
+            if state not in seen:
+                seen.add(state)
+                queue.append(state)
+
+    by_pair: dict = {}
+    for i, j, t in seen:
+        by_pair.setdefault((i, j), set()).add(t)
+    return {pair: TimeLattice(L, tuple(sorted(ticks))) for pair, ticks in sorted(by_pair.items())}
+
+
+# Case bounds from the BFS closure, one gordon_segment per inter-collision
+# duration summed in lattice order: the reference for collision_threshold.
+def oracle_threshold(params: SymmetryParams) -> ThresholdReport:
+    n = params.n_main
+    B = n + 3
+    strength = float(B)
+    cases = []
+    for label, seed in representative_seeds(params):
+        closure = bfs_closure(params, seed)
+        total = 0.0
+        sizes = []
+        for i in range(1, B + 1):
+            for j in range(i + 1, B + 1):
+                lattice = closure.get((i, j))
+                if lattice is not None:
+                    sizes.append(lattice.size)
+                    total += sum(gordon_segment(strength, d) for d in lattice.durations())
+                else:
+                    p = 1.0 / 3.0 if j <= n else 1.0 / n if i > n else 1.0
+                    total += gordon_periodic(strength, p) / p
+        cases.append(CaseBound(label, tuple(sorted(seed)), tuple(sorted(sizes)), total / B))
+    parity = (
+        "N even: threshold over cases 1, 2, 3, 4, 5"
+        if n % 2 == 0
+        else "N odd: threshold over cases 1, 2', 4, 5"
+    )
+    return ThresholdReport(params, tuple(cases), min(c.bound for c in cases), parity)
+
+
+# The distinctness scans as Python loops over (indices, tick) states, each
+# witness being the first repeated tick in loop order and the first state
+# that had it: the reference for bounds.verify_time_lemmas.
+def oracle_time_lemmas(params: SymmetryParams) -> LatticeCheckReport:
+    n, r = params.n_main, params.r
+
+    def distinct(name, states, denominator):
+        seen = {}
+        for indices, tick in states:
+            tick %= denominator
+            if tick in seen:
+                return LatticeCheck(name, False, (seen[tick], indices, tick, denominator))
+            seen[tick] = indices
+        return LatticeCheck(name, True, None)
+
+    checks = [
+        distinct("rotation-vs-thirds",
+                 [((i, k), 3 * i + k * r) for k in range(3) for i in range(r)], 3 * r),
+        distinct("thirds-lattice-vs-main-shifts",
+                 [((i, j), n * i + 3 * r * j) for j in range(1, n) for i in range(3 * r)],
+                 3 * r * n),
+    ]
+    if n % 2 == 0:
+        checks.append(distinct(
+            "rotation-vs-sixths",
+            [((i, j), 6 * i + r * j) for j in range(6) for i in range(r)], 6 * r))
+        checks.append(distinct(
+            "sixths-lattice-vs-main-shifts",
+            [((i, j), n * i + 6 * r * j) for j in range(1, n // 2) for i in range(6 * r)],
+            6 * r * n))
+    checks.append(distinct(
+        "rotation-main-thirds-joint",
+        [((i, j, k), 3 * n * i + 3 * r * j + n * r * k)
+         for k in range(3) for j in range(1, n) for i in range(r)],
+        3 * r * n))
+    return LatticeCheckReport(params, tuple(checks))

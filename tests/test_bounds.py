@@ -16,7 +16,18 @@ from choreocert.bounds import (
 )
 from choreocert.symmetry import SymmetryParams
 
-from conftest import PI_TRUNCATION_FACTOR, PUBLISHED_BOUNDS, REFERENCE_CASES, case_seed
+from conftest import (
+    PI_TRUNCATION_FACTOR,
+    PUBLISHED_BOUNDS,
+    REFERENCE_CASES,
+    bfs_closure,
+    case_seed,
+    oracle_threshold,
+    oracle_time_lemmas,
+)
+
+# Every admissible family (N, N+3) the bounds_family benchmark draws from.
+ADMISSIBLE_FAMILIES = [SymmetryParams(n, n + 3, 3, 3, -n) for n in range(4, 39) if n % 3]
 
 
 def kepler_circular_minimum(strength, period, n_grid=2_000_000):
@@ -134,6 +145,27 @@ class TestClosure:
                 for lattice in collision_closure(p, seed).values():
                     assert lattice.is_arithmetic
 
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_orbit_matches_bfs(self, n):
+        # every r, with 3 | N, 3 | r and r = 1 included, each seed both ways round
+        for r in range(1, 16):
+            params = SymmetryParams(n, r, 3, 3, -n)
+            for _, seed in representative_seeds(params):
+                for s in (seed, seed[::-1]):
+                    got = collision_closure(params, s)
+                    want = bfs_closure(params, s)
+                    assert list(got.items()) == list(want.items()), (n, r, s)
+
+    @pytest.mark.parametrize("n, r", [(4, 0), (4, -7), (-4, 7), (0, 7)])
+    def test_nonpositive_n_or_r_rejected(self, n, r):
+        params = SymmetryParams(n, r, 3, 3, -4)
+        with pytest.raises(ValueError, match="N >= 1 and r >= 1"):
+            collision_closure(params, (1, 2))
+        with pytest.raises(ValueError, match="N >= 1 and r >= 1"):
+            collision_threshold(params)
+        with pytest.raises(ValueError, match="N >= 1 and r >= 1"):
+            verify_time_lemmas(params)
+
     def test_invalid_seed(self):
         with pytest.raises(ValueError):
             collision_closure(SymmetryParams(4, 7, 3, 3, -4), (1, 1))
@@ -164,6 +196,12 @@ class TestCaseBounds:
         for case in REFERENCE_CASES:
             report = collision_threshold(case["params"])
             assert report.threshold == min(c.bound for c in report.cases)
+
+    @pytest.mark.parametrize(
+        "params", ADMISSIBLE_FAMILIES + [SymmetryParams(5, 2, 3, 3, -5)], ids=repr
+    )
+    def test_threshold_matches_oracle_bitwise(self, params):
+        assert collision_threshold(params).to_dict() == oracle_threshold(params).to_dict()
 
     def test_threshold_case_structure(self):
         report = collision_threshold(SymmetryParams(4, 7, 3, 3, -4))
@@ -232,3 +270,21 @@ class TestTimeLemmas:
     def test_extension_sets_pass(self):
         for n in (8, 10, 11):
             assert verify_time_lemmas(SymmetryParams(n, n + 3, 3, 3, -n)).passed
+
+    @pytest.mark.parametrize(
+        "params",
+        ADMISSIBLE_FAMILIES
+        + [
+            SymmetryParams(4, 6, 3, 3, -4),  # 3 | r
+            SymmetryParams(4, 9, 3, 3, -4),  # 3 | r
+            SymmetryParams(6, 7, 3, 3, -6),  # 3 | N
+            SymmetryParams(4, 8, 3, 3, -4),  # even r: i/8 + j/6 has 4/8 = 3/6
+            SymmetryParams(1, 1, 0, 0, 0),
+        ],
+        ids=repr,
+    )
+    def test_matches_loop_oracle(self, params):
+        # names, verdicts and first witnesses, down to the int type of each entry
+        got, want = verify_time_lemmas(params), oracle_time_lemmas(params)
+        assert got == want
+        assert repr(got) == repr(want)

@@ -278,6 +278,19 @@ class TestLemmas:
         assert code == 1
         assert "FAIL" in out and "coincide" in out
 
+    @pytest.mark.parametrize("force", [(), ("--force",)], ids=["plain", "force"])
+    @pytest.mark.parametrize("n, r", [("4", "0"), ("4", "-7"), ("-4", "7")])
+    def test_nonpositive_n_or_r_exit_2(self, capsys, n, r, force):
+        code, out, err = run_cli(capsys, "lemmas", "--n", n, "--r", r, *force)
+        assert code == 2
+        assert "N >= 1 and r >= 1" in err
+        assert "PASS" not in out
+
+    def test_force_scans_n_multiple_of_3(self, capsys):
+        code, out, _ = run_cli(capsys, "lemmas", "--n", "6", "--r", "7", "--force")
+        assert code == 1
+        assert "FAIL" in out
+
 
 class TestConfig:
     def test_config_file_supplies_flags(self, capsys, tmp_path):
