@@ -51,7 +51,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .loops import SystemLoop, require_grid, sample, winding_number
+from .loops import (
+    MinSeparation,
+    SystemLoop,
+    Trajectory,
+    expand_windings,
+    min_separation,
+    require_grid,
+    sample,
+    winding_number,
+)
 from .symmetry import SymmetryParams
 
 TWO_PI = 2.0 * np.pi
@@ -123,23 +132,35 @@ def _require_separated(d: float, i: int, j: int, k: int) -> None:
         )
 
 
-def _check_separation(positions: np.ndarray) -> None:
-    d, i, j, k = kernels.min_separation_scan(positions)
-    _require_separated(d, i + 1, j + 1, k)
+def checked_min_separation(traj: Trajectory) -> MinSeparation:
+    """Minimum separation over all pairs and samples; ValueError on a near-collision."""
+    sep = min_separation(traj)
+    _require_separated(sep.distance, *sep.pair, sep.time_index)
+    return sep
 
 
 def potential_action(system: SystemLoop, m_samples: int) -> float:
     """Trapezoid quadrature of sum_{i<j} 1/|q_i - q_j| over one period."""
     traj = sample(system, m_samples)
-    _check_separation(traj.positions)
+    checked_min_separation(traj)
     per_pair = kernels.pair_mean_inverse_distance(traj.positions)
     return float(per_pair.sum())
 
 
-def total_action(system: SystemLoop, m_samples: int) -> ActionBreakdown:
-    """Full action with the per-pair two-body decomposition."""
-    traj = sample(system, m_samples)
-    _check_separation(traj.positions)
+def total_action(
+    system: SystemLoop, m_samples: int, traj: Trajectory | None = None
+) -> ActionBreakdown:
+    """Full action with the per-pair two-body decomposition, over all pairs and nodes.
+
+    ``traj`` may pass sample(system, m_samples) whose separation the caller
+    has already checked with ``checked_min_separation``; otherwise it is
+    sampled and checked here.
+    """
+    if traj is None:
+        traj = sample(system, m_samples)
+        checked_min_separation(traj)
+    elif traj.m_samples != m_samples:
+        raise ValueError(f"trajectory has M={traj.m_samples}, not {m_samples}")
     inv_d = kernels.pair_mean_inverse_distance(traj.positions)
     rel_v2 = kernels.pair_mean_square_relative_velocity(traj.velocities)
     kin = kinetic_action(system)
@@ -265,35 +286,22 @@ class ActionWorkspace:
     def windings(self, cm: np.ndarray, ct: np.ndarray, pos=None) -> dict[str, list[list[int]]]:
         """Windings of all same-chain pairs, in the layout of loops.winding_table.
 
-        Main pair (i, j) is pair (1, 1+s) advanced in time, s = j - i, and
-        the negative of pair (1, 1+N-s) advanced in time; neither changes a
-        winding number, so the floor(N/2) main representatives cover the main
-        chain, and the triple representative (N+1, N+2) covers the triple
-        chain. Each is wound over its arc on the M/r domain nodes, which the
-        next domain continues rotated by 2 pi d/r, so the full loop is r such
-        arcs. ``pos`` may pass positions(cm, ct). An undersampled
-        representative raises ValueError as winding_number does.
+        Each representative pair of ``loops.expand_windings`` is wound over
+        its arc on the M/r domain nodes, which the next domain continues
+        rotated by 2 pi d/r, so the full loop is r such arcs. ``pos`` may pass
+        positions(cm, ct). An undersampled representative raises ValueError
+        as winding_number does.
         """
         if pos is None:
             pos = self.positions(cm, ct)
-        n, r = self.params.n_main, self.params.r
+        r = self.params.r
         turn = TWO_PI * self.params.d / r
+        row = {body: k for k, body in enumerate(self.bodies)}
 
-        def wind(a, b):
-            return winding_number(pos[a] - pos[b], (0.0, 0.0), arcs=r, arc_turn=turn)
+        def wind(i, j):
+            return winding_number(pos[row[i]] - pos[row[j]], (0.0, 0.0), arcs=r, arc_turn=turn)
 
-        by_offset = {s: wind(0, s) for s in range(1, n // 2 + 1)}
-        triple = wind(self._n_main_rows, self._n_main_rows + 1)
-        return {
-            "main": [
-                [i + 1, j + 1, by_offset[min(j - i, n - (j - i))]]
-                for i in range(n)
-                for j in range(i + 1, n)
-            ],
-            "triple": [
-                [i + 1, j + 1, triple] for i in range(n, n + 3) for j in range(i + 1, n + 3)
-            ],
-        }
+        return expand_windings(self.params.n_main, wind)
 
     def kinetic(self, cm: np.ndarray, ct: np.ndarray) -> float:
         return float(

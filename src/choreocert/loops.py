@@ -9,6 +9,21 @@ trigonometric spectra; the remaining bodies are time shifts of them:
 The plane is identified with the complex numbers, so a generator is
 q(t) = sum_m c_m e^(2*pi*i*m*t) with complex coefficients c_m restricted to
 the symmetry-allowed frequencies of its role.
+
+``sample`` uses these shifts. On a grid of M nodes (a multiple of N and 3)
+body i of the main chain is the main generator read (i-1)*M/N nodes later,
+and body N+j is the triple generator read (j-1)*M/3 nodes later, so only the
+two generators are evaluated on the grid and the other bodies are index
+shifts of them. Bodies 2 and N+2 are the exception: each is evaluated
+directly at its own times, so the g2/g3 residuals of
+``group_action_residual`` compare a shifted generator with an independent
+evaluation rather than with a copy of itself. Index-shifted samples differ
+from ``evaluate(body, t_k)`` in the last bits only.
+
+Every same-chain pair is a time shift of a representative pair, or its
+negation: (1, 1+s) for s = 1..floor(N/2) on the main chain and (N+1, N+2)
+on the triple chain. ``winding_table`` winds the representatives and
+``expand_windings`` lists them for every pair.
 """
 
 from __future__ import annotations
@@ -180,15 +195,25 @@ def chain_nodes(chain_length: int, m_samples: int) -> np.ndarray:
 
 
 def sample(system: SystemLoop, m_samples: int) -> Trajectory:
-    """Sample all bodies at t_k = k/M. M must be a multiple of lcm(3, N, r)."""
+    """Sample all bodies at t_k = k/M. M must be a multiple of lcm(3, N, r).
+
+    Evaluates four bodies, whatever N is: the generators 1 and N+1, whose
+    samples fill the other rows of their chain through ``chain_nodes``, and
+    bodies 2 and N+2, each at its own times (see the module docstring).
+    """
     params = system.params
     require_grid(params, m_samples)
     times = np.arange(m_samples) / m_samples
-    B = params.n_bodies
-    pos = np.empty((B, m_samples, 2))
-    vel = np.empty((B, m_samples, 2))
-    for body in range(1, B + 1):
-        pos[body - 1], vel[body - 1] = evaluate(system, body, times, derivative=(0, 1))
+    n = params.n_main
+    pos = np.empty((params.n_bodies, m_samples, 2))
+    vel = np.empty((params.n_bodies, m_samples, 2))
+    for first, chain in ((0, n), (n, 3)):
+        rows = slice(first, first + chain)
+        nodes = chain_nodes(chain, m_samples)
+        position, velocity = evaluate(system, first + 1, times, derivative=(0, 1))
+        np.take(position, nodes, axis=0, out=pos[rows], mode="clip")
+        np.take(velocity, nodes, axis=0, out=vel[rows], mode="clip")
+        pos[first + 1], vel[first + 1] = evaluate(system, first + 2, times, derivative=(0, 1))
     return Trajectory(params, m_samples, times, pos, vel)
 
 
@@ -320,18 +345,43 @@ def min_separation(traj: Trajectory) -> MinSeparation:
     return MinSeparation(pair=(i + 1, j + 1), time_index=k, distance=d)
 
 
+def expand_windings(n_main: int, wind) -> dict[str, list[list]]:
+    """Winding table of every same-chain pair, from one winding per representative.
+
+    ``wind(i, j)`` returns the winding of pair (i, j), 1-based bodies, and is
+    called once per representative: (1, 1+s) for s = 1..floor(N/2), then
+    (N+1, N+2). Main pair (i, j) is pair (1, 1+s) advanced in time,
+    s = j - i, and the negative of pair (1, 1+N-s) advanced in time; neither
+    changes a winding number, so it gets the winding of offset min(s, N-s).
+    Every triple pair gets the triple representative's. Rows are [i, j, w]
+    with i < j, lexicographic, under "main" and "triple".
+    """
+    n = n_main
+    by_offset = {s: wind(1, 1 + s) for s in range(1, n // 2 + 1)}
+    triple = wind(n + 1, n + 2)
+    return {
+        "main": [
+            [i + 1, j + 1, by_offset[min(j - i, n - (j - i))]]
+            for i in range(n)
+            for j in range(i + 1, n)
+        ],
+        "triple": [[i + 1, j + 1, triple] for i in range(n, n + 3) for j in range(i + 1, n + 3)],
+    }
+
+
 def winding_table(traj: Trajectory) -> dict[str, list[list[int]]]:
-    """deg(q_i - q_j) for all main-main and triple-triple pairs, 1-based rows."""
-    n = traj.params.n_main
+    """deg(q_i - q_j) for all main-main and triple-triple pairs, 1-based rows.
+
+    Winds only the representative pairs over all M samples and expands them
+    with ``expand_windings``, so the trajectory must be that of a symmetric
+    loop, as ``sample`` returns. A representative that cannot be wound
+    (undersampled, or through the origin) raises ValueError.
+    """
     pos = traj.positions
-    main_rows, triple_rows = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            main_rows.append([i + 1, j + 1, winding_number(pos[i] - pos[j], (0.0, 0.0))])
-    for i in range(n, n + 3):
-        for j in range(i + 1, n + 3):
-            triple_rows.append([i + 1, j + 1, winding_number(pos[i] - pos[j], (0.0, 0.0))])
-    return {"main": main_rows, "triple": triple_rows}
+    return expand_windings(
+        traj.params.n_main,
+        lambda i, j: winding_number(pos[i - 1] - pos[j - 1], (0.0, 0.0)),
+    )
 
 
 # -- serialization --------------------------------------------------------------

@@ -28,6 +28,7 @@ from .loops import (
     chain_nodes,
     com_drift,
     evaluate,
+    expand_windings,
     max_symmetry_residual,
     min_separation,
     require_grid,
@@ -432,23 +433,26 @@ class MembershipReport:
 
 
 def membership_check(system: SystemLoop, m_samples: int | None = None) -> MembershipReport:
-    """Windings of every same-chain pair, symmetry residual, separation, drift."""
+    """Windings of every same-chain pair, symmetry residual, separation, drift.
+
+    The windings are those of loops.winding_table, except that a
+    representative pair that cannot be wound gives None for every pair it
+    stands for and one "pair (i,j): reason" note, instead of raising.
+    """
     if m_samples is None:
         m_samples = system.params.default_grid()
     traj = sample(system, m_samples)
-    n = system.params.n_main
-    origin = (0.0, 0.0)
+    pos = traj.positions
     errors = []
-    table: dict[str, list] = {"main": [], "triple": []}
-    for key, lo, hi in (("main", 0, n), ("triple", n, n + 3)):
-        for i in range(lo, hi):
-            for j in range(i + 1, hi):
-                try:
-                    w = winding_number(traj.positions[i] - traj.positions[j], origin)
-                except ValueError as exc:
-                    w = None
-                    errors.append(f"pair ({i + 1},{j + 1}): {exc}")
-                table[key].append([i + 1, j + 1, w])
+
+    def wind(i, j):
+        try:
+            return winding_number(pos[i - 1] - pos[j - 1], (0.0, 0.0))
+        except ValueError as exc:
+            errors.append(f"pair ({i},{j}): {exc}")
+            return None
+
+    table = expand_windings(system.params.n_main, wind)
     return MembershipReport(
         windings=table,
         winding_errors=tuple(errors),

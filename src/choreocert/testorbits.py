@@ -18,15 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import total_action
+from .action import checked_min_separation, total_action
 from .bounds import ThresholdReport, collision_threshold
-from .loops import (
-    GeneratorSpectrum,
-    SystemLoop,
-    min_separation,
-    sample,
-    winding_table,
-)
+from .loops import GeneratorSpectrum, SystemLoop, sample, winding_table
 from .symmetry import ROLE_MAIN, ROLE_TRIPLE, SymmetryParams, frequency_allowed
 
 
@@ -94,13 +88,17 @@ def certify(
 
     Certified means margin > 0 and every main/triple pair winding matches
     (k1, k2). No special-casing: the verdict is determined by the numbers.
+    The orbit is sampled once; that trajectory gives the full-pair action,
+    the windings and the minimum separation over all pairs, and a
+    near-collision sample raises ValueError.
     """
     if m_samples is None:
         m_samples = params.default_grid()
     system = build_test_orbit(params, a, b)
-    breakdown = total_action(system, m_samples)
-    report = collision_threshold(params)
     traj = sample(system, m_samples)
+    separation = checked_min_separation(traj)
+    breakdown = total_action(system, m_samples, traj)
+    report = collision_threshold(params)
     windings = winding_table(traj)
     windings_ok = all(w == params.k1 for _, _, w in windings["main"]) and all(
         w == params.k2 for _, _, w in windings["triple"]
@@ -117,7 +115,7 @@ def certify(
         margin=margin,
         windings=windings,
         windings_ok=windings_ok,
-        min_separation=min_separation(traj).distance,
+        min_separation=separation.distance,
         certified=bool(margin > 0 and windings_ok),
         threshold_report=report,
     )

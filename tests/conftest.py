@@ -17,7 +17,15 @@ from choreocert.bounds import (
     gordon_segment,
     representative_seeds,
 )
-from choreocert.loops import GeneratorSpectrum, SystemLoop, com_project, sample
+from choreocert.loops import (
+    GeneratorSpectrum,
+    SystemLoop,
+    Trajectory,
+    com_project,
+    evaluate,
+    sample,
+    winding_number,
+)
 from choreocert.symmetry import (
     ROLE_MAIN,
     ROLE_TRIPLE,
@@ -124,6 +132,31 @@ def random_admissible_system(
     raise RuntimeError("could not draw a well-separated random system")
 
 
+def offset_loop(freq: int, n_main: int = 4) -> SystemLoop:
+    """Loop of the (N, N+3) family whose main offsets wind differently.
+
+    The main generator mixes frequency 3 with ``freq``, and the weight of a
+    frequency m in pair (1, 1+s) is |1 - e^(2 pi i m s/N)|. For N = 4 an
+    even ``freq`` cancels at offset 2: -18 gives windings -18 and 3. For
+    N = 5, -21 dominates offset 2 and 3 dominates offset 1.
+    """
+    return SystemLoop(
+        SymmetryParams(n_main, n_main + 3, 3, 3, -n_main),
+        GeneratorSpectrum(ROLE_MAIN, (freq, 3), np.array([0.09 + 0j, 0.1 + 0j])),
+        GeneratorSpectrum(ROLE_TRIPLE, (-n_main,), np.array([0.005 + 0j])),
+    )
+
+
+def half_turn_loop() -> SystemLoop:
+    """N=5, r=2 loop with |c_3| = |c_-3|: every main pair difference is a segment
+    through the origin, so crossing it between two nodes is a half-turn step."""
+    return SystemLoop(
+        SymmetryParams(5, 2, 3, 3, -5),
+        GeneratorSpectrum(ROLE_MAIN, (-3, 3), np.array([0.1 + 0j, 0.1 * np.exp(0.5j)])),
+        GeneratorSpectrum(ROLE_TRIPLE, (-5,), np.array([0.05 + 0j])),
+    )
+
+
 def reference_trajectory_csv(traj) -> str:
     """Byte oracle for loops.trajectory_to_csv: one f-string per row."""
     lines = ["t,body,x,y,vx,vy"]
@@ -134,6 +167,28 @@ def reference_trajectory_csv(traj) -> str:
             vx, vy = traj.velocities[b, k]
             lines.append(f"{t:.17g},{b + 1},{x:.17g},{y:.17g},{vx:.17g},{vy:.17g}")
     return "\n".join(lines) + "\n"
+
+
+def direct_trajectory(system: SystemLoop, m_samples: int) -> Trajectory:
+    """Reference for loops.sample: every body evaluated at its own times."""
+    times = np.arange(m_samples) / m_samples
+    shape = (system.params.n_bodies, m_samples, 2)
+    pos, vel = np.empty(shape), np.empty(shape)
+    for body in range(1, system.params.n_bodies + 1):
+        pos[body - 1], vel[body - 1] = evaluate(system, body, times, derivative=(0, 1))
+    return Trajectory(system.params, m_samples, times, pos, vel)
+
+
+def all_pairs_winding_table(traj) -> dict:
+    """Reference for loops.winding_table: every same-chain pair wound on its own."""
+    n = traj.params.n_main
+    pos = traj.positions
+    table = {"main": [], "triple": []}
+    for key, lo, hi in (("main", 0, n), ("triple", n, n + 3)):
+        for i in range(lo, hi):
+            for j in range(i + 1, hi):
+                table[key].append([i + 1, j + 1, winding_number(pos[i] - pos[j], (0.0, 0.0))])
+    return table
 
 
 def brute_force_frequencies(params: SymmetryParams, role: str, cutoff: int) -> list[int]:

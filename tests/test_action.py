@@ -21,9 +21,13 @@ from choreocert.testorbits import build_test_orbit
 
 from conftest import (
     REFERENCE_CASES,
+    all_pairs_winding_table,
     brute_potential,
     circular_kinetic,
+    direct_trajectory,
     full_grid_evaluation,
+    half_turn_loop,
+    offset_loop,
     random_admissible_system,
 )
 
@@ -96,6 +100,13 @@ class TestTotalAction:
         assert len(breakdown.pairs) == 21
         assert breakdown.pairs[0][0] == (1, 2)
         assert all(value > 0 for _, value in breakdown.pairs)
+
+    def test_given_trajectory_is_used(self):
+        system = random_admissible_system(PARAMS4, 40, seed=24)
+        traj = sample(system, 1344)
+        assert total_action(system, 1344, traj) == total_action(system, 1344)
+        with pytest.raises(ValueError, match="trajectory has M=1344"):
+            total_action(system, 672, traj)
 
     def test_lagrangian_identity_on_random_systems(self):
         for seed, case in zip((21, 22, 23), REFERENCE_CASES):
@@ -250,11 +261,7 @@ class TestFundamentalDomain:
     def test_windings_differ_by_offset(self):
         # frequency -18 cancels in pair (1, 3) (offset 2) but dominates the
         # offset-1 pairs, so the expansion must place each offset's value
-        system = SystemLoop(
-            PARAMS4,
-            GeneratorSpectrum("main", (-18, 3), np.array([0.09 + 0j, 0.1 + 0j])),
-            GeneratorSpectrum("triple", (-4,), np.array([0.005 + 0j])),
-        )
+        system = offset_loop(-18)
         ws = ActionWorkspace.for_system(system, 1344)
         table = ws.windings(*ws.coefficients_of(system))
         assert table == winding_table(sample(system, 1344))
@@ -263,11 +270,7 @@ class TestFundamentalDomain:
     def test_domain_arc_agrees_on_undersampled_grids(self):
         # frequency -102 (offset-1 pairs) aliases below 672 nodes: both tables
         # then read the same wrong winding rather than raising
-        system = SystemLoop(
-            PARAMS4,
-            GeneratorSpectrum("main", (-102, 3), np.array([0.09 + 0j, 0.1 + 0j])),
-            GeneratorSpectrum("triple", (-4,), np.array([0.005 + 0j])),
-        )
+        system = offset_loop(-102)
         for m_samples in (84, 168, 252, 672):
             ws = ActionWorkspace.for_system(system, m_samples)
             cm, ct = ws.coefficients_of(system)
@@ -279,17 +282,29 @@ class TestFundamentalDomain:
     def test_half_turn_step_rejected(self, m_samples):
         # |c_3| = |c_-3| makes every main pair difference a segment through
         # the origin: crossing it between two nodes is a half-turn step
-        params = SymmetryParams(5, 2, 3, 3, -5)
-        system = SystemLoop(
-            params,
-            GeneratorSpectrum("main", (-3, 3), np.array([0.1 + 0j, 0.1 * np.exp(0.5j)])),
-            GeneratorSpectrum("triple", (-5,), np.array([0.05 + 0j])),
-        )
+        system = half_turn_loop()
         ws = ActionWorkspace.for_system(system, m_samples)
         with pytest.raises(ValueError, match="undersampled"):
             winding_table(sample(system, m_samples))
         with pytest.raises(ValueError, match="undersampled"):
             ws.windings(*ws.coefficients_of(system))
+
+    def test_winding_table_matches_all_pairs_oracle(self):
+        # the loops above and an N=5 loop whose offsets 1 and 2 differ, sampled
+        # body by body: the representatives' windings are every pair's,
+        # aliased or not, and both tables refuse a half turn
+        cases = [(offset_loop(-18), 1344), (offset_loop(-21, 5), 1920)]
+        cases += [(offset_loop(-102), m) for m in (84, 168, 252, 672)]
+        for system, m_samples in cases:
+            traj = direct_trajectory(system, m_samples)
+            assert winding_table(traj) == all_pairs_winding_table(traj)
+        main = winding_table(direct_trajectory(offset_loop(-21, 5), 1920))["main"]
+        assert [w for i, _, w in main if i == 1] == [3, -21, -21, 3]
+        for m_samples in (30, 480):
+            traj = direct_trajectory(half_turn_loop(), m_samples)
+            for table in (winding_table, all_pairs_winding_table):
+                with pytest.raises(ValueError, match="undersampled"):
+                    table(traj)
 
     def test_near_collision_names_real_bodies(self):
         # equal radii: body 1 meets body N+1 = 5 at t = 0, a cross pair

@@ -17,13 +17,27 @@ from choreocert.loops import (
     system_to_json,
     trajectory_to_csv,
     winding_number,
+    winding_table,
 )
 from choreocert.symmetry import SymmetryParams
 from choreocert.testorbits import build_test_orbit
 
-from conftest import REFERENCE_CASES, random_admissible_system, reference_trajectory_csv
+from conftest import (
+    REFERENCE_CASES,
+    all_pairs_winding_table,
+    direct_trajectory,
+    random_admissible_system,
+    reference_trajectory_csv,
+)
 
 PARAMS4 = SymmetryParams(4, 7, 3, 3, -4)
+PARAMS7 = SymmetryParams(7, 10, 3, 3, -7)
+# The reference families, an r = 2 family and N = 8: systems for the
+# index-shift and representative-pair oracles.
+SHIFT_FAMILIES = [case["params"] for case in REFERENCE_CASES] + [
+    SymmetryParams(5, 2, 3, 3, -5),
+    SymmetryParams(8, 11, 3, 3, -8),
+]
 
 
 @pytest.fixture(scope="module")
@@ -74,14 +88,55 @@ class TestSample:
         with pytest.raises(ValueError, match="invalid grid"):
             sample(orbit4, 1000)
 
-    def test_evaluate_matches_samples_bitwise(self, orbit4):
-        traj = sample(orbit4, 84)
-        for body in range(1, traj.n_bodies + 1):
-            for k in (0, 13, 83):
-                exact = evaluate(orbit4, body, traj.times[k])
-                assert np.array_equal(exact, traj.positions[body - 1, k])
-                exact = evaluate(orbit4, body, traj.times[k], derivative=1)
-                assert np.array_equal(exact, traj.velocities[body - 1, k])
+    def test_evaluate_matches_samples_bitwise(self):
+        # Bodies 1, 2, N+1 and N+2 are evaluate's own arrays, bit for bit. The
+        # other bodies read their generator at shifted nodes, whose phases are
+        # rounded differently from evaluate(body, t_k): they must agree with it
+        # at every node to 1e-13 of the largest coordinate.
+        for params in SHIFT_FAMILIES:
+            n = params.n_main
+            for cutoff in (24, 96):
+                system = random_admissible_system(params, cutoff, seed=100 * n + cutoff)
+                m_samples = params.default_grid()
+                traj = sample(system, m_samples)
+                ref = direct_trajectory(system, m_samples)
+                for got, want in ((traj.positions, ref.positions),
+                                  (traj.velocities, ref.velocities)):
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+                    for body in (1, 2, n + 1, n + 2):
+                        assert np.array_equal(got[body - 1], want[body - 1])
+
+    @pytest.mark.parametrize("params", [PARAMS7, SymmetryParams(20, 23, 3, 3, -20)],
+                             ids=["N7", "N20"])
+    def test_sample_evaluates_four_bodies(self, monkeypatch, params):
+        calls = []
+        real = loops.evaluate
+
+        def counting(system, body, *args, **kwargs):
+            calls.append(body)
+            return real(system, body, *args, **kwargs)
+
+        monkeypatch.setattr(loops, "evaluate", counting)
+        sample(build_test_orbit(params, 0.25, 0.064), params.grid_unit)
+        n = params.n_main
+        assert sorted(calls) == [1, 2, n + 1, n + 2]
+
+    @pytest.mark.parametrize("chain, generator", [(4, "g3"), (3, "g2")],
+                             ids=["main", "triple"])
+    def test_wrong_chain_shift_breaks_symmetry(self, monkeypatch, chain, generator):
+        # a sampler that reads one chain's generator at reversed shifts must
+        # fail the group action of that chain against the directly evaluated body
+        system = random_admissible_system(PARAMS4, 30, seed=11)
+        assert max_symmetry_residual(sample(system, 168)) <= 1e-10
+        real = loops.chain_nodes
+
+        def reversed_chain(length, m_samples):
+            nodes = real(length, m_samples)
+            return nodes[::-1] if length == chain else nodes
+
+        monkeypatch.setattr(loops, "chain_nodes", reversed_chain)
+        traj = sample(system, 168)
+        assert group_action_residual(traj, generator) > 1e-10
 
     def test_evaluate_orders_match_single_orders_bitwise(self):
         system = random_admissible_system(PARAMS4, 30, seed=11)
@@ -142,6 +197,16 @@ class TestWinding:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="base point"):
             winding_number(pts, (0.0, 0.0))
+
+    @pytest.mark.parametrize("params", SHIFT_FAMILIES, ids=lambda p: f"N{p.n_main}r{p.r}")
+    def test_table_matches_all_pairs_oracle(self, params):
+        for cutoff in (24, 96):
+            system = random_admissible_system(params, cutoff, seed=100 * params.n_main + cutoff)
+            traj = direct_trajectory(system, params.default_grid())
+            table = winding_table(traj)
+            assert table == all_pairs_winding_table(traj)
+            assert {w for _, _, w in table["main"]} == {params.k1}
+            assert {w for _, _, w in table["triple"]} == {params.k2}
 
     def test_undersampled_rejected(self):
         t = np.arange(6) / 6

@@ -11,6 +11,8 @@ from choreocert.solver import (
 from choreocert.symmetry import SymmetryParams
 from choreocert.testorbits import build_test_orbit, restricted_action
 
+from conftest import half_turn_loop
+
 PARAMS4 = SymmetryParams(4, 7, 3, 3, -4)
 
 
@@ -189,3 +191,13 @@ class TestMembership:
     def test_default_grid_used(self):
         report = membership_check(build_test_orbit(PARAMS4, 0.23, 0.088))
         assert report.min_separation.distance > 0.1
+
+    def test_unwindable_representatives_reported(self):
+        # both main offsets of the N=5 half-turn loop fail to wind: every main
+        # pair is None, with one note per representative; the triple chain winds
+        report = membership_check(half_turn_loop(), 30)
+        assert [w for _, _, w in report.windings["main"]] == [None] * 10
+        assert [w for _, _, w in report.windings["triple"]] == [-5] * 3
+        assert [note.split(":")[0] for note in report.winding_errors] == [
+            "pair (1,2)", "pair (1,3)"]
+        assert all("undersampled" in note for note in report.winding_errors)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from choreocert.action import total_action
-from choreocert.loops import evaluate, max_symmetry_residual, sample
+from choreocert.loops import evaluate, max_symmetry_residual, min_separation, sample
 from choreocert.symmetry import SymmetryParams
 from choreocert.testorbits import (
     build_test_orbit,
@@ -104,6 +104,18 @@ class TestCertify:
         report = certify(PARAMS4, 0.5, 0.01)
         assert not report.certified
         assert report.margin < 0  # the verdict follows the sign, nothing else
+
+    def test_reports_the_full_pair_scan(self):
+        # the reported separation and action are the full-pair, full-grid ones
+        report = certify(PARAMS4, 0.23, 0.088, 1344)
+        traj = sample(build_test_orbit(PARAMS4, 0.23, 0.088), 1344)
+        assert report.min_separation == min_separation(traj).distance
+        assert report.action == total_action(build_test_orbit(PARAMS4, 0.23, 0.088), 1344).total
+
+    def test_near_collision_refused(self):
+        # equal radii: body 1 meets body 5 at t = 0
+        with pytest.raises(ValueError, match="near-collision sample: bodies 1 and 5 at node 0"):
+            certify(PARAMS4, 0.1, 0.1, 168)
 
     def test_json_dict(self):
         doc = certify(PARAMS4, 0.23, 0.088).to_dict()
