@@ -12,10 +12,7 @@ explicit orbits.
 from .action import (
     ActionBreakdown,
     ActionWorkspace,
-    CoefficientGradient,
-    action_gradient,
     kinetic_action,
-    potential_action,
     total_action,
 )
 from .bounds import (
@@ -35,14 +32,11 @@ from .loops import (
     MinSeparation,
     SystemLoop,
     Trajectory,
-    com_project,
     evaluate,
     min_separation,
     sample,
     system_from_dict,
-    system_from_json,
     system_to_dict,
-    system_to_json,
     trajectory_to_csv,
     winding_number,
 )
@@ -56,11 +50,9 @@ from .solver import (
 )
 from .symmetry import (
     CompatibilityResult,
-    FrequencyClass,
     SymmetryParams,
     allowed_frequencies,
     compatibility_check,
-    rotation_apply,
 )
 from .testorbits import CertificateReport, build_test_orbit, certify, restricted_action
 
@@ -71,9 +63,7 @@ __all__ = [
     "ActionWorkspace",
     "CaseBound",
     "CertificateReport",
-    "CoefficientGradient",
     "CompatibilityResult",
-    "FrequencyClass",
     "GeneratorSpectrum",
     "KERNEL_BACKEND",
     "MembershipReport",
@@ -85,14 +75,12 @@ __all__ = [
     "ThresholdReport",
     "TimeLattice",
     "Trajectory",
-    "action_gradient",
     "allowed_frequencies",
     "build_test_orbit",
     "case_lower_bound",
     "certify",
     "collision_closure",
     "collision_threshold",
-    "com_project",
     "compatibility_check",
     "evaluate",
     "gordon_periodic",
@@ -102,14 +90,10 @@ __all__ = [
     "min_separation",
     "minimize",
     "ode_residual",
-    "potential_action",
     "restricted_action",
-    "rotation_apply",
     "sample",
     "system_from_dict",
-    "system_from_json",
     "system_to_dict",
-    "system_to_json",
     "total_action",
     "trajectory_to_csv",
     "verify_time_lemmas",

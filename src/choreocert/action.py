@@ -1,4 +1,4 @@
-"""Lagrangian action of a system loop, pairwise decomposition, and gradient.
+"""Lagrangian action of a system loop: the full-pair breakdown and the reduced workspace.
 
 The action over one period is
 
@@ -8,8 +8,16 @@ The kinetic part is evaluated in closed form from the generator spectra
 (every body is a time shift of its generator, so all bodies of a chain share
 one speed profile). The potential part uses the trapezoid rule on a uniform
 periodic grid, which for smooth non-collision loops converges spectrally and
-reduces to the plain node average. The gradient is the exact gradient of the
-discretized functional, projected onto the zero center-of-mass subspace.
+reduces to the plain node average. total_action returns the full-pair
+breakdown; ActionWorkspace evaluates the value and its exact gradient, the
+gradient of the discretized functional, for the solver.
+
+The center of mass has Fourier coefficient N c_m + 3 b_m at frequency m,
+where c and b are the main and triple coefficients, and it vanishes through
+each chain's internal averaging unless 3N divides m. ActionWorkspace.project
+is the one projection onto zero center of mass: it sets N c_m + 3 b_m = 0 by
+least squares at those frequencies. The solver projects every iterate and
+every gradient with it.
 
 ActionWorkspace evaluates on one fundamental domain of g1. Every admissible
 frequency satisfies m = d (mod r), so q(t + 1/r) = e^(2 pi i d/r) q(t) for
@@ -95,25 +103,6 @@ class ActionBreakdown:
         }
 
 
-@dataclass(frozen=True)
-class CoefficientGradient:
-    """Gradient of the discretized action per generator coefficient.
-
-    Entries are complex numbers whose real/imaginary parts are the partial
-    derivatives with respect to the x/y parts of the coefficient.
-    """
-
-    main_freqs: tuple[int, ...]
-    main: np.ndarray
-    triple_freqs: tuple[int, ...]
-    triple: np.ndarray
-
-    def norm(self) -> float:
-        return float(
-            np.sqrt((np.abs(self.main) ** 2).sum() + (np.abs(self.triple) ** 2).sum())
-        )
-
-
 def kinetic_action(system: SystemLoop) -> float:
     """Exact kinetic action: N/2 sum (2 pi m)^2 |c_m|^2 + 3/2 sum (2 pi m)^2 |b_m|^2."""
     n = system.params.n_main
@@ -137,14 +126,6 @@ def checked_min_separation(traj: Trajectory) -> MinSeparation:
     sep = min_separation(traj)
     _require_separated(sep.distance, *sep.pair, sep.time_index)
     return sep
-
-
-def potential_action(system: SystemLoop, m_samples: int) -> float:
-    """Trapezoid quadrature of sum_{i<j} 1/|q_i - q_j| over one period."""
-    traj = sample(system, m_samples)
-    checked_min_separation(traj)
-    per_pair = kernels.pair_mean_inverse_distance(traj.positions)
-    return float(per_pair.sum())
 
 
 def total_action(
@@ -253,7 +234,14 @@ class ActionWorkspace:
     # -- coefficient-space helpers --
 
     def project(self, cm: np.ndarray, ct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Least-squares enforcement of N*c_m + 3*b_m = 0 at coupled frequencies."""
+        """Orthogonal projection onto zero center of mass (see the module docstring).
+
+        At each frequency m divisible by 3N that is in both bases, the
+        least-squares update enforces N*c_m + 3*b_m = 0. A coupled frequency
+        in one basis only is left as it is, like every other coefficient;
+        bases drawn at one cutoff hold each coupled frequency in both.
+        Idempotent.
+        """
         cm, ct = cm.copy(), ct.copy()
         n = self.params.n_main
         for im, it in self._coupled:
@@ -359,49 +347,3 @@ class ActionWorkspace:
                 raise ValueError(f"triple frequency {m} outside workspace basis")
             ct[hits[0]] = c
         return cm, ct
-
-
-def action_gradient(system: SystemLoop, m_samples: int) -> CoefficientGradient:
-    """One-shot exact gradient of the discretized action for a system loop."""
-    ws = ActionWorkspace.for_system(system, m_samples)
-    cm, ct = ws.coefficients_of(system)
-    _, gm, gt = ws.value_and_gradient(cm, ct)
-    return CoefficientGradient(
-        main_freqs=tuple(int(m) for m in ws.main_freqs),
-        main=gm,
-        triple_freqs=tuple(int(m) for m in ws.triple_freqs),
-        triple=gt,
-    )
-
-
-def wirtinger_margins(system: SystemLoop) -> dict[str, float]:
-    """Per-chain margin of the zero-mean kinetic inequality.
-
-    For a zero-mean 1-periodic loop, integral |dq/dt|^2 >= (2 pi)^2 integral
-    |q|^2; in spectral form the margin is sum ((2 pi m)^2 - (2 pi)^2) |c_m|^2.
-    Nonnegative whenever every allowed frequency has |m| >= 1.
-    """
-    out = {}
-    for name, spec in (("main", system.main), ("triple", system.triple)):
-        m = np.array(spec.freqs, dtype=float)
-        a2 = np.abs(spec.coeffs) ** 2
-        out[name] = float(np.sum(((TWO_PI * m) ** 2 - TWO_PI**2) * a2))
-    return out
-
-
-def sobolev_margins(system: SystemLoop, m_samples: int) -> dict[str, float]:
-    """Per-chain margin of max|q| <= sqrt(1/12) (integral |dq/dt|^2)^(1/2)."""
-    traj = sample(system, m_samples)
-    n = system.params.n_main
-    out = {}
-    for name, body, spec in (("main", 0, system.main), ("triple", n, system.triple)):
-        m = np.array(spec.freqs, dtype=float)
-        energy = float(np.sum((TWO_PI * m) ** 2 * np.abs(spec.coeffs) ** 2))
-        peak = float(np.sqrt((traj.positions[body] ** 2).sum(axis=1)).max())
-        out[name] = float(np.sqrt(energy / 12.0) - peak)
-    return out
-
-
-def lagrangian_identity_gap(breakdown: ActionBreakdown) -> float:
-    """|direct total - pairwise total|: zero when the center of mass vanishes."""
-    return abs(breakdown.total - breakdown.pairwise_total)

@@ -249,7 +249,7 @@ def _cmd_minimize(args) -> int:
         try:
             with open(args.loop_in) as handle:
                 start = system_from_dict(json.load(handle))
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error reading --loop-in: {exc}", file=sys.stderr)
             return 2
         params = start.params

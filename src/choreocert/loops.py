@@ -28,7 +28,6 @@ on the triple chain. ``winding_table`` winds the representatives and
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -52,21 +51,14 @@ class GeneratorSpectrum:
         if self.role not in (ROLE_MAIN, ROLE_TRIPLE):
             raise ValueError(f"unknown role {self.role!r}")
         freqs = tuple(int(m) for m in self.freqs)
+        coeffs = np.asarray(self.coeffs, dtype=complex)
+        if coeffs.shape != (len(freqs),):
+            raise ValueError("coeffs must align with freqs")
         if len(set(freqs)) != len(freqs):
             raise ValueError("duplicate frequencies in spectrum")
-        if any(freqs[i] >= freqs[i + 1] for i in range(len(freqs) - 1)):
-            order = np.argsort(freqs)
-            object.__setattr__(self, "freqs", tuple(freqs[i] for i in order))
-            object.__setattr__(
-                self, "coeffs", np.asarray(self.coeffs, dtype=complex)[order]
-            )
-        else:
-            object.__setattr__(self, "freqs", freqs)
-            object.__setattr__(
-                self, "coeffs", np.array(self.coeffs, dtype=complex, copy=True)
-            )
-        if self.coeffs.shape != (len(self.freqs),):
-            raise ValueError("coeffs must align with freqs")
+        order = np.argsort(freqs)
+        object.__setattr__(self, "freqs", tuple(freqs[i] for i in order))
+        object.__setattr__(self, "coeffs", coeffs[order])  # a copy, in frequency order
         self.coeffs.setflags(write=False)
 
     @classmethod
@@ -75,12 +67,6 @@ class GeneratorSpectrum:
         freqs = [int(e[0]) for e in entries]
         coeffs = [complex(float(e[1]), float(e[2])) for e in entries]
         return cls(role, tuple(freqs), np.array(coeffs, dtype=complex))
-
-    def coefficient(self, m: int) -> complex:
-        for f, c in zip(self.freqs, self.coeffs):
-            if f == m:
-                return complex(c)
-        return 0.0 + 0.0j
 
     def to_rows(self) -> list[list]:
         return [[m, float(c.real), float(c.imag)] for m, c in zip(self.freqs, self.coeffs)]
@@ -215,36 +201,6 @@ def sample(system: SystemLoop, m_samples: int) -> Trajectory:
         np.take(velocity, nodes, axis=0, out=vel[rows], mode="clip")
         pos[first + 1], vel[first + 1] = evaluate(system, first + 2, times, derivative=(0, 1))
     return Trajectory(params, m_samples, times, pos, vel)
-
-
-def com_project(system: SystemLoop) -> SystemLoop:
-    """Orthogonal projection of the coefficients onto zero total center of mass.
-
-    The main chain contributes N*c_m and the triple chain 3*b_m to the
-    center-of-mass Fourier coefficient at frequency m, and only frequencies
-    divisible by 3N survive either chain's internal averaging. At each such m
-    the constraint N*c_m + 3*b_m = 0 is enforced by the least-squares update;
-    all other coefficients are unchanged. Idempotent.
-    """
-    n = system.params.n_main
-    coupling = 3 * n
-    main_c = dict(zip(system.main.freqs, system.main.coeffs))
-    tri_c = dict(zip(system.triple.freqs, system.triple.coeffs))
-    for m in sorted(set(main_c) | set(tri_c)):
-        if m % coupling != 0:
-            continue
-        c = main_c.get(m, 0.0 + 0.0j)
-        b = tri_c.get(m, 0.0 + 0.0j)
-        lam = (n * c + 3.0 * b) / (n * n + 9.0)
-        main_c[m] = c - n * lam
-        tri_c[m] = b - 3.0 * lam
-    main = GeneratorSpectrum(
-        ROLE_MAIN, tuple(sorted(main_c)), np.array([main_c[m] for m in sorted(main_c)])
-    )
-    triple = GeneratorSpectrum(
-        ROLE_TRIPLE, tuple(sorted(tri_c)), np.array([tri_c[m] for m in sorted(tri_c)])
-    )
-    return SystemLoop(system.params, main, triple)
 
 
 def com_drift(traj: Trajectory) -> float:
@@ -395,26 +351,29 @@ def system_to_dict(system: SystemLoop) -> dict:
     }
 
 
-def system_from_dict(doc: dict) -> SystemLoop:
-    if "loop" in doc and "params" not in doc:
+def system_from_dict(doc) -> SystemLoop:
+    """Inverse of system_to_dict; a result document is read through its "loop".
+
+    A malformed document raises ValueError naming the part at fault.
+    """
+    if isinstance(doc, dict) and "loop" in doc and "params" not in doc:
         doc = doc["loop"]
-    p = doc["params"]
-    params = SymmetryParams(
-        n_main=int(p["n"]), r=int(p["r"]), d=int(p["d"]), k1=int(p["k1"]), k2=int(p["k2"])
-    )
-    return SystemLoop(
-        params,
-        GeneratorSpectrum.from_pairs(ROLE_MAIN, doc["main"]),
-        GeneratorSpectrum.from_pairs(ROLE_TRIPLE, doc["triple"]),
-    )
-
-
-def system_to_json(system: SystemLoop) -> str:
-    return json.dumps(system_to_dict(system), indent=2)
-
-
-def system_from_json(text: str) -> SystemLoop:
-    return system_from_dict(json.loads(text))
+    if not isinstance(doc, dict):
+        raise ValueError(f"a loop must be a JSON object, not {type(doc).__name__}")
+    try:
+        p = doc["params"]
+        params = SymmetryParams(
+            n_main=int(p["n"]), r=int(p["r"]), d=int(p["d"]), k1=int(p["k1"]), k2=int(p["k2"])
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"'params' must map n, r, d, k1 and k2 to integers ({exc!r})") from None
+    spectra = []
+    for role in (ROLE_MAIN, ROLE_TRIPLE):
+        try:
+            spectra.append(GeneratorSpectrum.from_pairs(role, doc[role]))
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ValueError(f"{role!r} must be a list of [m, x, y] rows ({exc!r})") from None
+    return SystemLoop(params, *spectra)
 
 
 # Grid nodes converted to Python floats at a time by trajectory_to_csv.

@@ -107,13 +107,6 @@ def compatibility_check(params: SymmetryParams) -> CompatibilityResult:
     return CompatibilityResult(ok=not violations, violations=tuple(violations))
 
 
-def rotation_apply(theta: float, v) -> np.ndarray:
-    """Rotate the planar vector v counterclockwise by theta radians."""
-    v = np.asarray(v, dtype=float)
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
-
-
 def _anchor_modulus(params: SymmetryParams, role: str) -> int:
     if role == ROLE_MAIN:
         return 3
@@ -155,22 +148,3 @@ def allowed_frequencies(params: SymmetryParams, role: str, cutoff: int) -> list[
             f"empty basis: smallest admissible |m| for role {role!r} exceeds cutoff {cutoff}"
         )
     return freqs
-
-
-@dataclass(frozen=True)
-class FrequencyClass:
-    """The symmetry-allowed frequency set of one generator, up to a cutoff."""
-
-    role: str
-    params: SymmetryParams
-    cutoff: int
-
-    @property
-    def anchor_modulus(self) -> int:
-        return _anchor_modulus(self.params, self.role)
-
-    def frequencies(self) -> list[int]:
-        return allowed_frequencies(self.params, self.role, self.cutoff)
-
-    def contains(self, m: int) -> bool:
-        return abs(m) <= self.cutoff and frequency_allowed(self.params, self.role, m)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from choreocert import kernels
+from choreocert.action import ActionWorkspace
 from choreocert.bounds import (
     CaseBound,
     LatticeCheck,
@@ -21,7 +22,6 @@ from choreocert.loops import (
     GeneratorSpectrum,
     SystemLoop,
     Trajectory,
-    com_project,
     evaluate,
     sample,
     winding_number,
@@ -99,6 +99,8 @@ def random_admissible_system(
     fm = allowed_frequencies(params, ROLE_MAIN, cutoff)
     ft = allowed_frequencies(params, ROLE_TRIPLE, cutoff)
     probe = 4 * params.grid_unit
+    # Both chains share the cutoff, so every coupled frequency is in both bases.
+    ws = ActionWorkspace(params, fm, ft, params.grid_unit)
     for _ in range(60):
         cm = np.array(
             [
@@ -119,12 +121,11 @@ def random_admissible_system(
                 for m in ft
             ]
         )
-        system = com_project(
-            SystemLoop(
-                params,
-                GeneratorSpectrum(ROLE_MAIN, tuple(fm), cm),
-                GeneratorSpectrum(ROLE_TRIPLE, tuple(ft), ct),
-            )
+        cm, ct = ws.project(cm, ct)
+        system = SystemLoop(
+            params,
+            GeneratorSpectrum(ROLE_MAIN, tuple(fm), cm),
+            GeneratorSpectrum(ROLE_TRIPLE, tuple(ft), ct),
         )
         traj = sample(system, probe)
         if kernels.min_separation_scan(traj.positions)[0] >= min_sep:

@@ -5,14 +5,9 @@ import pytest
 
 from choreocert.action import (
     ActionWorkspace,
-    action_gradient,
     kinetic_action,
-    lagrangian_identity_gap,
-    potential_action,
     representative_pairs,
-    sobolev_margins,
     total_action,
-    wirtinger_margins,
 )
 from choreocert import kernels
 from choreocert.loops import GeneratorSpectrum, SystemLoop, sample, winding_table
@@ -65,13 +60,14 @@ class TestKinetic:
 class TestPotential:
     def test_grid_refinement_agreement(self):
         system = build_test_orbit(PARAMS4, 0.23, 0.088)
-        assert abs(potential_action(system, 1344) - potential_action(system, 2688)) <= 1e-8
+        fine, finer = total_action(system, 1344), total_action(system, 2688)
+        assert abs(fine.potential - finer.potential) <= 1e-8
 
     def test_matches_independent_evaluation(self, reference_case):
         p = reference_case["params"]
         system = build_test_orbit(p, reference_case["a"], reference_case["b"])
         m = 4 * p.grid_unit
-        assert abs(potential_action(system, m) - brute_potential(system, m)) <= 1e-9
+        assert abs(total_action(system, m).potential - brute_potential(system, m)) <= 1e-9
 
     def test_collision_guard(self):
         system = SystemLoop(
@@ -80,7 +76,7 @@ class TestPotential:
             GeneratorSpectrum("triple", (-4,), np.array([0.088 + 0.0j])),
         )
         with pytest.raises(ValueError, match="near-collision sample"):
-            potential_action(system, 84)
+            total_action(system, 84)
 
 
 class TestTotalAction:
@@ -113,7 +109,7 @@ class TestTotalAction:
             p = case["params"]
             system = random_admissible_system(p, 40, seed=seed)
             breakdown = total_action(system, 8 * p.grid_unit)
-            assert lagrangian_identity_gap(breakdown) <= 1e-6
+            assert abs(breakdown.total - breakdown.pairwise_total) <= 1e-6
 
     def test_identity_needs_zero_center_of_mass(self):
         # un-projected coupled coefficients break the pairwise identity
@@ -123,7 +119,7 @@ class TestTotalAction:
             GeneratorSpectrum("triple", (-4,), np.array([0.088 + 0j])),
         )
         breakdown = total_action(system, 1344)
-        assert lagrangian_identity_gap(breakdown) > 1e-3
+        assert abs(breakdown.total - breakdown.pairwise_total) > 1e-3
 
     def test_json_dict_shape(self):
         system = build_test_orbit(PARAMS4, 0.23, 0.088)
@@ -219,9 +215,10 @@ class TestGradient:
             GeneratorSpectrum("main", (3, 24), np.array([0.23 + 0j, 0.01 + 0j])),
             GeneratorSpectrum("triple", (-4, 24), np.array([0.088 + 0j, 0.0 + 0j])),
         )
-        grad = action_gradient(system, 1344)
-        c = grad.main[list(grad.main_freqs).index(24)]
-        b = grad.triple[list(grad.triple_freqs).index(24)]
+        ws = ActionWorkspace.for_system(system, 1344)
+        _, gm, gt = ws.value_and_gradient(*ws.coefficients_of(system))
+        c = gm[list(ws.main_freqs).index(24)]
+        b = gt[list(ws.triple_freqs).index(24)]
         assert abs(4 * c + 3 * b) <= 1e-12 * max(1.0, abs(c))
 
 
@@ -375,18 +372,3 @@ class TestRepresentativePairs:
             covered += sorted(orbit)
         every = [(i, j) for i in range(1, n + 4) for j in range(i + 1, n + 4)]
         assert sorted(covered) == every
-
-
-class TestDiagnostics:
-    def test_wirtinger_margin_nonnegative(self):
-        for case in REFERENCE_CASES:
-            system = random_admissible_system(case["params"], 40, seed=8)
-            margins = wirtinger_margins(system)
-            assert min(margins.values()) >= -1e-12
-
-    def test_sobolev_margin_nonnegative(self):
-        for case in REFERENCE_CASES:
-            p = case["params"]
-            system = random_admissible_system(p, 40, seed=9)
-            margins = sobolev_margins(system, 8 * p.grid_unit)
-            assert min(margins.values()) >= -1e-12

@@ -253,6 +253,29 @@ class TestMinimize:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "malform, message",
+        [
+            (lambda doc: {**doc, "main": 5}, "'main' must be a list of [m, x, y] rows"),
+            (lambda doc: {**doc, "main": [[3]]}, "'main' must be a list of [m, x, y] rows"),
+            (lambda doc: {**doc, "params": [4]},
+             "'params' must map n, r, d, k1 and k2 to integers"),
+            (lambda doc: [doc], "a loop must be a JSON object, not list"),
+        ],
+        ids=["main-number", "main-short-row", "params-list", "top-level-list"],
+    )
+    def test_malformed_loop_in_exit_2(self, capsys, tmp_path, malform, message):
+        path = self._stored_loop(tmp_path)
+        with open(path) as handle:
+            doc = malform(json.load(handle))
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        code, _, err = run_cli(
+            capsys, "minimize", "--loop-in", path, "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert f"error reading --loop-in: {message}" in err
+
     def test_modes_below_stored_loop_exit_2(self, capsys, tmp_path):
         loop = self._stored_loop(tmp_path, (3, 24), (0.23, 0.001))
         code, _, err = run_cli(

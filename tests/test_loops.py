@@ -1,20 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 
 from choreocert import loops
+from choreocert.action import ActionWorkspace
 from choreocert.loops import (
     GeneratorSpectrum,
     SystemLoop,
     Trajectory,
     com_drift,
-    com_project,
     evaluate,
     group_action_residual,
     max_symmetry_residual,
     min_separation,
     sample,
-    system_from_json,
-    system_to_json,
+    system_from_dict,
+    system_to_dict,
     trajectory_to_csv,
     winding_number,
     winding_table,
@@ -226,23 +228,35 @@ class TestMinSeparation:
         assert abs(info.distance - (0.23 - 0.088)) <= 2e-3
 
 
+def _projected(system: SystemLoop) -> SystemLoop:
+    """The system after ActionWorkspace.project on its own basis."""
+    ws = ActionWorkspace.for_system(system, system.params.grid_unit)
+    cm, ct = ws.project(system.main.coeffs, system.triple.coeffs)
+    return SystemLoop(
+        system.params,
+        GeneratorSpectrum("main", system.main.freqs, cm),
+        GeneratorSpectrum("triple", system.triple.freqs, ct),
+    )
+
+
 class TestComProjection:
     def test_uncoupled_system_unchanged(self, orbit4):
-        projected = com_project(orbit4)
+        projected = _projected(orbit4)
         assert projected.main.freqs == orbit4.main.freqs
         assert np.array_equal(projected.main.coeffs, orbit4.main.coeffs)
         assert np.array_equal(projected.triple.coeffs, orbit4.triple.coeffs)
 
     def test_coupled_frequency_projected(self):
-        # m = 24 is divisible by 3N = 12 and admissible for both roles
+        # m = 24 is divisible by 3N = 12 and admissible for both roles; the
+        # projection acts on frequencies present in both bases
         system = SystemLoop(
             PARAMS4,
             GeneratorSpectrum("main", (3, 24), np.array([0.23 + 0j, 0.05 + 0.02j])),
-            GeneratorSpectrum("triple", (-4,), np.array([0.088 + 0j])),
+            GeneratorSpectrum("triple", (-4, 24), np.array([0.088 + 0j, 0j])),
         )
-        projected = com_project(system)
-        c = projected.main.coefficient(24)
-        b = projected.triple.coefficient(24)
+        projected = _projected(system)
+        c = projected.main.coeffs[projected.main.freqs.index(24)]
+        b = projected.triple.coeffs[projected.triple.freqs.index(24)]
         n = 4
         assert abs(n * c + 3 * b) <= 1e-15
         # com vanishes at every sample once projected
@@ -258,12 +272,12 @@ class TestComProjection:
             GeneratorSpectrum("main", (24,), np.array([0.1 + 0j])),
             GeneratorSpectrum("triple", (24,), np.array([0.0 + 0j])),
         )
-        projected = com_project(system)
+        projected = _projected(system)
         n = 4
         expect_c = 0.1 * 9 / (n * n + 9)
         expect_b = -0.1 * 3 * n / (n * n + 9)
-        assert abs(projected.main.coefficient(24) - expect_c) <= 1e-15
-        assert abs(projected.triple.coefficient(24) - expect_b) <= 1e-15
+        assert abs(projected.main.coeffs[0] - expect_c) <= 1e-15
+        assert abs(projected.triple.coeffs[0] - expect_b) <= 1e-15
 
     def test_idempotent_and_norm_nonincreasing(self):
         rng = np.random.default_rng(3)
@@ -276,8 +290,8 @@ class TestComProjection:
                 "triple", (-4, 24), rng.normal(size=2) + 1j * rng.normal(size=2)
             ),
         )
-        once = com_project(system)
-        twice = com_project(once)
+        once = _projected(system)
+        twice = _projected(once)
         assert np.array_equal(once.main.coeffs, twice.main.coeffs)
         assert np.array_equal(once.triple.coeffs, twice.triple.coeffs)
 
@@ -323,7 +337,7 @@ class TestGroupAction:
 class TestSerialization:
     def test_json_round_trip(self, orbit4):
         system = random_admissible_system(PARAMS4, 45, seed=9)
-        back = system_from_json(system_to_json(system))
+        back = system_from_dict(json.loads(json.dumps(system_to_dict(system))))
         assert back.params == system.params
         assert back.main.freqs == system.main.freqs
         assert np.array_equal(back.main.coeffs, system.main.coeffs)
@@ -372,10 +386,17 @@ class TestSerialization:
         fields = set(text.replace("\n", ",").split(","))
         assert {"-0", "0", "4.9406564584124654e-324", "1.0000000000000001e+300", "inf"} <= fields
 
+    @pytest.mark.parametrize("coeffs", [[1, 2, 3], [1]], ids=["long", "short"])
+    def test_spectrum_length_checked_before_sorting(self, coeffs):
+        with pytest.raises(ValueError, match="coeffs must align with freqs"):
+            GeneratorSpectrum("main", (6, 3), coeffs)
+        spec = GeneratorSpectrum("main", (6, 3), [1, 2])
+        assert spec.freqs == (3, 6) and spec.coeffs.tolist() == [2, 1]
+
     def test_spectrum_sorted_and_validated(self):
         spec = GeneratorSpectrum("main", (24, 3), np.array([1j, 2 + 0j]))
         assert spec.freqs == (3, 24)
-        assert spec.coefficient(3) == 2 + 0j
+        assert spec.coeffs[0] == 2 + 0j
         with pytest.raises(ValueError, match="duplicate"):
             GeneratorSpectrum("main", (3, 3), np.array([1j, 1j]))
         with pytest.raises(ValueError, match="not admissible"):

@@ -1,14 +1,9 @@
-import math
-
-import numpy as np
 import pytest
 
 from choreocert.symmetry import (
-    FrequencyClass,
     SymmetryParams,
     allowed_frequencies,
     compatibility_check,
-    rotation_apply,
 )
 
 from conftest import REFERENCE_CASES, brute_force_frequencies
@@ -52,36 +47,6 @@ class TestCompatibility:
     def test_non_integer_rejected(self):
         with pytest.raises(TypeError):
             SymmetryParams(4.0, 7, 3, 3, -4)
-
-
-class TestRotation:
-    def test_identity(self):
-        assert np.allclose(rotation_apply(0.0, (1.0, 0.0)), (1.0, 0.0))
-
-    def test_quarter_turn(self):
-        out = rotation_apply(math.pi / 2, (1.0, 0.0))
-        assert np.allclose(out, (0.0, 1.0), atol=1e-15)
-
-    def test_seven_applications_close_the_loop(self):
-        v = np.array([0.3, -0.7])
-        out = v.copy()
-        for _ in range(7):
-            out = rotation_apply(2 * math.pi * 3 / 7, out)
-        assert np.abs(out - v).max() <= 1e-12
-
-    def test_composition(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            t1, t2 = rng.uniform(-10, 10, size=2)
-            v = rng.normal(size=2)
-            once = rotation_apply(t1 + t2, v)
-            twice = rotation_apply(t1, rotation_apply(t2, v))
-            assert np.abs(once - twice).max() <= 1e-12
-
-    def test_norm_preserved(self):
-        v = np.array([1.2, -3.4])
-        out = rotation_apply(0.91, v)
-        assert abs(np.linalg.norm(out) - np.linalg.norm(v)) <= 1e-12
 
 
 class TestAllowedFrequencies:
@@ -133,10 +98,3 @@ class TestAllowedFrequencies:
             freqs = allowed_frequencies(p, "main", 500)
             steps = {b - a for a, b in zip(freqs, freqs[1:])}
             assert steps == {3 * p.r}
-
-    def test_frequency_class_wrapper(self):
-        params = SymmetryParams(4, 7, 3, 3, -4)
-        fc = FrequencyClass("main", params, 24)
-        assert fc.frequencies() == [-18, 3, 24]
-        assert fc.contains(3) and not fc.contains(6)
-        assert fc.anchor_modulus == 3
