@@ -28,6 +28,7 @@ on the triple chain. ``winding_table`` winds the representatives and
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -63,9 +64,24 @@ class GeneratorSpectrum:
 
     @classmethod
     def from_pairs(cls, role: str, entries) -> "GeneratorSpectrum":
-        """Build from [(m, cx, cy), ...] rows."""
-        freqs = [int(e[0]) for e in entries]
-        coeffs = [complex(float(e[1]), float(e[2])) for e in entries]
+        """Build from [(m, cx, cy), ...] rows.
+
+        A row that is not an integral frequency and two finite numbers raises
+        ValueError naming the role and the row's index.
+        """
+        freqs, coeffs = [], []
+        for index, row in enumerate(entries):
+            try:
+                m, x, y = row
+                freq, coeff = int(m), complex(float(x), float(y))
+                if freq != float(m) or not cmath.isfinite(coeff):
+                    raise ValueError
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(
+                    f"{role!r} must be a list of [m, x, y] rows: row {index} is {row!r}"
+                ) from None
+            freqs.append(freq)
+            coeffs.append(coeff)
         return cls(role, tuple(freqs), np.array(coeffs, dtype=complex))
 
     def to_rows(self) -> list[list]:
@@ -371,12 +387,15 @@ def system_from_dict(doc) -> SystemLoop:
     for role in (ROLE_MAIN, ROLE_TRIPLE):
         try:
             spectra.append(GeneratorSpectrum.from_pairs(role, doc[role]))
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"{role!r} must be a list of [m, x, y] rows ({exc!r})") from None
     return SystemLoop(params, *spectra)
 
 
-# Grid nodes converted to Python floats at a time by trajectory_to_csv.
+# Rows that trajectory_to_csv turns into Python objects at a time: distinct
+# rows to format, then grid nodes whose lines it joins. Converting every
+# distinct row at once raised the peak RSS of eight cli_pipeline repetitions
+# from about 80 to 97 MB.
 _CSV_BLOCK_NODES = 256
 
 
@@ -384,20 +403,34 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV with header t,body,x,y,vx,vy; row-major by time then body; 17 digits.
 
     Every value is written as "%.17g", the format of f"{x:.17g}", so the text
-    is that of one f-string per row. Blocks of nodes are turned into Python
-    objects at once, and the rows of one node are filled by one template,
-    with its time formatted once for all bodies.
+    is that of one f-string per row. The chain copies ``sample`` makes repeat
+    (x, y, vx, vy) rows exactly, so each distinct row is formatted once and
+    each time once, and the lines are joined from that text. Rows are told
+    apart by their bit patterns, not their values: -0.0 == 0.0, yet the two
+    print differently.
     """
-    n_bodies = traj.n_bodies
+    m_samples, n_bodies = traj.m_samples, traj.n_bodies
     # (M, B, 4): node-major, then body, then x, y, vx, vy.
-    values = np.concatenate([traj.positions, traj.velocities], axis=2).transpose(1, 0, 2)
+    values = np.empty((m_samples, n_bodies, 4))
+    values[:, :, :2] = traj.positions.transpose(1, 0, 2)
+    values[:, :, 2:] = traj.velocities.transpose(1, 0, 2)
+    # A 1-D key array gives a 1-D inverse on every numpy version.
+    keys = values.reshape(-1, 4).view(np.dtype((np.void, 32))).reshape(-1)
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    del values, keys
+    rows = distinct.view(np.float64).reshape(-1, 4)
+    text = np.array([
+        "%.17g,%.17g,%.17g,%.17g" % tuple(row)
+        for start in range(0, len(rows), _CSV_BLOCK_NODES)
+        for row in rows[start:start + _CSV_BLOCK_NODES].tolist()
+    ], dtype=object)
+    del distinct, rows
+    inverse = inverse.reshape(m_samples, n_bodies)
     times = np.array(["%.17g" % t for t in traj.times.tolist()], dtype=object)
-    node_rows = "".join(f"%s,{b + 1},%.17g,%.17g,%.17g,%.17g\n" for b in range(n_bodies))
+    tags = np.array([f",{b + 1}," for b in range(n_bodies)], dtype=object)
     parts = ["t,body,x,y,vx,vy\n"]
-    for start in range(0, traj.m_samples, _CSV_BLOCK_NODES):
-        block = values[start:start + _CSV_BLOCK_NODES]
-        cells = np.empty((len(block), n_bodies, 5), dtype=object)
-        cells[:, :, 0] = times[start:start + len(block), None]
-        cells[:, :, 1:] = block
-        parts.extend(node_rows % tuple(row) for row in cells.reshape(len(block), -1).tolist())
+    for start in range(0, m_samples, _CSV_BLOCK_NODES):
+        stop = start + _CSV_BLOCK_NODES
+        lines = times[start:stop, None] + tags + text[inverse[start:stop]]
+        parts.append("\n".join(lines.ravel().tolist()) + "\n")
     return "".join(parts)

@@ -261,8 +261,15 @@ class TestMinimize:
             (lambda doc: {**doc, "params": [4]},
              "'params' must map n, r, d, k1 and k2 to integers"),
             (lambda doc: [doc], "a loop must be a JSON object, not list"),
+            (lambda doc: {**doc, "main": [[3, 0.2, 0.0, 99]]},
+             "'main' must be a list of [m, x, y] rows: row 0 is [3, 0.2, 0.0, 99]"),
+            (lambda doc: {**doc, "main": [["x", 0.2, 0.0]]},
+             "'main' must be a list of [m, x, y] rows: row 0 is ['x', 0.2, 0.0]"),
+            (lambda doc: {**doc, "main": [[3, float("nan"), 0.0]]},
+             "'main' must be a list of [m, x, y] rows: row 0 is [3, nan, 0.0]"),
         ],
-        ids=["main-number", "main-short-row", "params-list", "top-level-list"],
+        ids=["main-number", "main-short-row", "params-list", "top-level-list",
+             "main-extra-field", "main-non-numeric", "main-nan-coefficient"],
     )
     def test_malformed_loop_in_exit_2(self, capsys, tmp_path, malform, message):
         path = self._stored_loop(tmp_path)

@@ -386,6 +386,74 @@ class TestSerialization:
         fields = set(text.replace("\n", ",").split(","))
         assert {"-0", "0", "4.9406564584124654e-324", "1.0000000000000001e+300", "inf"} <= fields
 
+    @staticmethod
+    def _rows_trajectory(rows):
+        """Trajectory whose (node, body) row is rows[k, b] = (x, y, vx, vy)."""
+        rows = np.asarray(rows, dtype=float)
+        m_samples = rows.shape[0]
+        planar = rows.transpose(1, 0, 2)
+        return Trajectory(PARAMS4, m_samples, np.arange(m_samples) / m_samples,
+                          planar[..., :2].copy(), planar[..., 2:].copy())
+
+    def test_trajectory_csv_signed_zero_rows_kept_apart(self):
+        # Rows equal as values but not as bits: each must keep its own sign.
+        rows = np.tile([0.5, 0.0, -1.25, 3.0], (3, 7, 1))
+        rows[:, 1::2, 1] = -0.0
+        traj = self._rows_trajectory(rows)
+        text = trajectory_to_csv(traj)
+        assert text == reference_trajectory_csv(traj)
+        lines = text.splitlines()
+        assert lines[1] == "0,1,0.5,0,-1.25,3"
+        assert lines[2] == "0,2,0.5,-0,-1.25,3"
+
+    def test_trajectory_csv_repeated_nan_rows(self):
+        negative_nan = np.copysign(np.nan, -1.0)
+        assert np.signbit(negative_nan)
+        rows = np.tile([np.nan, 1.0, np.nan, -2.0], (4, 7, 1))
+        rows[::2, :, 0] = negative_nan
+        rows[1, 3] = [negative_nan, negative_nan, np.nan, np.nan]
+        traj = self._rows_trajectory(rows)
+        text = trajectory_to_csv(traj)
+        assert text == reference_trajectory_csv(traj)
+        assert "-nan" not in text
+        assert text.splitlines()[1 + 7 + 3] == "0.25,4,nan,nan,nan,nan"
+
+    def test_trajectory_csv_all_rows_identical(self):
+        traj = self._rows_trajectory(np.full((300, 7, 4), 0.1))
+        text = trajectory_to_csv(traj)
+        assert text == reference_trajectory_csv(traj)
+        assert {line.split(",", 2)[2] for line in text.splitlines()[1:]} == {
+            ",".join(["0.10000000000000001"] * 4)
+        }
+
+    def test_trajectory_csv_no_repeated_row(self):
+        rows = np.random.default_rng(5).normal(size=(300, 7, 4))
+        assert len(np.unique(rows.reshape(-1, 4), axis=0)) == 300 * 7
+        traj = self._rows_trajectory(rows)
+        assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
+
+    def test_trajectory_csv_repeats_across_blocks(self):
+        m_samples = 2 * PARAMS7.grid_unit
+        assert m_samples > loops._CSV_BLOCK_NODES
+        traj = sample(random_admissible_system(PARAMS7, 30, seed=4), m_samples)
+        # Body 3 at node k is the generator at node k + 2M/N: a repeat that
+        # crosses from the first block of nodes into the second.
+        k, shift = loops._CSV_BLOCK_NODES - 1, 2 * m_samples // 7
+        assert np.array_equal(traj.positions[2, k], traj.positions[0, k + shift])
+        assert np.array_equal(traj.velocities[2, k], traj.velocities[0, k + shift])
+        assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
+
+    @pytest.mark.parametrize(
+        "row",
+        [[3, 0.2, 0.0, 99], ["x", 0.2, 0.0], [3.5, 0.2, 0.0], [float("inf"), 0.2, 0.0],
+         [3, float("nan"), 0.0], [3, 0.2, float("-inf")]],
+        ids=["extra-field", "non-numeric", "non-integral", "infinite-frequency",
+             "nan-coefficient", "infinite-coefficient"],
+    )
+    def test_malformed_row_names_role_and_index(self, row):
+        with pytest.raises(ValueError, match=r"'main' must be a list of \[m, x, y\] rows: row 1 is"):
+            GeneratorSpectrum.from_pairs("main", [[6, 0.1, 0.0], row])
+
     @pytest.mark.parametrize("coeffs", [[1, 2, 3], [1]], ids=["long", "short"])
     def test_spectrum_length_checked_before_sorting(self, coeffs):
         with pytest.raises(ValueError, match="coeffs must align with freqs"):
