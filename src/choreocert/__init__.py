@@ -41,10 +41,8 @@ from .loops import (
     winding_number,
 )
 from .solver import (
-    MembershipReport,
     MinimizeOptions,
     MinimizeResult,
-    membership_check,
     minimize,
     ode_residual,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "CompatibilityResult",
     "GeneratorSpectrum",
     "KERNEL_BACKEND",
-    "MembershipReport",
     "MinSeparation",
     "MinimizeOptions",
     "MinimizeResult",
@@ -86,7 +83,6 @@ __all__ = [
     "gordon_periodic",
     "gordon_segment",
     "kinetic_action",
-    "membership_check",
     "min_separation",
     "minimize",
     "ode_residual",

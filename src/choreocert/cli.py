@@ -68,9 +68,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loop-in", dest="loop_in", help="resume from a stored loop JSON")
     p.add_argument("--grid", type=int, help="quadrature nodes (default 16*lcm(3,N,r))")
     p.add_argument("--modes", type=int, help="frequency cutoff K (default 24)")
-    p.add_argument("--gtol", type=float, help="gradient-norm tolerance (default 1e-8)")
-    p.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap (default 500)")
-    p.add_argument("--eps-sep", dest="eps_sep", type=float, help="separation guard (default 1e-3)")
+    defaults = MinimizeOptions.__dataclass_fields__
+    p.add_argument("--gtol", type=float,
+                   help=f"gradient-norm tolerance (default {defaults['gtol'].default:g})")
+    p.add_argument("--max-iter", dest="max_iter", type=int,
+                   help=f"iteration cap (default {defaults['max_iterations'].default})")
+    p.add_argument("--eps-sep", dest="eps_sep", type=float,
+                   help=f"separation guard (default {defaults['eps_sep'].default:g})")
     p.add_argument("--emit-plot", dest="emit_plot", help="write sampled curves CSV here")
 
     p = sub.add_parser("lemmas", help="exact distinctness scans of the collision grids")
@@ -295,12 +299,11 @@ def _cmd_minimize(args) -> int:
         )
         return 2
     try:
+        given = {"max_iterations": args.max_iter, "gtol": args.gtol, "eps_sep": args.eps_sep}
         options = MinimizeOptions(
             cutoff=modes,
             m_samples=args.grid,
-            max_iterations=args.max_iter if args.max_iter is not None else 500,
-            gtol=args.gtol if args.gtol is not None else 1e-8,
-            eps_sep=args.eps_sep if args.eps_sep is not None else 1e-3,
+            **{name: value for name, value in given.items() if value is not None},
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

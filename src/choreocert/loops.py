@@ -184,23 +184,11 @@ def require_grid(params: SymmetryParams, m_samples: int) -> None:
         )
 
 
-def chain_nodes(chain_length: int, m_samples: int) -> np.ndarray:
-    """(L, M) node indices: row b holds (k + b*M/L) mod M for k = 0..M-1.
-
-    Body b of a chain of L bodies is its generator advanced by b/L in time,
-    so on a grid of M nodes (a multiple of L) it reads the generator's
-    samples at these nodes.
-    """
-    k = np.arange(m_samples)
-    step = m_samples // chain_length
-    return (k[None, :] + step * np.arange(chain_length)[:, None]) % m_samples
-
-
 def sample(system: SystemLoop, m_samples: int) -> Trajectory:
     """Sample all bodies at t_k = k/M. M must be a multiple of lcm(3, N, r).
 
     Evaluates four bodies, whatever N is: the generators 1 and N+1, whose
-    samples fill the other rows of their chain through ``chain_nodes``, and
+    samples fill the other rows of their chain as two slice copies each, and
     bodies 2 and N+2, each at its own times (see the module docstring).
     """
     params = system.params
@@ -210,11 +198,13 @@ def sample(system: SystemLoop, m_samples: int) -> Trajectory:
     pos = np.empty((params.n_bodies, m_samples, 2))
     vel = np.empty((params.n_bodies, m_samples, 2))
     for first, chain in ((0, n), (n, 3)):
-        rows = slice(first, first + chain)
-        nodes = chain_nodes(chain, m_samples)
         position, velocity = evaluate(system, first + 1, times, derivative=(0, 1))
-        np.take(position, nodes, axis=0, out=pos[rows], mode="clip")
-        np.take(velocity, nodes, axis=0, out=vel[rows], mode="clip")
+        for row, start in enumerate(range(0, m_samples, m_samples // chain), first):
+            # this row's body reads its generator `start` nodes later, wrapping at M
+            tail = m_samples - start
+            for out, samples in ((pos, position), (vel, velocity)):
+                out[row, :tail] = samples[start:]
+                out[row, tail:] = samples[:start]
         pos[first + 1], vel[first + 1] = evaluate(system, first + 2, times, derivative=(0, 1))
     return Trajectory(params, m_samples, times, pos, vel)
 

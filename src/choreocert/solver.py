@@ -8,13 +8,20 @@ accepted by Armijo backtracking and, in addition, only if the minimum pair
 separation stays above the guard and no pair winding number changes. Once the
 evaluated action saturates float64 resolution near the minimum, acceptance
 switches to strict gradient-norm contraction so the gradient tolerance stays
-reachable. A run is a pure function of (start, options): repeated runs are
-identical bit for bit.
+reachable. The backtracking factor, the Armijo constant and the L-BFGS memory
+are module constants; ``MinimizeOptions`` holds the cutoff, grid, iteration
+cap, gradient tolerance and separation guard. A run is a pure function of
+(start, options): repeated runs are identical bit for bit.
+
+After the descent, ``minimize`` samples the final loop once on the full grid
+and reports its windings, minimum separation, symmetry residual and
+center-of-mass drift: the class check of a descended loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,62 +32,45 @@ from .loops import (
     GeneratorSpectrum,
     MinSeparation,
     SystemLoop,
-    chain_nodes,
     com_drift,
     evaluate,
-    expand_windings,
     max_symmetry_residual,
     min_separation,
     require_grid,
     sample,
-    winding_number,
     winding_table,
 )
 from .symmetry import ROLE_MAIN, ROLE_TRIPLE, allowed_frequencies
 
+SHRINK = 0.5     # line-search backtracking factor
+ARMIJO = 1e-4    # sufficient-decrease constant
+MEMORY = 12      # L-BFGS history length
+
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    """Knobs of the descent; defaults are echoed into results for reproducibility."""
+    """Settings of a descent; all of them are echoed into results for reproducibility."""
 
     cutoff: int                    # frequency cutoff K of the reduced basis
     m_samples: int | None = None   # quadrature grid; default 16*lcm(3, N, r)
     max_iterations: int = 500
     gtol: float = 1e-8             # stop when the projected gradient norm drops below
     eps_sep: float = 1e-3          # reject any step with min pair separation below
-    shrink: float = 0.5            # line-search backtracking factor
-    armijo: float = 1e-4           # sufficient-decrease constant
-    memory: int = 12               # L-BFGS history length
 
     def __post_init__(self):
         if self.cutoff < 1:
             raise ValueError("cutoff must be at least 1")
         if self.m_samples is not None and self.m_samples <= 0:
             raise ValueError("m_samples must be positive")
-        if self.gtol <= 0:
-            raise ValueError("gtol must be positive")
-        if self.eps_sep < 1e-6:
-            raise ValueError("eps_sep must be at least 1e-6")
-        if not (0 < self.shrink < 1):
-            raise ValueError("shrink must lie in (0, 1)")
-        if not (0 < self.armijo < 1):
-            raise ValueError("armijo must lie in (0, 1)")
+        if not (self.gtol > 0 and math.isfinite(self.gtol)):
+            raise ValueError("gtol must be positive and finite")
+        if not (self.eps_sep >= 1e-6 and math.isfinite(self.eps_sep)):
+            raise ValueError("eps_sep must be at least 1e-6 and finite")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        if self.memory < 0:
-            raise ValueError("memory must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "cutoff": self.cutoff,
-            "m_samples": self.m_samples,
-            "max_iterations": self.max_iterations,
-            "gtol": self.gtol,
-            "eps_sep": self.eps_sep,
-            "shrink": self.shrink,
-            "armijo": self.armijo,
-            "memory": self.memory,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -257,7 +247,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
                 best, best_step = nxt, step
             return best_step, best
         while step > 1e-18:
-            step *= options.shrink
+            step *= SHRINK
             hit = flat_probe(x, direction, step)
             if hit is not None and hit[1] <= f_floor and np.linalg.norm(hit[2]) <= 0.999 * gnorm:
                 return step, hit
@@ -288,7 +278,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
 
         # When the Armijo margin is below the resolution of f, value
         # comparisons are meaningless: switch to gradient contraction.
-        flat = abs(options.armijo * slope) < 64.0 * eps64 * max(1.0, abs(f))
+        flat = abs(ARMIJO * slope) < 64.0 * eps64 * max(1.0, abs(f))
 
         accepted = None  # (xn, f, g, minsep, step, (cm, ct, positions))
         if not flat:
@@ -299,12 +289,12 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
                     xn, cmn, ctn, pos, minsep = hit
                     fn = ws.value(cmn, ctn, pos)
                     evaluations += 1
-                    if fn <= f + options.armijo * step * slope:
+                    if fn <= f + ARMIJO * step * slope:
                         evaluations += 1
                         gn_vec = _pack(*ws.gradient(cmn, ctn, pos))
                         accepted = (xn, fn, gn_vec, minsep, step, (cmn, ctn, pos))
                         break
-                step *= options.shrink
+                step *= SHRINK
                 if step < 1e-18:
                     break
         else:
@@ -331,7 +321,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
             np.linalg.norm(y_vec)
         ):
             history.append((s_vec, y_vec, sy))
-            if len(history) > options.memory:
+            if len(history) > MEMORY:
                 history.pop(0)
         x, f, g = xn, fn2, gn_vec
         iterations = it
@@ -390,7 +380,8 @@ def ode_residual(system: SystemLoop, m_samples: int) -> float:
     """Equations-of-motion residual of a loop, with exact spectral acceleration.
 
     Only the two generators are evaluated; every other body reads its
-    generator at shifted nodes. Like the loop, the residual turns by a fixed
+    generator at shifted nodes, as a slice of the generator's samples
+    followed by themselves. Like the loop, the residual turns by a fixed
     rotation under a time shift of 1/r, so its RMS over the first M/r nodes
     is its RMS over all M.
     """
@@ -400,63 +391,10 @@ def ode_residual(system: SystemLoop, m_samples: int) -> float:
     domain = m_samples // params.r
     pos, acc = [], []
     for generator, chain in ((1, params.n_main), (params.n_main + 1, 3)):
-        nodes = chain_nodes(chain, m_samples)[:, :domain]
         position, acceleration = evaluate(system, generator, times, derivative=(0, 2))
-        pos.append(position[nodes])
-        acc.append(acceleration[nodes])
-    return acceleration_residual_rms(np.concatenate(pos), np.concatenate(acc))
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    """Diagnostics of membership in the constrained loop class."""
-
-    windings: dict                 # winding or None per pair, with error notes
-    winding_errors: tuple[str, ...]
-    symmetry_residual: float       # max over the three group generators
-    min_separation: MinSeparation
-    com_drift: float
-
-    def to_dict(self) -> dict:
-        ms = self.min_separation
-        return {
-            "windings": self.windings,
-            "winding_errors": list(self.winding_errors),
-            "symmetry_residual": self.symmetry_residual,
-            "min_separation": {
-                "pair": list(ms.pair),
-                "time_index": ms.time_index,
-                "distance": ms.distance,
-            },
-            "com_drift": self.com_drift,
-        }
-
-
-def membership_check(system: SystemLoop, m_samples: int | None = None) -> MembershipReport:
-    """Windings of every same-chain pair, symmetry residual, separation, drift.
-
-    The windings are those of loops.winding_table, except that a
-    representative pair that cannot be wound gives None for every pair it
-    stands for and one "pair (i,j): reason" note, instead of raising.
-    """
-    if m_samples is None:
-        m_samples = system.params.default_grid()
-    traj = sample(system, m_samples)
-    pos = traj.positions
-    errors = []
-
-    def wind(i, j):
-        try:
-            return winding_number(pos[i - 1] - pos[j - 1], (0.0, 0.0))
-        except ValueError as exc:
-            errors.append(f"pair ({i},{j}): {exc}")
-            return None
-
-    table = expand_windings(system.params.n_main, wind)
-    return MembershipReport(
-        windings=table,
-        winding_errors=tuple(errors),
-        symmetry_residual=max_symmetry_residual(traj),
-        min_separation=min_separation(traj),
-        com_drift=com_drift(traj),
-    )
+        position = np.concatenate([position, position])
+        acceleration = np.concatenate([acceleration, acceleration])
+        for start in range(0, m_samples, m_samples // chain):
+            pos.append(position[start:start + domain])
+            acc.append(acceleration[start:start + domain])
+    return acceleration_residual_rms(np.stack(pos), np.stack(acc))

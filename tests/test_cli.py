@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,6 +7,7 @@ import pytest
 
 from choreocert.cli import main
 from choreocert.loops import GeneratorSpectrum, SystemLoop, system_to_dict
+from choreocert.solver import MinimizeOptions
 from choreocert.symmetry import SymmetryParams
 
 
@@ -202,7 +204,11 @@ class TestMinimize:
         "flag, value, message",
         [
             ("--gtol", "-1", "gtol must be positive"),
+            ("--gtol", "inf", "gtol must be positive"),
+            ("--gtol", "nan", "gtol must be positive"),
             ("--eps-sep", "0", "eps_sep must be at least"),
+            ("--eps-sep", "inf", "eps_sep must be at least"),
+            ("--eps-sep", "nan", "eps_sep must be at least"),
             ("--max-iter", "-1", "max_iterations must be nonnegative"),
             ("--grid", "0", "--grid must be a positive multiple of lcm(3, N, r) = 84"),
         ],
@@ -215,6 +221,26 @@ class TestMinimize:
         )
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize(
+        "flags, recorded",
+        [
+            ([], {}),
+            (["--gtol", "1e-7"], {"gtol": 1e-7}),
+        ],
+        ids=["defaults", "gtol-given"],
+    )
+    def test_options_recorded(self, capsys, tmp_path, flags, recorded):
+        out = tmp_path / "x.json"
+        code, _, _ = run_cli(
+            capsys,
+            "minimize", *PARAMS4, "--a", "0.23", "--b", "0.088",
+            "--modes", "5", "--grid", "672", *flags, "--out", str(out),
+        )
+        assert code == 0
+        defaults = {f.name: f.default for f in dataclasses.fields(MinimizeOptions)}
+        expected = {**defaults, "cutoff": 5, "m_samples": 672, **recorded}
+        assert json.loads(out.read_text())["options"] == expected
 
     @staticmethod
     def _stored_loop(tmp_path, main_freqs=(3,), main_coeffs=(0.23,)):

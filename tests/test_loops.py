@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -125,20 +126,19 @@ class TestSample:
 
     @pytest.mark.parametrize("chain, generator", [(4, "g3"), (3, "g2")],
                              ids=["main", "triple"])
-    def test_wrong_chain_shift_breaks_symmetry(self, monkeypatch, chain, generator):
-        # a sampler that reads one chain's generator at reversed shifts must
-        # fail the group action of that chain against the directly evaluated body
+    def test_wrong_chain_shift_breaks_symmetry(self, chain, generator):
+        # chain copies placed at reversed shifts must fail the group action
+        # of that chain against the directly evaluated body
         system = random_admissible_system(PARAMS4, 30, seed=11)
-        assert max_symmetry_residual(sample(system, 168)) <= 1e-10
-        real = loops.chain_nodes
-
-        def reversed_chain(length, m_samples):
-            nodes = real(length, m_samples)
-            return nodes[::-1] if length == chain else nodes
-
-        monkeypatch.setattr(loops, "chain_nodes", reversed_chain)
         traj = sample(system, 168)
-        assert group_action_residual(traj, generator) > 1e-10
+        assert max_symmetry_residual(traj) <= 1e-10
+        first = 0 if chain == PARAMS4.n_main else PARAMS4.n_main
+        rows = np.arange(first, first + chain)
+        positions = traj.positions.copy()
+        positions[rows] = traj.positions[rows[::-1]]
+        positions[first + 1] = traj.positions[first + 1]
+        permuted = dataclasses.replace(traj, positions=positions)
+        assert group_action_residual(permuted, generator) > 1e-10
 
     def test_evaluate_orders_match_single_orders_bitwise(self):
         system = random_admissible_system(PARAMS4, 30, seed=11)

@@ -1,17 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from choreocert.loops import com_drift, max_symmetry_residual, min_separation, sample, winding_table
 from choreocert.solver import (
     MinimizeOptions,
     acceleration_residual_rms,
-    membership_check,
     minimize,
     ode_residual,
 )
 from choreocert.symmetry import SymmetryParams
 from choreocert.testorbits import build_test_orbit, restricted_action
-
-from conftest import half_turn_loop
 
 PARAMS4 = SymmetryParams(4, 7, 3, 3, -4)
 
@@ -110,8 +110,9 @@ class TestMinimize:
         with pytest.raises(ValueError):
             MinimizeOptions(cutoff=24, eps_sep=1e-9)
         for bad in (
-            {"max_iterations": -1}, {"memory": -1}, {"armijo": 0.0}, {"armijo": 1.0},
-            {"cutoff": 0}, {"m_samples": 0}, {"m_samples": -672},
+            {"max_iterations": -1}, {"cutoff": 0}, {"m_samples": 0}, {"m_samples": -672},
+            {"gtol": float("inf")}, {"gtol": float("nan")},
+            {"eps_sep": float("inf")}, {"eps_sep": float("nan")},
         ):
             with pytest.raises(ValueError):
                 MinimizeOptions(**{"cutoff": 24, **bad})
@@ -120,6 +121,11 @@ class TestMinimize:
                 build_test_orbit(PARAMS4, 0.23, 0.088),
                 MinimizeOptions(cutoff=3, m_samples=672),
             )
+
+    def test_result_records_every_option(self, converged4):
+        recorded = converged4.to_dict()["options"]
+        assert set(recorded) == {f.name for f in dataclasses.fields(MinimizeOptions)}
+        assert recorded == dataclasses.asdict(converged4.options)
 
 
 class TestOdeResidual:
@@ -171,33 +177,18 @@ class TestOdeResidual:
 
 class TestMembership:
     def test_reference_orbit_tables(self):
-        report = membership_check(build_test_orbit(PARAMS4, 0.23, 0.088), 1344)
-        assert [w for _, _, w in report.windings["main"]] == [3] * 6
-        assert [w for _, _, w in report.windings["triple"]] == [-4] * 3
-        assert not report.winding_errors
-        assert report.symmetry_residual <= 1e-10
-        assert report.com_drift <= 1e-10
-        assert abs(report.min_separation.distance - 0.142) <= 2e-3
+        traj = sample(build_test_orbit(PARAMS4, 0.23, 0.088), 1344)
+        windings = winding_table(traj)
+        assert [w for _, _, w in windings["main"]] == [3] * 6
+        assert [w for _, _, w in windings["triple"]] == [-4] * 3
+        assert max_symmetry_residual(traj) <= 1e-10
+        assert com_drift(traj) <= 1e-10
+        assert abs(min_separation(traj).distance - 0.142) <= 2e-3
 
     def test_converged_n5_windings_preserved(self):
         params = SymmetryParams(5, 8, 3, 3, -5)
         orbit = build_test_orbit(params, 0.245, 0.076)
         res = minimize(orbit, MinimizeOptions(cutoff=24))
         assert res.termination == "converged"
-        report = membership_check(res.system)
-        assert {w for _, _, w in report.windings["main"]} == {3}
-        assert {w for _, _, w in report.windings["triple"]} == {-5}
-
-    def test_default_grid_used(self):
-        report = membership_check(build_test_orbit(PARAMS4, 0.23, 0.088))
-        assert report.min_separation.distance > 0.1
-
-    def test_unwindable_representatives_reported(self):
-        # both main offsets of the N=5 half-turn loop fail to wind: every main
-        # pair is None, with one note per representative; the triple chain winds
-        report = membership_check(half_turn_loop(), 30)
-        assert [w for _, _, w in report.windings["main"]] == [None] * 10
-        assert [w for _, _, w in report.windings["triple"]] == [-5] * 3
-        assert [note.split(":")[0] for note in report.winding_errors] == [
-            "pair (1,2)", "pair (1,3)"]
-        assert all("undersampled" in note for note in report.winding_errors)
+        assert {w for _, _, w in res.windings["main"]} == {3}
+        assert {w for _, _, w in res.windings["triple"]} == {-5}
