@@ -14,17 +14,29 @@ depend on t and every shift is additive. Their orders are r, 3 and N (N and
 chain's relabelling), so the orbit of a seed at t = 0 has at most 3*N*r
 states.
 
+The shifts that keep the pair fixed generate a subgroup of Z_L: by L/r and
+L/3 for a main seed, by L/r and L/N for a triple seed, by L/r alone for a
+cross seed. A subgroup of Z_L is gap*Z_L with gap the gcd of L and its
+generators, so each colliding pair collides on one coset base + gap*Z_L, its
+base being the tick of the relabelling power that reaches it. For the
+antipodal main seed (1, 1 + N/2) two powers c and c + N/2 reach each pair,
+with bases L/2 apart, and gap also takes the gcd with L/2. Every lattice of
+a case is therefore arithmetic, with the seed lattice's size L/gap.
+
 Each pair's contribution to the action is bounded below with the two-body
 bounds: between consecutive forced collisions by the fixed-end bound, and for
 never-colliding pairs by the zero-mean periodic bound applied on the pair's
 natural relative period (1/3 for main-main, 1/N for triple-triple, 1 for
 cross pairs). Summing over all pairs and dividing by the body count N+3
 (valid because the center of mass vanishes) gives a lower bound for the full
-action of any loop exhibiting the seed collision.
+action of any loop exhibiting the seed collision. Since every colliding pair
+has L/gap equal gaps, its term is one segment summed L/gap times, the same
+for every colliding pair of the case.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -62,10 +74,13 @@ class TimeLattice:
     ticks: tuple[int, ...]
 
     def __post_init__(self):
-        ts = tuple(sorted(map(self.modulus.__rmod__, map(int, self.ticks))))
-        if len(set(ts)) != len(ts):
+        m = self.modulus
+        ts = sorted(map(int, self.ticks))
+        if ts and (ts[0] < 0 or ts[-1] >= m):
+            ts = sorted(map(m.__rmod__, ts))
+        if any(map(operator.ge, ts, ts[1:])):
             raise ValueError("duplicate ticks")
-        object.__setattr__(self, "ticks", ts)
+        object.__setattr__(self, "ticks", tuple(ts))
 
     @property
     def size(self) -> int:
@@ -126,6 +141,12 @@ def collision_closure(
     {rot^a shift^b succ^c (seed, 0)}, and for cross seeds
     {rot^a succ_main^c succ_triple^e (seed, 0)}: at most 3*N*r states,
     enumerated directly rather than searched.
+
+    The free shifts (rot^a shift^b) form the subgroup gap*Z_L, so each pair's
+    ticks are range(base % gap, L, gap) for the base tick of a relabelling
+    power that reaches it. When two powers reach one pair (only the antipodal
+    main seed), their bases differ by L/2 and gap takes the gcd with that
+    difference, so the pair's ticks are the union of both cosets.
     """
     n, r = params.n_main, params.r
     L = lattice_modulus(params)
@@ -141,27 +162,34 @@ def collision_closure(
     def triple(i, e):
         return n + 1 + (i - n - 1 + e) % 3
 
-    # Each relabelling power gives a pair and a base tick; the free shifts
-    # give the ticks every such pair collides at beyond its base.
+    # Each relabelling power gives a pair and a base tick; gap generates the
+    # subgroup of free shifts.
     i0, j0 = _canonical(i0, j0)
     if j0 <= n:
         powers = [(main(i0, c), main(j0, c), -c * enth) for c in range(n)]
-        free = {(a * rot + b * third) % L for a in range(r) for b in range(3)}
+        gap = math.gcd(L, rot, third)
     elif i0 > n:
         powers = [(triple(i0, e), triple(j0, e), -e * third) for e in range(3)]
-        free = {(a * rot + b * enth) % L for a in range(r) for b in range(n)}
+        gap = math.gcd(L, rot, enth)
     else:
         powers = [
             (main(i0, c), triple(j0, e), -c * enth - e * third)
             for c in range(n)
             for e in range(3)
         ]
-        free = {a * rot for a in range(r)}
+        gap = rot
 
-    by_pair: dict[tuple[int, int], set[int]] = {}
+    bases: dict[tuple[int, int], int] = {}
     for i, j, base in powers:
-        by_pair.setdefault(_canonical(i, j), set()).update([(base + t) % L for t in free])
-    return {pair: TimeLattice(L, tuple(ticks)) for pair, ticks in sorted(by_pair.items())}
+        pair = _canonical(i, j)
+        if pair in bases:
+            gap = math.gcd(gap, base - bases[pair])
+        else:
+            bases[pair] = base
+    return {
+        pair: TimeLattice(L, tuple(range(base % gap, L, gap)))
+        for pair, base in sorted(bases.items())
+    }
 
 
 @dataclass(frozen=True)
@@ -190,6 +218,13 @@ def case_lower_bound(
     Colliding pairs contribute the fixed-end bound summed over their
     inter-collision intervals; all other pairs contribute the periodic bound
     on their relative period, repeated 1/period times to cover [0, 1).
+
+    Every colliding pair's lattice is a coset of the seed lattice (see
+    collision_closure), so its intervals are all L/size ticks long: one
+    Gordon segment, summed size times, is the term of each colliding pair.
+    That sum adds the same floats in the same order as summing one segment
+    per interval of each lattice, and pairs are still added in lexicographic
+    order, so the bound is bit-identical to the per-lattice sum.
     """
     closure = collision_closure(params, seed)
     n = params.n_main
@@ -199,23 +234,20 @@ def case_lower_bound(
     main_term, cross_term, triple_term = (
         gordon_periodic(strength, p) / p for p in (1.0 / 3.0, 1.0, 1.0 / n)
     )
+    seed_lattice = closure[_canonical(*seed)]
+    L, size = seed_lattice.modulus, seed_lattice.size
+    seed_sum = sum(itertools.repeat(gordon_segment(strength, (L // size) / L), size))
     total = 0.0
-    sizes = []
     for i in range(1, B + 1):
         for j in range(i + 1, B + 1):
-            lattice = closure.get((i, j))
-            if lattice is None:
+            if (i, j) in closure:
+                total += seed_sum
+            else:
                 total += main_term if j <= n else cross_term if i <= n else triple_term
-                continue
-            sizes.append(lattice.size)
-            # one Gordon segment per distinct gap, summed in lattice order
-            gaps = lattice.gaps()
-            segment = {g: gordon_segment(strength, g / lattice.modulus) for g in set(gaps)}
-            total += sum(map(segment.__getitem__, gaps))
     return CaseBound(
         label=label if label is not None else f"seed {seed}",
         pair=_canonical(*seed),
-        lattice_sizes=tuple(sorted(sizes)),
+        lattice_sizes=tuple(sorted(lattice.size for lattice in closure.values())),
         bound=total / B,
     )
 

@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, help="test-orbit start: triple radius")
     p.add_argument("--loop-in", dest="loop_in", help="resume from a stored loop JSON")
     p.add_argument("--grid", type=int, help="quadrature nodes (default 16*lcm(3,N,r))")
-    p.add_argument("--modes", type=int, help="frequency cutoff K (default 24)")
+    p.add_argument("--modes", type=int, help="frequency cutoff K (default max(24, N))")
     defaults = MinimizeOptions.__dataclass_fields__
     p.add_argument("--gtol", type=float,
                    help=f"gradient-norm tolerance (default {defaults['gtol'].default:g})")

@@ -11,6 +11,7 @@ from choreocert.bounds import (
     collision_threshold,
     gordon_periodic,
     gordon_segment,
+    lattice_modulus,
     representative_seeds,
     verify_time_lemmas,
 )
@@ -145,16 +146,39 @@ class TestClosure:
                 for lattice in collision_closure(p, seed).values():
                     assert lattice.is_arithmetic
 
+    @staticmethod
+    def assert_orbit_matches_bfs(params):
+        # each representative seed both ways round
+        for _, seed in representative_seeds(params):
+            for s in (seed, seed[::-1]):
+                got = collision_closure(params, s)
+                want = bfs_closure(params, s)
+                assert list(got.items()) == list(want.items()), (params, s)
+
     @pytest.mark.parametrize("n", range(1, 16))
     def test_orbit_matches_bfs(self, n):
-        # every r, with 3 | N, 3 | r and r = 1 included, each seed both ways round
+        # every r, with 3 | N, 3 | r and r = 1 included
         for r in range(1, 16):
-            params = SymmetryParams(n, r, 3, 3, -n)
-            for _, seed in representative_seeds(params):
-                for s in (seed, seed[::-1]):
-                    got = collision_closure(params, s)
-                    want = bfs_closure(params, s)
-                    assert list(got.items()) == list(want.items()), (n, r, s)
+            self.assert_orbit_matches_bfs(SymmetryParams(n, r, 3, 3, -n))
+
+    @pytest.mark.parametrize("params", ADMISSIBLE_FAMILIES, ids=repr)
+    def test_orbit_matches_bfs_on_admissible_families(self, params):
+        self.assert_orbit_matches_bfs(params)
+
+    @pytest.mark.parametrize(
+        "params",
+        ADMISSIBLE_FAMILIES
+        + [SymmetryParams(n, r, 3, 3, -n) for n in range(1, 16) for r in range(1, 16)],
+        ids=repr,
+    )
+    def test_lattices_are_cosets_of_the_seed_lattice(self, params):
+        L = lattice_modulus(params)
+        for _, seed in representative_seeds(params):
+            closure = collision_closure(params, seed)
+            size = closure[seed].size
+            for pair, lattice in closure.items():
+                assert lattice.size == size, (seed, pair)
+                assert lattice.ticks == tuple(range(lattice.ticks[0], L, L // size)), (seed, pair)
 
     @pytest.mark.parametrize("n, r", [(4, 0), (4, -7), (-4, 7), (0, 7)])
     def test_nonpositive_n_or_r_rejected(self, n, r):
@@ -171,6 +195,31 @@ class TestClosure:
             collision_closure(SymmetryParams(4, 7, 3, 3, -4), (1, 1))
         with pytest.raises(ValueError):
             collision_closure(SymmetryParams(4, 7, 3, 3, -4), (0, 3))
+
+
+class TestTimeLattice:
+    def test_unsorted_ticks_sorted(self):
+        assert TimeLattice(84, (40, 4, 83, 0)).ticks == (0, 4, 40, 83)
+
+    def test_out_of_range_ticks_reduced(self):
+        assert TimeLattice(84, (-1, 84, 170, 5)).ticks == (0, 2, 5, 83)
+        assert TimeLattice(84, (-3, 5)).ticks == (5, 81)
+        assert TimeLattice(84, (90, 1)).ticks == (1, 6)
+
+    def test_numpy_ticks_become_python_ints(self):
+        lattice = TimeLattice(84, np.array([50, -2, 7], dtype=np.int64))
+        assert lattice.ticks == (7, 50, 82)
+        assert all(type(t) is int for t in lattice.ticks)
+
+    def test_empty_ticks(self):
+        lattice = TimeLattice(84, ())
+        assert lattice.ticks == ()
+        assert lattice.size == 0
+
+    @pytest.mark.parametrize("ticks", [(1, 85), (3, 3), (0, -84), (5, 2, 5)])
+    def test_duplicate_ticks_rejected(self, ticks):
+        with pytest.raises(ValueError, match="duplicate ticks"):
+            TimeLattice(84, ticks)
 
 
 class TestCaseBounds:

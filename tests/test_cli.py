@@ -318,6 +318,13 @@ class TestMinimize:
         assert code == 2
         assert "--modes 24" in err
 
+    def test_modes_help_states_default(self, capsys):
+        # _cmd_minimize falls back to max(24, N), not 24, for N > 24
+        with pytest.raises(SystemExit) as exc:
+            main(["minimize", "--help"])
+        assert exc.value.code == 0
+        assert "frequency cutoff K (default max(24, N))" in " ".join(capsys.readouterr().out.split())
+
 
 class TestLemmas:
     def test_pass_exit_0(self, capsys):
