@@ -36,6 +36,7 @@ for every colliding pair of the case.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -68,14 +69,24 @@ def gordon_periodic(strength: float, period: float) -> float:
 
 @dataclass(frozen=True)
 class TimeLattice:
-    """Sorted set of collision ticks modulo L = 3*N*r (tick/L is the time)."""
+    """Sorted set of collision ticks modulo L = 3*N*r (tick/L is the time).
+
+    Ticks may come in any order, as any integers: they are reduced mod L,
+    sorted and stored as a tuple of Python ints, and a tick repeated after
+    reduction raises ValueError. An ascending range inside [0, L) is already
+    sorted, distinct and reduced, so it is stored without those checks.
+    """
 
     modulus: int
     ticks: tuple[int, ...]
 
     def __post_init__(self):
         m = self.modulus
-        ts = sorted(map(int, self.ticks))
+        ts = self.ticks
+        if isinstance(ts, range) and ts.step > 0 and ts.start >= 0 and ts.stop <= m:
+            object.__setattr__(self, "ticks", tuple(ts))
+            return
+        ts = sorted(map(int, ts))
         if ts and (ts[0] < 0 or ts[-1] >= m):
             ts = sorted(map(m.__rmod__, ts))
         if any(map(operator.ge, ts, ts[1:])):
@@ -146,7 +157,8 @@ def collision_closure(
     ticks are range(base % gap, L, gap) for the base tick of a relabelling
     power that reaches it. When two powers reach one pair (only the antipodal
     main seed), their bases differ by L/2 and gap takes the gcd with that
-    difference, so the pair's ticks are the union of both cosets.
+    difference, so the pair's ticks are the union of both cosets. That range
+    is ascending and inside [0, L), so TimeLattice stores it unchecked.
     """
     n, r = params.n_main, params.r
     L = lattice_modulus(params)
@@ -187,7 +199,7 @@ def collision_closure(
         else:
             bases[pair] = base
     return {
-        pair: TimeLattice(L, tuple(range(base % gap, L, gap)))
+        pair: TimeLattice(L, range(base % gap, L, gap))
         for pair, base in sorted(bases.items())
     }
 
@@ -221,10 +233,14 @@ def case_lower_bound(
 
     Every colliding pair's lattice is a coset of the seed lattice (see
     collision_closure), so its intervals are all L/size ticks long: one
-    Gordon segment, summed size times, is the term of each colliding pair.
-    That sum adds the same floats in the same order as summing one segment
-    per interval of each lattice, and pairs are still added in lexicographic
-    order, so the bound is bit-identical to the per-lattice sum.
+    Gordon segment, added size times left to right from 0.0, is the term of
+    each colliding pair. That adds the same floats in the same order as
+    summing one segment per interval of each lattice with +=. The pair terms
+    are then listed in lexicographic pair order, each colliding pair's
+    periodic term overwritten by that sum, and folded left to right the same
+    way. Both folds are explicit, since the builtin sum of floats is
+    compensated from Python 3.12 on and would make the bits depend on the
+    interpreter.
     """
     closure = collision_closure(params, seed)
     n = params.n_main
@@ -236,18 +252,21 @@ def case_lower_bound(
     )
     seed_lattice = closure[_canonical(*seed)]
     L, size = seed_lattice.modulus, seed_lattice.size
-    seed_sum = sum(itertools.repeat(gordon_segment(strength, (L // size) / L), size))
-    total = 0.0
-    for i in range(1, B + 1):
-        for j in range(i + 1, B + 1):
-            if (i, j) in closure:
-                total += seed_sum
-            else:
-                total += main_term if j <= n else cross_term if i <= n else triple_term
+    segment = gordon_segment(strength, (L // size) / L)
+    seed_sum = functools.reduce(operator.add, itertools.repeat(segment, size), 0.0)
+    # pair (i, j), i < j, sits at (i-1)*B - (i-1)*i/2 + (j-i-1) in this list
+    terms = []
+    for i in range(1, n + 1):
+        terms += [main_term] * (n - i)
+        terms += [cross_term] * 3
+    terms += [triple_term] * 3
+    for i, j in closure:
+        terms[(i - 1) * B - (i - 1) * i // 2 + j - i - 1] = seed_sum
+    total = functools.reduce(operator.add, terms, 0.0)
     return CaseBound(
         label=label if label is not None else f"seed {seed}",
         pair=_canonical(*seed),
-        lattice_sizes=tuple(sorted(lattice.size for lattice in closure.values())),
+        lattice_sizes=(size,) * len(closure),
         bound=total / B,
     )
 

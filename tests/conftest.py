@@ -298,33 +298,43 @@ def bfs_closure(params: SymmetryParams, seed: tuple[int, int]) -> dict:
     return {pair: TimeLattice(L, tuple(sorted(ticks))) for pair, ticks in sorted(by_pair.items())}
 
 
-# Case bounds from the BFS closure, one gordon_segment per inter-collision
-# duration summed in lattice order: the reference for collision_threshold.
-def oracle_threshold(params: SymmetryParams) -> ThresholdReport:
+# One case bound from the BFS closure: pairs walked in lexicographic order, a
+# colliding pair adding its own lattice's gordon_segment per inter-collision
+# duration, every other pair its periodic term. Each sum is an explicit +=
+# loop from 0.0, the reference order for case_lower_bound; the builtin sum of
+# floats is compensated from Python 3.12 on.
+def oracle_case_bound(params: SymmetryParams, seed: tuple[int, int], label: str) -> CaseBound:
     n = params.n_main
     B = n + 3
     strength = float(B)
-    cases = []
-    for label, seed in representative_seeds(params):
-        closure = bfs_closure(params, seed)
-        total = 0.0
-        sizes = []
-        for i in range(1, B + 1):
-            for j in range(i + 1, B + 1):
-                lattice = closure.get((i, j))
-                if lattice is not None:
-                    sizes.append(lattice.size)
-                    total += sum(gordon_segment(strength, d) for d in lattice.durations())
-                else:
-                    p = 1.0 / 3.0 if j <= n else 1.0 / n if i > n else 1.0
-                    total += gordon_periodic(strength, p) / p
-        cases.append(CaseBound(label, tuple(sorted(seed)), tuple(sorted(sizes)), total / B))
+    closure = bfs_closure(params, seed)
+    total = 0.0
+    for i in range(1, B + 1):
+        for j in range(i + 1, B + 1):
+            lattice = closure.get((i, j))
+            if lattice is not None:
+                term = 0.0
+                for d in lattice.durations():
+                    term += gordon_segment(strength, d)
+            else:
+                p = 1.0 / 3.0 if j <= n else 1.0 / n if i > n else 1.0
+                term = gordon_periodic(strength, p) / p
+            total += term
+    sizes = tuple(sorted(lattice.size for lattice in closure.values()))
+    return CaseBound(label, tuple(sorted(seed)), sizes, total / B)
+
+
+# The case bounds and their minimum: the reference for collision_threshold.
+def oracle_threshold(params: SymmetryParams) -> ThresholdReport:
+    cases = tuple(
+        oracle_case_bound(params, seed, label) for label, seed in representative_seeds(params)
+    )
     parity = (
         "N even: threshold over cases 1, 2, 3, 4, 5"
-        if n % 2 == 0
+        if params.n_main % 2 == 0
         else "N odd: threshold over cases 1, 2', 4, 5"
     )
-    return ThresholdReport(params, tuple(cases), min(c.bound for c in cases), parity)
+    return ThresholdReport(params, cases, min(c.bound for c in cases), parity)
 
 
 # The distinctness scans as Python loops over (indices, tick) states, each

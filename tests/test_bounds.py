@@ -23,12 +23,17 @@ from conftest import (
     REFERENCE_CASES,
     bfs_closure,
     case_seed,
+    oracle_case_bound,
     oracle_threshold,
     oracle_time_lemmas,
 )
 
 # Every admissible family (N, N+3) the bounds_family benchmark draws from.
 ADMISSIBLE_FAMILIES = [SymmetryParams(n, n + 3, 3, 3, -n) for n in range(4, 39) if n % 3]
+# Those families plus every N, r <= 15, with 3 | N, 3 | r and r = 1 included.
+LATTICE_GRID = ADMISSIBLE_FAMILIES + [
+    SymmetryParams(n, r, 3, 3, -n) for n in range(1, 16) for r in range(1, 16)
+]
 
 
 def kepler_circular_minimum(strength, period, n_grid=2_000_000):
@@ -165,12 +170,7 @@ class TestClosure:
     def test_orbit_matches_bfs_on_admissible_families(self, params):
         self.assert_orbit_matches_bfs(params)
 
-    @pytest.mark.parametrize(
-        "params",
-        ADMISSIBLE_FAMILIES
-        + [SymmetryParams(n, r, 3, 3, -n) for n in range(1, 16) for r in range(1, 16)],
-        ids=repr,
-    )
+    @pytest.mark.parametrize("params", LATTICE_GRID, ids=repr)
     def test_lattices_are_cosets_of_the_seed_lattice(self, params):
         L = lattice_modulus(params)
         for _, seed in representative_seeds(params):
@@ -221,6 +221,41 @@ class TestTimeLattice:
         with pytest.raises(ValueError, match="duplicate ticks"):
             TimeLattice(84, ticks)
 
+    @pytest.mark.parametrize(
+        "ticks", [range(0, 84, 4), range(3, 84, 3), range(83, 84), range(5, 5), range(84)]
+    )
+    def test_ascending_range_matches_tuple(self, ticks):
+        lattice = TimeLattice(84, ticks)
+        assert lattice == TimeLattice(84, tuple(ticks))
+        assert lattice.ticks == tuple(ticks)
+
+    @pytest.mark.parametrize(
+        "ticks",
+        [
+            range(80, 0, -4),  # descending
+            range(83, -1, -1),  # descending over all of [0, L)
+            range(-6, 60, 12),  # negative start
+            range(40, 100, 7),  # stop > L
+            range(-84, 0, 5),  # wholly below 0
+        ],
+    )
+    def test_other_ranges_match_tuple(self, ticks):
+        lattice = TimeLattice(84, ticks)
+        assert lattice == TimeLattice(84, tuple(ticks))
+
+    @pytest.mark.parametrize("ticks", [range(0, 2 * 84), range(-1, 84, 1), range(0, 85, 84)])
+    def test_range_duplicates_rejected_like_tuple(self, ticks):
+        with pytest.raises(ValueError, match="duplicate ticks"):
+            TimeLattice(84, tuple(ticks))
+        with pytest.raises(ValueError, match="duplicate ticks"):
+            TimeLattice(84, ticks)
+
+    @pytest.mark.parametrize("ticks", [range(0, 84, 4), range(80, 0, -4), range(-7, 70, 12)])
+    def test_range_ticks_stored_as_tuple_of_ints(self, ticks):
+        stored = TimeLattice(84, ticks).ticks
+        assert type(stored) is tuple
+        assert all(type(t) is int for t in stored)
+
 
 class TestCaseBounds:
     @pytest.mark.parametrize("n", [4, 5, 7, 8, 10, 11])
@@ -251,6 +286,33 @@ class TestCaseBounds:
     )
     def test_threshold_matches_oracle_bitwise(self, params):
         assert collision_threshold(params).to_dict() == oracle_threshold(params).to_dict()
+
+    @pytest.mark.parametrize("params", LATTICE_GRID, ids=repr)
+    def test_case_bound_matches_walk_oracle_bitwise(self, params):
+        for label, seed in representative_seeds(params):
+            got = case_lower_bound(params, seed, label)
+            want = oracle_case_bound(params, seed, label)
+            assert got == want, (params, seed, got.bound, want.bound)
+
+    def test_seed_sum_is_a_sequential_fold(self):
+        # A compensated sum (math.fsum, or the builtin sum from Python 3.12 on)
+        # rounds some seed lattices' segment sums differently from += in
+        # lattice order; the bound follows the += loop on every interpreter.
+        differing = 0
+        for params in LATTICE_GRID[:6]:
+            strength = float(params.n_main + 3)
+            for label, seed in representative_seeds(params):
+                durations = collision_closure(params, seed)[seed].durations()
+                segments = [gordon_segment(strength, d) for d in durations]
+                total = 0.0
+                for segment in segments:
+                    total += segment
+                if total != math.fsum(segments):
+                    differing += 1
+                    assert case_lower_bound(params, seed, label) == oracle_case_bound(
+                        params, seed, label
+                    )
+        assert differing > 0
 
     def test_threshold_case_structure(self):
         report = collision_threshold(SymmetryParams(4, 7, 3, 3, -4))
