@@ -50,6 +50,11 @@ minimum separation is their minimum. The representatives need bodies
 weighted sum reaches the generator coefficients through the phase of each
 reduced row. total_action and certify keep the full-pair path on all M
 nodes, an independent check of this reduction.
+
+The phase tables hold e^(2 pi i m k/M) for the domain nodes k. Each entry is
+read from loops.roots_of_unity(M) at m*k mod M, so the workspace computes M
+complex exponentials, not one per frequency and node, and its phases are
+the ones loops.sample and solver.ode_residual read.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ from .loops import (
     expand_windings,
     min_separation,
     require_grid,
+    roots_of_unity,
     sample,
     winding_number,
 )
@@ -173,10 +179,10 @@ def representative_pairs(n_main: int) -> tuple[tuple[int, ...], np.ndarray, np.n
     return bodies, np.array(pairs, dtype=np.int64), np.array(weights, dtype=float)
 
 
-def _phase_table(freqs: np.ndarray, m_samples: int, m_nodes: int) -> np.ndarray:
-    """(F, m_nodes) table of e^(2 pi i m k / M) for k < m_nodes, m*k reduced modulo M."""
-    ticks = np.outer(freqs, np.arange(m_nodes)) % m_samples
-    return np.exp((TWO_PI / m_samples) * 1j * ticks)
+def _phase_table(freqs: np.ndarray, roots: np.ndarray, m_nodes: int) -> np.ndarray:
+    """(F, m_nodes) table of e^(2 pi i m k / M) for k < m_nodes, read from
+    roots = roots_of_unity(M) at m*k reduced modulo M."""
+    return roots.take(np.outer(freqs, np.arange(m_nodes)) % len(roots))
 
 
 def _chain_phases(freqs: np.ndarray, chain_length: int, rows: int) -> np.ndarray:
@@ -214,8 +220,9 @@ class ActionWorkspace:
         n = params.n_main
         self.bodies, self._pairs, self._weights = representative_pairs(n)
         self._n_main_rows = n // 2 + 1
-        self._em = _phase_table(self.main_freqs, m_samples, self.m_domain)   # (F, M/r)
-        self._et = _phase_table(self.triple_freqs, m_samples, self.m_domain)
+        roots = roots_of_unity(m_samples)
+        self._em = _phase_table(self.main_freqs, roots, self.m_domain)   # (F, M/r)
+        self._et = _phase_table(self.triple_freqs, roots, self.m_domain)
         self._main_phase = _chain_phases(self.main_freqs, n, self._n_main_rows)  # (rows, F)
         self._triple_phase = _chain_phases(self.triple_freqs, 3, 2)
         self.kinetic_weights_main = n * (TWO_PI * self.main_freqs.astype(float)) ** 2

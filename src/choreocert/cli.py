@@ -26,7 +26,6 @@ from .testorbits import CertificateReport, certify
 
 _INT_KEYS = {"n", "r", "d", "k1", "k2", "grid", "modes", "max_iter"}
 _FLOAT_KEYS = {"a", "b", "gtol", "eps_sep"}
-_STR_KEYS = {"out", "format", "loop_in", "emit_plot"}
 _BOOL_KEYS = {"force"}
 
 
@@ -44,18 +43,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, help="rotation multiplier (default 3)")
         p.add_argument("--k1", type=int, help="main-pair winding (default 3)")
         p.add_argument("--k2", type=int, help="triple-pair winding (default -N)")
-        p.add_argument("--out", help="output file path")
-        p.add_argument(
-            "--format",
-            choices=("json", "csv", "table"),
-            help="rendering for stdout and --out (default table)",
-        )
+
+    def add_rendering(p, formats):
+        p.add_argument("--out", help="also write the rendering to this file")
+        p.add_argument("--format", choices=formats,
+                       help="rendering for stdout and --out (default table)")
 
     p = sub.add_parser("bounds", help="per-case collision lower bounds and threshold")
     add_common(p)
+    add_rendering(p, ("table", "json", "csv"))
 
     p = sub.add_parser("certify", help="action-vs-threshold certificate of a test orbit")
     add_common(p)
+    add_rendering(p, ("table", "json"))
     p.add_argument("--a", type=float, help="main-curve radius")
     p.add_argument("--b", type=float, help="triple-curve radius")
     p.add_argument("--grid", type=int, help="quadrature nodes (default 16*lcm(3,N,r))")
@@ -63,6 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimize", help="descend the action from a starting loop")
     add_common(p)
+    p.add_argument("--out", help="result JSON path (default result.json); the trajectory "
+                   "and iteration CSVs are written beside it")
     p.add_argument("--a", type=float, help="test-orbit start: main radius")
     p.add_argument("--b", type=float, help="test-orbit start: triple radius")
     p.add_argument("--loop-in", dest="loop_in", help="resume from a stored loop JSON")
@@ -236,7 +238,7 @@ def _cmd_certify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if (args.format or "table") == "json":
+    if args.format == "json":
         _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
     else:
         _emit(_render_certificate(report, m_samples), args.out)

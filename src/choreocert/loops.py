@@ -10,15 +10,25 @@ The plane is identified with the complex numbers, so a generator is
 q(t) = sum_m c_m e^(2*pi*i*m*t) with complex coefficients c_m restricted to
 the symmetry-allowed frequencies of its role.
 
-``sample`` uses these shifts. On a grid of M nodes (a multiple of N and 3)
+On a grid of M nodes every phase is an M-th root of unity: e^(2*pi*i*m*k/M)
+is entry m*k mod M of ``roots_of_unity(M)``, an exact integer index.
+``evaluate_ticks`` sums a generator at integer nodes from that one table, with
+one complex exponential per node instead of one per frequency and node; it
+serves ``sample``, ``solver.ode_residual`` and the phase tables of
+``action.ActionWorkspace``. ``evaluate`` takes arbitrary times and computes
+each phase directly.
+
+``sample`` uses the shifts. On a grid of M nodes (a multiple of N and 3)
 body i of the main chain is the main generator read (i-1)*M/N nodes later,
 and body N+j is the triple generator read (j-1)*M/3 nodes later, so only the
-two generators are evaluated on the grid and the other bodies are index
-shifts of them. Bodies 2 and N+2 are the exception: each is evaluated
-directly at its own times, so the g2/g3 residuals of
-``group_action_residual`` compare a shifted generator with an independent
-evaluation rather than with a copy of itself. Index-shifted samples differ
-from ``evaluate(body, t_k)`` in the last bits only.
+two generators are evaluated on the grid, from the table, and the other
+bodies are index shifts of them. Main frequencies are multiples of 3 and
+triple frequencies multiples of N, so the table makes the main generator
+repeat every M/3 nodes and the triple generator every M/N nodes, bit for bit.
+Bodies 2 and N+2 are the exception: each is evaluated directly at its own
+times with ``evaluate``, so the g2/g3 residuals of ``group_action_residual``
+compare a shifted generator with an independent evaluation rather than with
+a copy of itself. They agree with the table's samples in the last bits only.
 
 Every same-chain pair is a time shift of a representative pair, or its
 negation: (1, 1+s) for s = 1..floor(N/2) on the main chain and (N+1, N+2)
@@ -120,20 +130,20 @@ class SystemLoop:
         return self.main if body <= self.params.n_main else self.triple
 
 
-def _spectral_sums(freqs, coeffs, u, derivatives) -> list[np.ndarray]:
-    """sum_m c_m (2*pi*i*m)^d e^(2*pi*i*m*u) for each order d, elementwise over u.
+def _spectral_sums(freqs, coeffs, wave, shape, derivatives) -> list[np.ndarray]:
+    """sum_m c_m (2*pi*i*m)^d wave(m) for each order d, elementwise over ``shape``.
 
-    Each exponential is computed once and shared by every order. Accumulates
-    frequency by frequency in ascending order so each result is identical bit
-    for bit regardless of the shape of u and of the other orders asked for.
+    ``wave(m)`` returns the phases e^(2*pi*i*m*u) of frequency m at every
+    point, computed once and shared by every order. Accumulates frequency by
+    frequency in ascending order so each result is identical bit for bit
+    regardless of the shape of the points and of the other orders asked for.
     """
-    u = np.asarray(u, dtype=float)
-    outs = [np.zeros(u.shape, dtype=complex) for _ in derivatives]
+    outs = [np.zeros(shape, dtype=complex) for _ in derivatives]
     for m, c in zip(freqs, coeffs):
-        wave = np.exp((TWO_PI * m) * 1j * u)
+        phases = wave(m)
         for out, derivative in zip(outs, derivatives):
             factor = c * (TWO_PI * 1j * m) ** derivative
-            out += factor * wave
+            out += factor * phases
     return outs
 
 
@@ -152,8 +162,39 @@ def evaluate(
     spec = system.generator_for(body)
     u = np.asarray(t, dtype=float) + system.body_shift(body)
     orders = derivative if isinstance(derivative, tuple) else (derivative,)
-    planar = [_complex_to_planar(z) for z in _spectral_sums(spec.freqs, spec.coeffs, u, orders)]
+    sums = _spectral_sums(
+        spec.freqs, spec.coeffs, lambda m: np.exp((TWO_PI * m) * 1j * u), u.shape, orders
+    )
+    planar = [_complex_to_planar(z) for z in sums]
     return tuple(planar) if isinstance(derivative, tuple) else planar[0]
+
+
+def roots_of_unity(m_samples: int) -> np.ndarray:
+    """e^(2*pi*i*k/M) for k = 0..M-1, each entry one complex exponential.
+
+    On a grid of M nodes the phase of frequency m at node k is the entry at
+    m*k mod M, an exact integer index.
+    """
+    return np.exp((TWO_PI / m_samples) * 1j * np.arange(m_samples))
+
+
+def evaluate_ticks(
+    spec: GeneratorSpectrum, roots: np.ndarray, ticks, derivatives: tuple[int, ...]
+) -> tuple[np.ndarray, ...]:
+    """One generator (and time derivatives) at the nodes t_k = k/M, shape (..., 2).
+
+    ``roots`` is roots_of_unity(M) and ``ticks`` an integer array of node
+    indices k; one planar array is returned per order in ``derivatives``.
+    Each phase is read from the table, so the result is periodic in k with
+    the period of the spectrum's frequencies, bit for bit.
+    """
+    ticks = np.asarray(ticks, dtype=np.int64)
+    m_samples = len(roots)
+    sums = _spectral_sums(
+        spec.freqs, spec.coeffs, lambda m: roots.take(m * ticks % m_samples), ticks.shape,
+        derivatives,
+    )
+    return tuple(_complex_to_planar(z) for z in sums)
 
 
 @dataclass(frozen=True)
@@ -187,18 +228,21 @@ def require_grid(params: SymmetryParams, m_samples: int) -> None:
 def sample(system: SystemLoop, m_samples: int) -> Trajectory:
     """Sample all bodies at t_k = k/M. M must be a multiple of lcm(3, N, r).
 
-    Evaluates four bodies, whatever N is: the generators 1 and N+1, whose
-    samples fill the other rows of their chain as two slice copies each, and
-    bodies 2 and N+2, each at its own times (see the module docstring).
+    Evaluates four bodies, whatever N is: the generators 1 and N+1 from the
+    table of M-th roots of unity (``evaluate_ticks``), whose samples fill the
+    other rows of their chain as two slice copies each, and bodies 2 and N+2
+    with ``evaluate`` at their own times (see the module docstring).
     """
     params = system.params
     require_grid(params, m_samples)
-    times = np.arange(m_samples) / m_samples
+    nodes = np.arange(m_samples)
+    times = nodes / m_samples
+    roots = roots_of_unity(m_samples)
     n = params.n_main
     pos = np.empty((params.n_bodies, m_samples, 2))
     vel = np.empty((params.n_bodies, m_samples, 2))
     for first, chain in ((0, n), (n, 3)):
-        position, velocity = evaluate(system, first + 1, times, derivative=(0, 1))
+        position, velocity = evaluate_ticks(system.generator_for(first + 1), roots, nodes, (0, 1))
         for row, start in enumerate(range(0, m_samples, m_samples // chain), first):
             # this row's body reads its generator `start` nodes later, wrapping at M
             tail = m_samples - start
@@ -236,22 +280,24 @@ def group_action_residual(traj: Trajectory, generator: str) -> float:
     pos = traj.positions
     n = p.n_main
     if generator == "g1":
-        shifted = np.roll(pos, -M // p.r, axis=1)
+        shift = M // p.r
         theta = -TWO_PI * p.d / p.r
         c, s = math.cos(theta), math.sin(theta)
-        acted = np.empty_like(shifted)
-        acted[..., 0] = c * shifted[..., 0] - s * shifted[..., 1]
-        acted[..., 1] = s * shifted[..., 0] + c * shifted[..., 1]
+        acted = np.empty_like(pos)
+        acted[..., 0] = c * pos[..., 0] - s * pos[..., 1]
+        acted[..., 1] = s * pos[..., 0] + c * pos[..., 1]
     elif generator == "g2":
-        shifted = np.roll(pos, -M // 3, axis=1)
-        order = list(range(n)) + [n + 2, n, n + 1]
-        acted = shifted[order]
+        shift = M // 3
+        acted = pos[list(range(n)) + [n + 2, n, n + 1]]
     else:
-        shifted = np.roll(pos, -M // n, axis=1)
-        order = [n - 1] + list(range(n - 1)) + [n, n + 1, n + 2]
-        acted = shifted[order]
-    diff = acted - pos
-    return float(np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2).max())
+        shift = M // n
+        acted = pos[[n - 1] + list(range(n - 1)) + [n, n + 1, n + 2]]
+    # (g.q) at node k is `acted` read `shift` nodes later, wrapping at M; the
+    # largest distance is the root of the largest square, as sqrt is monotone
+    shift %= M
+    diffs = [acted[:, shift:] - pos[:, :M - shift], acted[:, :shift] - pos[:, M - shift:]]
+    squares = [(diff[..., 0] ** 2 + diff[..., 1] ** 2).max() for diff in diffs if diff.size]
+    return math.sqrt(np.max(squares))
 
 
 def max_symmetry_residual(traj: Trajectory) -> float:
@@ -394,10 +440,11 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
     Every value is written as "%.17g", the format of f"{x:.17g}", so the text
     is that of one f-string per row. The chain copies ``sample`` makes repeat
-    (x, y, vx, vy) rows exactly, so each distinct row is formatted once and
-    each time once, and the lines are joined from that text. Rows are told
-    apart by their bit patterns, not their values: -0.0 == 0.0, yet the two
-    print differently.
+    (x, y, vx, vy) rows exactly, and so do the generators, every M/3 nodes on
+    the main chain and every M/N on the triple chain. So each distinct row is
+    formatted once and each time once, and the lines are joined from that
+    text. Rows are told apart by their bit patterns, not their values:
+    -0.0 == 0.0, yet the two print differently.
     """
     m_samples, n_bodies = traj.m_samples, traj.n_bodies
     # (M, B, 4): node-major, then body, then x, y, vx, vy.

@@ -15,7 +15,11 @@ cap, gradient tolerance and separation guard. A run is a pure function of
 
 After the descent, ``minimize`` samples the final loop once on the full grid
 and reports its windings, minimum separation, symmetry residual and
-center-of-mass drift: the class check of a descended loop.
+center-of-mass drift: the class check of a descended loop. It also reports
+the equations-of-motion residual, ``ode_residual``. Both the sample and the
+residual read the generators' phases from one table of M-th roots of unity
+(``loops.evaluate_ticks``), the table the workspace's phase tables are read
+from.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ from .loops import (
     MinSeparation,
     SystemLoop,
     com_drift,
-    evaluate,
+    evaluate_ticks,
     max_symmetry_residual,
     min_separation,
     require_grid,
+    roots_of_unity,
     sample,
     winding_table,
 )
@@ -379,22 +384,22 @@ def acceleration_residual_rms(positions: np.ndarray, accelerations: np.ndarray) 
 def ode_residual(system: SystemLoop, m_samples: int) -> float:
     """Equations-of-motion residual of a loop, with exact spectral acceleration.
 
-    Only the two generators are evaluated; every other body reads its
-    generator at shifted nodes, as a slice of the generator's samples
-    followed by themselves. Like the loop, the residual turns by a fixed
-    rotation under a time shift of 1/r, so its RMS over the first M/r nodes
-    is its RMS over all M.
+    Like the loop, the residual turns by a fixed rotation under a time shift
+    of 1/r, so its RMS over the first M/r nodes is its RMS over all M. Only
+    those nodes are evaluated: every body reads its generator from the table
+    of M-th roots of unity at the window of nodes that starts where its shift
+    puts it (``loops.evaluate_ticks``).
     """
     params = system.params
     require_grid(params, m_samples)
-    times = np.arange(m_samples) / m_samples
-    domain = m_samples // params.r
+    roots = roots_of_unity(m_samples)
+    window = np.arange(m_samples // params.r)
     pos, acc = [], []
-    for generator, chain in ((1, params.n_main), (params.n_main + 1, 3)):
-        position, acceleration = evaluate(system, generator, times, derivative=(0, 2))
-        position = np.concatenate([position, position])
-        acceleration = np.concatenate([acceleration, acceleration])
-        for start in range(0, m_samples, m_samples // chain):
-            pos.append(position[start:start + domain])
-            acc.append(acceleration[start:start + domain])
-    return acceleration_residual_rms(np.stack(pos), np.stack(acc))
+    for spec, chain in ((system.main, params.n_main), (system.triple, 3)):
+        starts = np.arange(0, m_samples, m_samples // chain)
+        position, acceleration = evaluate_ticks(
+            spec, roots, starts[:, None] + window, derivatives=(0, 2)
+        )
+        pos.append(position)
+        acc.append(acceleration)
+    return acceleration_residual_rms(np.concatenate(pos), np.concatenate(acc))

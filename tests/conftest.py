@@ -180,6 +180,74 @@ def direct_trajectory(system: SystemLoop, m_samples: int) -> Trajectory:
     return Trajectory(system.params, m_samples, times, pos, vel)
 
 
+def tick_table_generator(spec: GeneratorSpectrum, m_samples: int):
+    """Reference for the generator rows of loops.sample: (positions, velocities).
+
+    Each phase e^(2 pi i m k/M) is entry m*k mod M of one table of M-th roots
+    of unity, and the terms are added in ascending frequency order.
+    """
+    roots = np.exp((2.0 * np.pi / m_samples) * 1j * np.arange(m_samples))
+    ticks = np.arange(m_samples)
+    sums = [np.zeros(m_samples, dtype=complex) for _ in range(2)]
+    for m, c in zip(spec.freqs, spec.coeffs):
+        wave = roots[(m * ticks) % m_samples]
+        for derivative, out in enumerate(sums):
+            out += (c * (2.0 * np.pi * 1j * m) ** derivative) * wave
+    return tuple(np.stack([z.real, z.imag], axis=-1) for z in sums)
+
+
+def longdouble_generator(spec: GeneratorSpectrum, m_samples: int):
+    """(positions, velocities) of a generator at t_k = k/M in np.longdouble.
+
+    Each phase angle is 2 pi (m*k mod M)/M with pi = 4 atan(1) in long double
+    precision, so on x86-64 (64-bit mantissa) it is about 2^11 times more
+    accurate than a float64 evaluation.
+    """
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    ticks = np.arange(m_samples)
+    shape = (m_samples, 2)
+    pos, vel = np.zeros(shape, dtype=np.longdouble), np.zeros(shape, dtype=np.longdouble)
+    for m, c in zip(spec.freqs, spec.coeffs):
+        angle = two_pi * ((m * ticks) % m_samples).astype(np.longdouble) / m_samples
+        cos, sin = np.cos(angle), np.sin(angle)
+        x, y = np.longdouble(c.real), np.longdouble(c.imag)
+        pos[:, 0] += x * cos - y * sin
+        pos[:, 1] += x * sin + y * cos
+        # d/dt of c e^(2 pi i m t) is (2 pi i m) c e^(2 pi i m t)
+        w = two_pi * m
+        vel[:, 0] += -w * (x * sin + y * cos)
+        vel[:, 1] += w * (x * cos - y * sin)
+    return pos, vel
+
+
+def roll_group_action_residual(traj: Trajectory, generator: str) -> float:
+    """Reference for loops.group_action_residual: each generator applied to a
+    copy of the samples rolled along time, then gathered by body."""
+    p, M, pos, n = traj.params, traj.m_samples, traj.positions, traj.params.n_main
+    if generator == "g1":
+        shifted = np.roll(pos, -M // p.r, axis=1)
+        theta = -2.0 * np.pi * p.d / p.r
+        c, s = math.cos(theta), math.sin(theta)
+        acted = np.empty_like(shifted)
+        acted[..., 0] = c * shifted[..., 0] - s * shifted[..., 1]
+        acted[..., 1] = s * shifted[..., 0] + c * shifted[..., 1]
+    elif generator == "g2":
+        shifted = np.roll(pos, -M // 3, axis=1)
+        acted = shifted[list(range(n)) + [n + 2, n, n + 1]]
+    else:
+        shifted = np.roll(pos, -M // n, axis=1)
+        acted = shifted[[n - 1] + list(range(n - 1)) + [n, n + 1, n + 2]]
+    diff = acted - pos
+    return float(np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2).max())
+
+
+def direct_phase_table(freqs: np.ndarray, roots: np.ndarray, m_nodes: int) -> np.ndarray:
+    """Reference for action._phase_table: one complex exponential per entry."""
+    m_samples = len(roots)
+    ticks = np.outer(freqs, np.arange(m_nodes)) % m_samples
+    return np.exp((2.0 * np.pi / m_samples) * 1j * ticks)
+
+
 def all_pairs_winding_table(traj) -> dict:
     """Reference for loops.winding_table: every same-chain pair wound on its own."""
     n = traj.params.n_main

@@ -10,7 +10,13 @@ from choreocert.action import (
     total_action,
 )
 from choreocert import kernels
-from choreocert.loops import GeneratorSpectrum, SystemLoop, sample, winding_table
+from choreocert.loops import (
+    GeneratorSpectrum,
+    SystemLoop,
+    roots_of_unity,
+    sample,
+    winding_table,
+)
 from choreocert.symmetry import SymmetryParams
 from choreocert.testorbits import build_test_orbit
 
@@ -19,6 +25,7 @@ from conftest import (
     all_pairs_winding_table,
     brute_potential,
     circular_kinetic,
+    direct_phase_table,
     direct_trajectory,
     full_grid_evaluation,
     half_turn_loop,
@@ -229,6 +236,18 @@ DOMAIN_FAMILIES = [case["params"] for case in REFERENCE_CASES] + [
     SymmetryParams(8, 11, 3, 3, -8),
     SymmetryParams(10, 13, 3, 3, -10),
 ]
+
+
+class TestPhaseTables:
+    @pytest.mark.parametrize("cutoff", [24, 96])
+    def test_equal_direct_exponentials_bitwise(self, reference_case, cutoff):
+        params = reference_case["params"]
+        system = random_admissible_system(params, cutoff, seed=7 * params.n_main + cutoff)
+        for m_samples in (params.grid_unit, params.default_grid()):
+            ws = ActionWorkspace.for_system(system, m_samples)
+            roots = roots_of_unity(m_samples)
+            for table, freqs in ((ws._em, ws.main_freqs), (ws._et, ws.triple_freqs)):
+                assert np.array_equal(table, direct_phase_table(freqs, roots, ws.m_domain))
 
 
 class TestFundamentalDomain:

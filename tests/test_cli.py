@@ -355,6 +355,64 @@ class TestLemmas:
         assert "FAIL" in out
 
 
+class TestRenderingFlags:
+    """--format and --out exist only where they are honoured: argparse exits 2
+    naming any other use, and so does a --config key for such a flag."""
+
+    CERTIFY = ("certify", *PARAMS4, "--a", "0.23", "--b", "0.088")
+    MINIMIZE = ("minimize", *PARAMS4, "--a", "0.23", "--b", "0.088", "--modes", "24",
+                "--grid", "1344")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("bounds", *PARAMS4, "--format", "yaml"), "--format"),
+        ((*CERTIFY, "--format", "csv"), "--format"),
+        (("lemmas", *PARAMS4, "--format", "json"), "--format json"),
+        ((*MINIMIZE, "--format", "json"), "--format json"),
+    ], ids=["bounds-yaml", "certify-csv", "lemmas-format", "minimize-format"])
+    def test_unhonoured_format_exit_2(self, capsys, tmp_path, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_lemmas_out_exit_2_writes_nothing(self, capsys, tmp_path):
+        out = tmp_path / "lemmas.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["lemmas", *PARAMS4, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [("lemmas", *PARAMS4), MINIMIZE],
+                             ids=["lemmas", "minimize"])
+    def test_format_config_key_exit_2(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        conf = tmp_path / "run.conf"
+        conf.write_text("format=json\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(conf))
+        assert code == 2
+        assert "'format'" in err and out == ""
+        assert list(tmp_path.iterdir()) == [conf]
+
+    @pytest.mark.parametrize("fmt, marker",
+                             [("table", "verdict: certified"), ("json", '"verdict"')])
+    def test_certify_formats_written_to_out(self, capsys, tmp_path, fmt, marker):
+        out = tmp_path / f"certificate.{fmt}"
+        code, printed, _ = run_cli(capsys, *self.CERTIFY, "--format", fmt, "--out", str(out))
+        assert code == 0
+        assert marker in printed and out.read_text() == printed
+
+    def test_minimize_out_names_result_files(self, capsys, tmp_path):
+        out = tmp_path / "run.json"
+        code, _, _ = run_cli(capsys, *self.MINIMIZE, "--max-iter", "2", "--out", str(out))
+        assert code == 3  # the iteration cap stops it before convergence
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.iters.csv", "run.json", "run.traj.csv"]
+
+
 class TestConfig:
     def test_config_file_supplies_flags(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"

@@ -29,8 +29,11 @@ from conftest import (
     REFERENCE_CASES,
     all_pairs_winding_table,
     direct_trajectory,
+    longdouble_generator,
     random_admissible_system,
     reference_trajectory_csv,
+    roll_group_action_residual,
+    tick_table_generator,
 )
 
 PARAMS4 = SymmetryParams(4, 7, 3, 3, -4)
@@ -92,10 +95,10 @@ class TestSample:
             sample(orbit4, 1000)
 
     def test_evaluate_matches_samples_bitwise(self):
-        # Bodies 1, 2, N+1 and N+2 are evaluate's own arrays, bit for bit. The
-        # other bodies read their generator at shifted nodes, whose phases are
-        # rounded differently from evaluate(body, t_k): they must agree with it
-        # at every node to 1e-13 of the largest coordinate.
+        # Bodies 2 and N+2 are evaluate's own arrays, bit for bit. The other
+        # bodies are the generators, read from the table of M-th roots of
+        # unity, and their chain copies: they must agree with evaluate(body,
+        # t_k) at every node to 1e-13 of the largest coordinate.
         for params in SHIFT_FAMILIES:
             n = params.n_main
             for cutoff in (24, 96):
@@ -106,12 +109,35 @@ class TestSample:
                 for got, want in ((traj.positions, ref.positions),
                                   (traj.velocities, ref.velocities)):
                     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-                    for body in (1, 2, n + 1, n + 2):
+                    for body in (2, n + 2):
                         assert np.array_equal(got[body - 1], want[body - 1])
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 60,
+                        reason="needs an extended-precision long double")
+    def test_generators_match_tick_table_and_longdouble_reference(self):
+        # Bodies 1 and N+1 equal the tick-table oracle bit for bit, and lie
+        # within 2e-15 of the largest coordinate of a long double evaluation;
+        # one complex exponential per frequency and node misses that by 4x.
+        for params in SHIFT_FAMILIES:
+            n = params.n_main
+            for cutoff in (24, 96):
+                system = random_admissible_system(params, cutoff, seed=100 * n + cutoff)
+                m_samples = params.default_grid()
+                traj = sample(system, m_samples)
+                for body, spec in ((1, system.main), (n + 1, system.triple)):
+                    got = (traj.positions[body - 1], traj.velocities[body - 1])
+                    for values, table, exact in zip(
+                        got,
+                        tick_table_generator(spec, m_samples),
+                        longdouble_generator(spec, m_samples),
+                    ):
+                        assert np.array_equal(values, table)
+                        error = np.abs(values - exact).max()
+                        assert error <= 2e-15 * np.abs(exact).max()
 
     @pytest.mark.parametrize("params", [PARAMS7, SymmetryParams(20, 23, 3, 3, -20)],
                              ids=["N7", "N20"])
-    def test_sample_evaluates_four_bodies(self, monkeypatch, params):
+    def test_sample_evaluates_second_bodies_only(self, monkeypatch, params):
         calls = []
         real = loops.evaluate
 
@@ -122,7 +148,7 @@ class TestSample:
         monkeypatch.setattr(loops, "evaluate", counting)
         sample(build_test_orbit(params, 0.25, 0.064), params.grid_unit)
         n = params.n_main
-        assert sorted(calls) == [1, 2, n + 1, n + 2]
+        assert calls == [2, n + 2]
 
     @pytest.mark.parametrize("chain, generator", [(4, "g3"), (3, "g2")],
                              ids=["main", "triple"])
@@ -139,6 +165,8 @@ class TestSample:
         positions[first + 1] = traj.positions[first + 1]
         permuted = dataclasses.replace(traj, positions=positions)
         assert group_action_residual(permuted, generator) > 1e-10
+        for g in ("g1", "g2", "g3"):
+            assert group_action_residual(permuted, g) == roll_group_action_residual(permuted, g)
 
     def test_evaluate_orders_match_single_orders_bitwise(self):
         system = random_admissible_system(PARAMS4, 30, seed=11)
@@ -327,6 +355,22 @@ class TestGroupAction:
             traj.velocities,
         )
         assert max_symmetry_residual(bad) > 1e-4
+
+    @pytest.mark.parametrize("params", [*SHIFT_FAMILIES, SymmetryParams(20, 23, 3, 3, -20)],
+                             ids=["N4", "N5", "N7", "N5r2", "N8", "N20"])
+    def test_matches_roll_oracle_bitwise(self, params):
+        # sampled, so every residual is rounding, and perturbed, so it is not
+        if params.n_main == 20:
+            system = build_test_orbit(params, 0.25, 0.064)
+        else:
+            system = random_admissible_system(params, 40, seed=3 * params.n_main + params.r)
+        traj = sample(system, 2 * params.grid_unit)
+        noise = np.random.default_rng(params.r).normal(size=traj.positions.shape)
+        perturbed = dataclasses.replace(traj, positions=traj.positions + 1e-3 * noise)
+        for candidate in (traj, perturbed):
+            for g in ("g1", "g2", "g3"):
+                residual = group_action_residual(candidate, g)
+                assert residual == roll_group_action_residual(candidate, g)
 
     def test_invalid_generator_name(self, orbit4):
         traj = sample(orbit4, 1344)

@@ -3,7 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from choreocert.loops import com_drift, max_symmetry_residual, min_separation, sample, winding_table
+from choreocert import action
+from choreocert.loops import (
+    com_drift,
+    evaluate,
+    max_symmetry_residual,
+    min_separation,
+    sample,
+    winding_table,
+)
 from choreocert.solver import (
     MinimizeOptions,
     acceleration_residual_rms,
@@ -12,6 +20,8 @@ from choreocert.solver import (
 )
 from choreocert.symmetry import SymmetryParams
 from choreocert.testorbits import build_test_orbit, restricted_action
+
+from conftest import REFERENCE_CASES, direct_phase_table, random_admissible_system
 
 PARAMS4 = SymmetryParams(4, 7, 3, 3, -4)
 
@@ -122,6 +132,14 @@ class TestMinimize:
                 MinimizeOptions(cutoff=3, m_samples=672),
             )
 
+    def test_phase_tables_from_direct_exponentials_change_nothing(self, converged4,
+                                                                     monkeypatch):
+        monkeypatch.setattr(action, "_phase_table", direct_phase_table)
+        orbit = build_test_orbit(PARAMS4, 0.23, 0.088)
+        res = minimize(orbit, MinimizeOptions(cutoff=24, m_samples=1344))
+        assert res.log_csv() == converged4.log_csv()
+        assert res.action == converged4.action
+
     def test_result_records_every_option(self, converged4):
         recorded = converged4.to_dict()["options"]
         assert set(recorded) == {f.name for f in dataclasses.fields(MinimizeOptions)}
@@ -158,6 +176,18 @@ class TestOdeResidual:
     def test_reference_orbit_is_not_a_solution(self):
         orbit = build_test_orbit(PARAMS4, 0.23, 0.088)
         assert ode_residual(orbit, 1344) > 0.1
+
+    @pytest.mark.parametrize("params", [case["params"] for case in REFERENCE_CASES]
+                             + [SymmetryParams(5, 2, 3, 3, -5)],
+                             ids=["N4", "N5", "N7", "N5r2"])
+    def test_matches_every_body_on_every_node(self, params):
+        system = random_admissible_system(params, 40, seed=params.n_main + params.r)
+        m_samples = params.default_grid()
+        times = np.arange(m_samples) / m_samples
+        pos, acc = zip(*(evaluate(system, body, times, derivative=(0, 2))
+                         for body in range(1, params.n_bodies + 1)))
+        want = acceleration_residual_rms(np.stack(pos), np.stack(acc))
+        assert abs(ode_residual(system, m_samples) - want) <= 1e-12 * want
 
     def test_converged_minimizer_near_solution(self):
         orbit = build_test_orbit(PARAMS4, 0.23, 0.088)
