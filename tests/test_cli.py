@@ -405,13 +405,6 @@ class TestRenderingFlags:
         assert code == 0
         assert marker in printed and out.read_text() == printed
 
-    def test_minimize_out_names_result_files(self, capsys, tmp_path):
-        out = tmp_path / "run.json"
-        code, _, _ = run_cli(capsys, *self.MINIMIZE, "--max-iter", "2", "--out", str(out))
-        assert code == 3  # the iteration cap stops it before convergence
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "run.iters.csv", "run.json", "run.traj.csv"]
-
 
 class TestConfig:
     def test_config_file_supplies_flags(self, capsys, tmp_path):
