@@ -24,12 +24,12 @@ from .solver import MinimizeOptions, minimize
 from .symmetry import SymmetryParams, compatibility_check
 from .testorbits import CertificateReport, certify
 
-_INT_KEYS = {"n", "r", "d", "k1", "k2", "grid", "modes", "max_iter"}
-_FLOAT_KEYS = {"a", "b", "gtol", "eps_sep"}
-_BOOL_KEYS = {"force"}
+# The values a config file may give a switch such as --force, in any letter case.
+_SWITCH_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and, by name, the parser of each subcommand."""
     parser = argparse.ArgumentParser(
         prog="choreocert",
         description="Collision-free certification of two-chain choreography orbits.",
@@ -83,27 +83,43 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--force", action="store_true", help="run scans even if params are invalid")
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _config_value(action: argparse.Action, key: str, raw: str) -> object:
+    """A config value converted and checked as its flag would be on the command line.
+
+    Raises ValueError naming the key and the value when the flag would refuse it.
+    """
+    def refuse(why: str) -> ValueError:
+        return ValueError(f"config key {key!r} = {raw!r} {why}")
+
+    if action.nargs == 0:  # a switch such as --force
+        if raw.lower() not in _SWITCH_WORDS:
+            raise refuse(f"is not one of {', '.join(_SWITCH_WORDS)}")
+        return _SWITCH_WORDS[raw.lower()]
+    try:
+        value = raw if action.type is None else action.type(raw)
+    except ValueError:
+        raise refuse(f"is not a valid {action.type.__name__}") from None
+    if action.choices is not None and value not in action.choices:
+        raise refuse(f"is not one of {', '.join(action.choices)}")
+    return value
+
+
+def _apply_config(args: argparse.Namespace, command: argparse.ArgumentParser) -> None:
+    """Fill the flags of ``command`` left unset on the command line from --config."""
     if not getattr(args, "config", None):
         return
-    conf = read_config(args.config)
-    for key, raw in conf.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+    flags = {action.dest: action for action in command._actions
+             if action.option_strings and action.default is not argparse.SUPPRESS}
+    for key, raw in read_config(args.config).items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"config key {key!r} does not match any flag")
-        if getattr(args, attr) is None or (attr in _BOOL_KEYS and not getattr(args, attr)):
-            if attr in _INT_KEYS:
-                value: object = int(raw)
-            elif attr in _FLOAT_KEYS:
-                value = float(raw)
-            elif attr in _BOOL_KEYS:
-                value = raw.lower() in ("1", "true", "yes")
-            else:
-                value = raw
-            setattr(args, attr, value)
+        value = _config_value(action, key, raw)
+        if getattr(args, action.dest) == action.default:
+            setattr(args, action.dest, value)
 
 
 def _params_from_args(args) -> SymmetryParams | None:
@@ -357,10 +373,10 @@ def _cmd_lemmas(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(args, commands[args.command])
     except (OSError, ValueError) as exc:
         print(f"error in --config: {exc}", file=sys.stderr)
         return 2

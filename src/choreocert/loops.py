@@ -428,46 +428,79 @@ def system_from_dict(doc) -> SystemLoop:
     return SystemLoop(params, *spectra)
 
 
-# Rows that trajectory_to_csv turns into Python objects at a time: distinct
-# rows to format, then grid nodes whose lines it joins. Converting every
-# distinct row at once raised the peak RSS of eight cli_pipeline repetitions
-# from about 80 to 97 MB.
+# Grid nodes whose rows trajectory_to_csv turns into Python objects at a time,
+# both to format rows and to assemble lines. Converting every formatted row at
+# once raised the peak RSS of eight cli_pipeline repetitions from about 80 to
+# 97 MB.
 _CSV_BLOCK_NODES = 256
+
+
+def _csv_candidates(traj: Trajectory) -> np.ndarray:
+    """(M, B) node-major flat row index of the row each (node, body) row repeats.
+
+    ``sample`` fills body i of the chain that starts at body ``first`` with
+    its generator read (i - first)*M/chain nodes later, and the generator
+    repeats bit for bit every M/3 nodes (main) or M/N nodes (triple). So on a
+    valid grid the candidate of (k, i) is the generator's row at node
+    (k + (i - first)*M/chain) mod period, which is its own candidate. A
+    trajectory off the grid, or without N+3 bodies, gets every row as its own.
+    """
+    params, m_samples, n_bodies = traj.params, traj.m_samples, traj.n_bodies
+    if n_bodies != params.n_bodies or not valid_grid(params, m_samples):
+        return np.arange(m_samples * n_bodies).reshape(m_samples, n_bodies)
+    n = params.n_main
+    nodes = np.arange(m_samples)[:, None]
+    candidates = np.empty((m_samples, n_bodies), dtype=np.int64)
+    for first, chain, period in ((0, n, m_samples // 3), (n, 3, m_samples // n)):
+        shifts = np.arange(chain) * (m_samples // chain)
+        candidates[:, first:first + chain] = (nodes + shifts) % period * n_bodies + first
+    return candidates
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV with header t,body,x,y,vx,vy; row-major by time then body; 17 digits.
 
     Every value is written as "%.17g", the format of f"{x:.17g}", so the text
-    is that of one f-string per row. The chain copies ``sample`` makes repeat
-    (x, y, vx, vy) rows exactly, and so do the generators, every M/3 nodes on
-    the main chain and every M/N on the triple chain. So each distinct row is
-    formatted once and each time once, and the lines are joined from that
-    text. Rows are told apart by their bit patterns, not their values:
-    -0.0 == 0.0, yet the two print differently.
+    is that of one f-string per row. Most (x, y, vx, vy) rows of a sampled
+    loop are copies ``sample`` made (see ``_csv_candidates``). Each row is
+    compared with its candidate by bit pattern, not by value (-0.0 == 0.0,
+    yet the two print differently): a row equal to its candidate reuses the
+    candidate's text, any other row is formatted on its own. So every
+    trajectory is written exactly, and a sampled one formats only its
+    generators' periods and the rows of bodies 2 and N+2 that differ.
     """
     m_samples, n_bodies = traj.m_samples, traj.n_bodies
-    # (M, B, 4): node-major, then body, then x, y, vx, vy.
+    # (M*B, 4): node-major, then body, then x, y, vx, vy.
     values = np.empty((m_samples, n_bodies, 4))
     values[:, :, :2] = traj.positions.transpose(1, 0, 2)
     values[:, :, 2:] = traj.velocities.transpose(1, 0, 2)
-    # A 1-D key array gives a 1-D inverse on every numpy version.
-    keys = values.reshape(-1, 4).view(np.dtype((np.void, 32))).reshape(-1)
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    del values, keys
-    rows = distinct.view(np.float64).reshape(-1, 4)
+    values = values.reshape(-1, 4)
+    bits = values.view(np.uint64)
+    candidates = _csv_candidates(traj).ravel()
+    rows = np.arange(len(values))
+    sources = np.where((bits == bits[candidates]).all(axis=1), candidates, rows)
+    own = sources == rows
+    formatted = values[own]
+    del values, bits, candidates, rows
+    # A source is always its own source, so its text is its rank among them.
+    slots = (np.cumsum(own) - 1)[sources].reshape(m_samples, n_bodies)
+    del sources, own
+    chunk = _CSV_BLOCK_NODES * n_bodies
     text = np.array([
-        "%.17g,%.17g,%.17g,%.17g" % tuple(row)
-        for start in range(0, len(rows), _CSV_BLOCK_NODES)
-        for row in rows[start:start + _CSV_BLOCK_NODES].tolist()
+        "%.17g,%.17g,%.17g,%.17g\n" % tuple(row)
+        for start in range(0, len(formatted), chunk)
+        for row in formatted[start:start + chunk].tolist()
     ], dtype=object)
-    del distinct, rows
-    inverse = inverse.reshape(m_samples, n_bodies)
+    del formatted
     times = np.array(["%.17g" % t for t in traj.times.tolist()], dtype=object)
-    tags = np.array([f",{b + 1}," for b in range(n_bodies)], dtype=object)
+    # One block of lines as (time, body tag, row text ending in a newline).
+    block = np.empty((_CSV_BLOCK_NODES, n_bodies, 3), dtype=object)
+    block[:, :, 1] = [f",{b + 1}," for b in range(n_bodies)]
     parts = ["t,body,x,y,vx,vy\n"]
     for start in range(0, m_samples, _CSV_BLOCK_NODES):
-        stop = start + _CSV_BLOCK_NODES
-        lines = times[start:stop, None] + tags + text[inverse[start:stop]]
-        parts.append("\n".join(lines.ravel().tolist()) + "\n")
+        stop = min(start + _CSV_BLOCK_NODES, m_samples)
+        lines = block[:stop - start]
+        lines[:, :, 0] = times[start:stop, None]
+        lines[:, :, 2] = text[slots[start:stop]]
+        parts.append("".join(lines.ravel().tolist()))
     return "".join(parts)

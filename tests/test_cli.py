@@ -386,12 +386,16 @@ class TestRenderingFlags:
         assert "--out" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [("lemmas", *PARAMS4), MINIMIZE],
-                             ids=["lemmas", "minimize"])
-    def test_format_config_key_exit_2(self, capsys, tmp_path, monkeypatch, argv):
+    @pytest.mark.parametrize("argv, line", [
+        pytest.param(("lemmas", *PARAMS4), "format=json", id="lemmas"),
+        pytest.param(MINIMIZE, "format=json", id="minimize"),
+        pytest.param(CERTIFY, "format=csv", id="certify-csv"),
+        pytest.param(("bounds", *PARAMS4), "format=xml", id="bounds-xml"),
+    ])
+    def test_format_config_key_exit_2(self, capsys, tmp_path, monkeypatch, argv, line):
         monkeypatch.chdir(tmp_path)
         conf = tmp_path / "run.conf"
-        conf.write_text("format=json\n")
+        conf.write_text(line + "\n")
         code, out, err = run_cli(capsys, *argv, "--config", str(conf))
         assert code == 2
         assert "'format'" in err and out == ""
@@ -428,3 +432,31 @@ class TestConfig:
         code, _, err = run_cli(capsys, "bounds", "--config", str(conf))
         assert code == 2
         assert "nope" in err
+
+    @pytest.mark.parametrize("command, line, value", [
+        ("bounds", "n=four", "'four'"),
+        ("bounds", "r=7.0", "'7.0'"),
+        ("certify", "a=wide", "'wide'"),
+        ("certify", "grid=", "''"),
+        ("lemmas", "force=maybe", "'maybe'"),
+    ])
+    def test_value_its_flag_refuses_exit_2(self, capsys, tmp_path, command, line, value):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        code, out, err = run_cli(capsys, command, "--config", str(conf))
+        assert code == 2 and out == ""
+        assert f"'{line.split('=')[0]}' = {value}" in err
+
+    def test_refused_value_exit_2_even_when_flag_given(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("n=four\n")
+        code, _, err = run_cli(capsys, "bounds", *PARAMS4, "--config", str(conf))
+        assert code == 2
+        assert "'n' = 'four'" in err
+
+    @pytest.mark.parametrize("word, code", [("yes", 1), ("TRUE", 1), ("0", 2), ("no", 2)])
+    def test_force_key(self, capsys, tmp_path, word, code):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"force={word}\n")
+        argv = ["lemmas", "--n", "4", "--r", "9", "--config", str(conf)]
+        assert run_cli(capsys, *argv)[0] == code

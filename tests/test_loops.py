@@ -487,6 +487,82 @@ class TestSerialization:
         assert np.array_equal(traj.velocities[2, k], traj.velocities[0, k + shift])
         assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
 
+    @pytest.fixture(scope="class")
+    def grid_traj7(self):
+        return sample(random_admissible_system(PARAMS7, 30, seed=4), 2 * PARAMS7.grid_unit)
+
+    @staticmethod
+    def _candidate(traj, k, body):
+        """(node, 0-based body) of the row that (k, body) copies in ``sample``."""
+        n, m_samples = traj.params.n_main, traj.m_samples
+        first, chain, period = (0, n, m_samples // 3) if body < n else (n, 3, m_samples // n)
+        return (k + (body - first) * (m_samples // chain)) % period, first
+
+    @staticmethod
+    def _copy(traj):
+        return dataclasses.replace(
+            traj, positions=traj.positions.copy(), velocities=traj.velocities.copy()
+        )
+
+    def test_csv_candidates_are_the_copies_sample_makes(self, grid_traj7):
+        # Every row except the directly evaluated bodies 2 and N+2 is its
+        # candidate bit for bit, so a sampled loop formats few rows.
+        traj = grid_traj7
+        n_bodies = traj.n_bodies
+        rows = np.concatenate([traj.positions, traj.velocities], axis=2).transpose(1, 0, 2)
+        bits = rows.reshape(-1, 4).view(np.uint64)
+        candidates = loops._csv_candidates(traj)
+        for k, body in [(0, 0), (7, 3), (200, 6), (419, 8), (300, 9)]:
+            node, first = self._candidate(traj, k, body)
+            assert candidates[k, body] == node * n_bodies + first
+        copies = (bits == bits[candidates.ravel()]).all(axis=1).reshape(-1, n_bodies)
+        direct = [1, PARAMS7.n_main + 1]
+        assert copies[:, np.setdiff1d(np.arange(n_bodies), direct)].all()
+
+    def test_trajectory_csv_chain_copy_one_ulp_off(self, grid_traj7):
+        traj = self._copy(grid_traj7)
+        k, body = 37, 4
+        node, first = self._candidate(traj, k, body)
+        assert np.array_equal(traj.positions[body, k], traj.positions[first, node])
+        traj.positions[body, k, 1] = np.nextafter(traj.positions[body, k, 1], np.inf)
+        text = trajectory_to_csv(traj)
+        assert text == reference_trajectory_csv(traj)
+        lines = text.splitlines()
+        assert lines[1 + k * traj.n_bodies + body].split(",")[2:] != (
+            lines[1 + node * traj.n_bodies + first].split(",")[2:]
+        )
+
+    def test_trajectory_csv_direct_row_equal_to_candidate(self, grid_traj7):
+        traj = self._copy(grid_traj7)
+        n_bodies = traj.n_bodies
+        for k, body in [(5, 1), (300, PARAMS7.n_main + 1)]:
+            node, first = self._candidate(traj, k, body)
+            traj.positions[body, k] = traj.positions[first, node]
+            traj.velocities[body, k] = traj.velocities[first, node]
+            text = trajectory_to_csv(traj)
+            assert text == reference_trajectory_csv(traj)
+            lines = text.splitlines()
+            assert lines[1 + k * n_bodies + body].split(",")[2:] == (
+                lines[1 + node * n_bodies + first].split(",")[2:]
+            )
+
+    def test_trajectory_csv_signed_zero_copy_on_grid(self, grid_traj7):
+        traj = self._copy(grid_traj7)
+        k, body = 11, 2
+        node, first = self._candidate(traj, k, body)
+        traj.velocities[first, node, 0] = 0.0
+        traj.velocities[body, k, 0] = -0.0
+        text = trajectory_to_csv(traj)
+        assert text == reference_trajectory_csv(traj)
+        assert text.splitlines()[1 + k * traj.n_bodies + body].split(",")[4] == "-0"
+
+    def test_trajectory_csv_random_rows_on_grid(self):
+        m_samples = PARAMS4.grid_unit
+        assert loops.valid_grid(PARAMS4, m_samples)
+        rows = np.random.default_rng(6).normal(size=(m_samples, PARAMS4.n_bodies, 4))
+        traj = self._rows_trajectory(rows)
+        assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
+
     @pytest.mark.parametrize(
         "row",
         [[3, 0.2, 0.0, 99], ["x", 0.2, 0.0], [3.5, 0.2, 0.0], [float("inf"), 0.2, 0.0],
