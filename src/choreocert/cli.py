@@ -112,11 +112,13 @@ def _apply_config(args: argparse.Namespace, command: argparse.ArgumentParser) ->
     if not getattr(args, "config", None):
         return
     flags = {action.dest: action for action in command._actions
-             if action.option_strings and action.default is not argparse.SUPPRESS}
+             if action.option_strings and action.default is not argparse.SUPPRESS
+             and action.dest != "config"}
     for key, raw in read_config(args.config).items():
         action = flags.get(key.replace("-", "_"))
         if action is None:
-            raise ValueError(f"config key {key!r} does not match any flag")
+            raise ValueError(f"config key {key!r} does not match any flag a config file "
+                             "may set")
         value = _config_value(action, key, raw)
         if getattr(args, action.dest) == action.default:
             setattr(args, action.dest, value)

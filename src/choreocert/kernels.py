@@ -7,6 +7,14 @@ order; a caller may pass its own (P, 2) table of row indices instead, such as
 the representative pairs of a symmetry-reduced body set. There is one
 implementation per kernel and no run-time selection, so results are
 deterministic and runs are repeatable bit for bit.
+
+Without a table, the scan kernels fill two contiguous (P, M) coordinate
+planes with one broadcast subtraction per body, body i against the rows
+after it, so the planes come out in lexicographic pair order with no row
+gather; squares, square roots and means then run in place on them. A given
+table is gathered as ``arr[ii] - arr[jj]``. Both paths do the same float
+operations on each element, so they agree bit for bit. ``pair_forces``
+always gathers: its contraction over pairs needs the (P, M, 2) layout.
 """
 
 from __future__ import annotations
@@ -37,17 +45,43 @@ def _pair_differences(arr, pairs):
     return ii, jj, arr[ii] - arr[jj]
 
 
+def _pair_square_distances(arr, pairs):
+    """Row indices (ii, jj) of the pair table and |arr[ii] - arr[jj]|^2, shaped (P, M).
+
+    The result is a fresh contiguous array that callers may overwrite.
+    """
+    if pairs is not None:
+        ii, jj, diff = _pair_differences(arr, pairs)
+        return ii, jj, diff[..., 0] ** 2 + diff[..., 1] ** 2
+    arr = _as_pos(arr)
+    n_bodies, n_samples, _ = arr.shape
+    ii, jj = pair_index_table(n_bodies).T
+    dx = np.empty((len(ii), n_samples))
+    dy = np.empty((len(ii), n_samples))
+    lo = 0
+    for i in range(n_bodies - 1):
+        hi = lo + n_bodies - 1 - i
+        np.subtract(arr[i, :, 0], arr[i + 1:, :, 0], out=dx[lo:hi])
+        np.subtract(arr[i, :, 1], arr[i + 1:, :, 1], out=dy[lo:hi])
+        lo = hi
+    np.multiply(dx, dx, out=dx)
+    np.multiply(dy, dy, out=dy)
+    np.add(dx, dy, out=dx)
+    return ii, jj, dx
+
+
 def pair_mean_inverse_distance(pos, pairs=None) -> np.ndarray:
     """Per-pair time average of 1/|q_i - q_j|, in the order of the pair table."""
-    _, _, diff = _pair_differences(pos, pairs)
-    dist = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
-    return (1.0 / dist).mean(axis=1)
+    _, _, d2 = _pair_square_distances(pos, pairs)
+    np.sqrt(d2, out=d2)
+    np.divide(1.0, d2, out=d2)
+    return d2.mean(axis=1)
 
 
 def pair_mean_square_relative_velocity(vel) -> np.ndarray:
     """Per-pair time average of |v_i - v_j|^2, pairs in lexicographic order."""
-    _, _, diff = _pair_differences(vel, None)
-    return (diff[..., 0] ** 2 + diff[..., 1] ** 2).mean(axis=1)
+    _, _, d2 = _pair_square_distances(vel, None)
+    return d2.mean(axis=1)
 
 
 def pair_forces(pos, pairs=None, weights=None) -> np.ndarray:
@@ -76,8 +110,8 @@ def min_separation_scan(pos, pairs=None) -> tuple[float, int, int, int]:
     table order: with the default table, the smallest (i, j, k)
     lexicographically.
     """
-    ii, jj, diff = _pair_differences(pos, pairs)
-    dist = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+    ii, jj, dist = _pair_square_distances(pos, pairs)
+    np.sqrt(dist, out=dist)
     p, k = divmod(int(np.argmin(dist)), dist.shape[1])
     return float(dist[p, k]), int(ii[p]), int(jj[p]), int(k)
 

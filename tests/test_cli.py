@@ -433,6 +433,14 @@ class TestConfig:
         assert code == 2
         assert "nope" in err
 
+    def test_config_key_rejected(self, capsys, tmp_path):
+        conf = tmp_path / "c.conf"
+        conf.write_text("config=x\n")
+        code, out, err = run_cli(capsys, "certify", *PARAMS4, "--a", "0.23", "--b", "0.088",
+                                 "--config", str(conf))
+        assert code == 2 and out == ""
+        assert "'config'" in err
+
     @pytest.mark.parametrize("command, line, value", [
         ("bounds", "n=four", "'four'"),
         ("bounds", "r=7.0", "'7.0'"),

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from choreocert import kernels
+from choreocert import action, kernels
+from choreocert.loops import sample
+from choreocert.testorbits import build_test_orbit
+from conftest import REFERENCE_CASES
 
 
 @pytest.fixture
@@ -148,13 +151,28 @@ def test_coincident_bodies_distance_zero():
     assert d == 0.0
 
 
-def test_min_scan_lexicographic_tie_break():
+def _collinear_tie():
     pos = np.zeros((3, 2, 2))
-    pos[0, :, 0] = 0.0
     pos[1, :, 0] = 1.0
     pos[2, :, 0] = 2.0  # pairs (0,1) and (1,2) both at distance 1
-    d, i, j, k = kernels.min_separation_scan(pos)
-    assert (d, i, j, k) == (1.0, 0, 1, 0)
+    return pos
+
+
+def _tie_across_body_blocks():
+    # Body 2 rests at the origin. Pair (0, 2) is at distance 1 only at node 3,
+    # pair (1, 2) only at node 0, and pair (0, 1) never comes closer than 6.
+    pos = np.zeros((3, 4, 2))
+    pos[0, :, 0] = [5.0, 5.0, 5.0, 1.0]
+    pos[1, :, 0] = [-1.0, -5.0, -5.0, -5.0]
+    return pos
+
+
+@pytest.mark.parametrize("pos, want", [
+    (_collinear_tie(), (1.0, 0, 1, 0)),
+    (_tie_across_body_blocks(), (1.0, 0, 2, 3)),
+], ids=["same-block", "across-blocks"])
+def test_min_scan_lexicographic_tie_break(pos, want):
+    assert kernels.min_separation_scan(pos) == want
 
 
 def test_relative_velocity_means(random_positions):
@@ -163,6 +181,51 @@ def test_relative_velocity_means(random_positions):
     ii, jj = kernels.pair_index_table(7).T
     want = ((vel[ii] - vel[jj]) ** 2).sum(axis=2).mean(axis=1)
     assert np.abs(means - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def one_gather_square_distances(arr, pairs):
+    """|arr[i] - arr[j]|^2 per pair of the table, from one gather of each row index."""
+    d = arr[pairs[:, 0]] - arr[pairs[:, 1]]
+    return d[..., 0] ** 2 + d[..., 1] ** 2
+
+
+def one_gather_scan(pos, pairs):
+    """Mean 1/distance per pair and the first minimum (d, i, j, k), by one gather."""
+    dist = np.sqrt(one_gather_square_distances(pos, pairs))
+    p, k = divmod(int(np.argmin(dist)), dist.shape[1])
+    return (1.0 / dist).mean(axis=1), (float(dist[p, k]), *map(int, pairs[p]), k)
+
+
+def _orbit_sample(case):
+    params, a, b = case["params"], case["a"], case["b"]
+    return sample(build_test_orbit(params, a, b), params.default_grid())
+
+
+def assert_full_scans_match_one_gather(pos, vel):
+    full = kernels.pair_index_table(len(pos))
+    want_means, want_min = one_gather_scan(pos, full)
+    assert np.array_equal(kernels.pair_mean_inverse_distance(pos), want_means)
+    assert kernels.min_separation_scan(pos) == want_min
+    want_v2 = one_gather_square_distances(vel, full).mean(axis=1)
+    assert np.array_equal(kernels.pair_mean_square_relative_velocity(vel), want_v2)
+
+
+def test_scan_kernels_bit_identical_to_one_gather_on_orbits(reference_case):
+    traj = _orbit_sample(reference_case)
+    assert_full_scans_match_one_gather(traj.positions, traj.velocities)
+
+
+def test_scan_kernels_bit_identical_to_one_gather_on_random(random_positions):
+    assert_full_scans_match_one_gather(random_positions, random_positions)
+
+
+def test_table_scan_kernels_bit_identical_to_one_gather(random_positions):
+    bodies, reps, _ = action.representative_pairs(7)
+    reduced = _orbit_sample(REFERENCE_CASES[2]).positions[[b - 1 for b in bodies]]
+    for pos, pairs in [(random_positions, TABLE), (reduced, reps)]:
+        want_means, want_min = one_gather_scan(pos, pairs)
+        assert np.array_equal(kernels.pair_mean_inverse_distance(pos, pairs), want_means)
+        assert kernels.min_separation_scan(pos, pairs) == want_min
 
 
 def test_repeated_calls_bit_identical(random_positions):
