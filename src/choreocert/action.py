@@ -27,29 +27,21 @@ grid of M nodes (a multiple of r), value, gradient and minimum separation
 therefore equal their averages or minima over the first M/r nodes, up to
 rounding.
 
-It also evaluates only a few representative pairs, by g2 and g3. Main
-frequencies satisfy m = 0 (mod 3) and triple frequencies m = 0 (mod N), so
-the main generator q_1 has period 1/3 and the triple generator q_{N+1} has
-period 1/N. With q_i(t) = q_1(t + (i-1)/N) and q_{N+j}(t) = q_{N+1}(t + (j-1)/3):
-
-  main pair (i, j), s = j - i:  q_i - q_j at t is q_1 - q_{1+s} at
-      t + (i-1)/N, and minus q_1 - q_{1+N-s} at t + (j-1)/N. So the pairs
-      with offset s or N - s are time shifts of (1, 1+s), s = 1..floor(N/2):
-      N of them, or N/2 when s = N/2.
-  triple pair:  the 3 pairs are time shifts of (N+1, N+2).
-  cross pair (i, N+j):  |q_i - q_{N+j}| at t is |q_1 - q_{N+1}| at
-      t + (i-1)/N + (j-1)/3, by the two periods: all 3N cross pairs are
-      time shifts of (1, N+1).
-
-The weights N (or N/2), 3 and 3N sum to (N+3)(N+2)/2. M is a multiple of
-lcm(3, N), so every shift is a whole number of nodes, and the node average
-and the minimum of a periodic sequence do not change under a shift. The
-potential is the weighted sum of the representatives' node averages, and the
-minimum separation is their minimum. The representatives need bodies
-1..floor(N/2)+1, N+1 and N+2 only, the reduced body set; the gradient of the
-weighted sum reaches the generator coefficients through the phase of each
-reduced row. total_action and certify keep the full-pair path on all M
-nodes, an independent check of this reduction.
+It also evaluates only one representative pair per orbit of g2 and g3: the
+entries of symmetry.pair_kinds, which derives them. They are (1, 1+s) for
+s = 1..floor(N/2), standing for N pairs (N/2 when s = N/2), the cross pair
+(1, N+1) for 3N and the triple pair (N+1, N+2) for 3, and they are the same
+orbits as the collision cases 1-5 of bounds. Every pair distance is a time
+shift of its representative's, and the multiplicities, the weights here, sum
+to (N+3)(N+2)/2. M is a multiple of lcm(3, N), so every shift is a whole
+number of nodes, and the node average and the minimum of a periodic sequence
+do not change under a shift. The potential is the weighted sum of the
+representatives' node averages, and the minimum separation is their minimum.
+The representatives need bodies 1..floor(N/2)+1, N+1 and N+2 only, the
+reduced body set; the gradient of the weighted sum reaches the generator
+coefficients through the phase of each reduced row. total_action and certify
+keep the full-pair path on all M nodes, an independent check of this
+reduction.
 
 The phase tables hold e^(2 pi i m k/M) for the domain nodes k. Each entry is
 read from loops.roots_of_unity(M) at m*k mod M, so the workspace computes M
@@ -75,7 +67,7 @@ from .loops import (
     sample,
     winding_number,
 )
-from .symmetry import SymmetryParams
+from .symmetry import SymmetryParams, pair_kinds
 
 TWO_PI = 2.0 * np.pi
 DISTANCE_FLOOR = 1e-12
@@ -161,24 +153,6 @@ def total_action(
     return ActionBreakdown(kinetic=kin, potential=pot, total=kin + pot, pairs=pairs)
 
 
-def representative_pairs(n_main: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """Reduced body set, its representative pairs and their multiplicities.
-
-    Returns (bodies, pairs, weights): the 1-based body numbers of the reduced
-    rows (1..floor(N/2)+1, N+1, N+2), a (P, 2) table of row indices in
-    lexicographic order, and the number of pairs of the full system each
-    representative stands for (see the module docstring). The weights sum to
-    (N+3)(N+2)/2.
-    """
-    half = n_main // 2
-    bodies = tuple(range(1, half + 2)) + (n_main + 1, n_main + 2)
-    triple = half + 1
-    pairs = [(0, s) for s in range(1, half + 1)] + [(0, triple), (triple, triple + 1)]
-    weights = [n_main / 2 if 2 * s == n_main else n_main for s in range(1, half + 1)]
-    weights += [3 * n_main, 3]
-    return bodies, np.array(pairs, dtype=np.int64), np.array(weights, dtype=float)
-
-
 def _phase_table(freqs: np.ndarray, roots: np.ndarray, m_nodes: int) -> np.ndarray:
     """(F, m_nodes) table of e^(2 pi i m k / M) for k < m_nodes, read from
     roots = roots_of_unity(M) at m*k reduced modulo M."""
@@ -200,14 +174,14 @@ class ActionWorkspace:
     """Phase tables for repeated evaluation on a fixed frequency basis and grid.
 
     Coefficients are passed as two complex arrays (cm, ct) aligned with
-    main_freqs and triple_freqs. Everything runs on the reduced body set of
-    ``representative_pairs`` and on the first M/r nodes, one fundamental
-    domain of g1 (see the module docstring): the value and separation scan
-    over the weighted representative pairs, the gradient through the
-    generator phases of the reduced rows, and the winding guard over one
-    domain arc per same-chain representative. All evaluations share one
-    discretization, so value_and_gradient returns the exact gradient of the
-    value it reports.
+    main_freqs and triple_freqs. Everything runs on the reduced body set, the
+    bodies of the ``symmetry.pair_kinds`` representatives, and on the first
+    M/r nodes, one fundamental domain of g1 (see the module docstring): the
+    value and separation scan over the weighted representative pairs, the
+    gradient through the generator phases of the reduced rows, and the
+    winding guard over one domain arc per same-chain representative. All
+    evaluations share one discretization, so value_and_gradient returns the
+    exact gradient of the value it reports.
     """
 
     def __init__(self, params: SymmetryParams, main_freqs, triple_freqs, m_samples: int):
@@ -218,7 +192,13 @@ class ActionWorkspace:
         self.main_freqs = np.array(sorted(int(m) for m in main_freqs), dtype=np.int64)
         self.triple_freqs = np.array(sorted(int(m) for m in triple_freqs), dtype=np.int64)
         n = params.n_main
-        self.bodies, self._pairs, self._weights = representative_pairs(n)
+        kinds = pair_kinds(params)
+        self.bodies = tuple(sorted({body for kind in kinds for body in kind.pair}))
+        self._row = {body: row for row, body in enumerate(self.bodies)}
+        self._pairs = np.array(
+            [[self._row[i], self._row[j]] for i, j in (kind.pair for kind in kinds)], dtype=np.int64
+        )
+        self._weights = np.array([kind.multiplicity for kind in kinds], dtype=float)
         self._n_main_rows = n // 2 + 1
         roots = roots_of_unity(m_samples)
         self._em = _phase_table(self.main_freqs, roots, self.m_domain)   # (F, M/r)
@@ -291,12 +271,12 @@ class ActionWorkspace:
             pos = self.positions(cm, ct)
         r = self.params.r
         turn = TWO_PI * self.params.d / r
-        row = {body: k for k, body in enumerate(self.bodies)}
+        row = self._row
 
         def wind(i, j):
             return winding_number(pos[row[i]] - pos[row[j]], (0.0, 0.0), arcs=r, arc_turn=turn)
 
-        return expand_windings(self.params.n_main, wind)
+        return expand_windings(self.params, wind)
 
     def kinetic(self, cm: np.ndarray, ct: np.ndarray) -> float:
         return float(

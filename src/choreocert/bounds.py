@@ -42,7 +42,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .symmetry import SymmetryParams
+from .symmetry import SymmetryParams, pair_kinds
 
 GORDON_COEFF = 1.5 * (2.0 * math.pi) ** (2.0 / 3.0)
 
@@ -289,28 +289,13 @@ class ThresholdReport:
 
 
 def representative_seeds(params: SymmetryParams) -> list[tuple[str, tuple[int, int]]]:
-    """One seed per orbit of unordered pairs under the relabeling symmetry.
-
-    Main pairs reduce to (1, 1+s) by chain shifts, s = 1..floor(N/2); cross
-    pairs to (1, N+1); triple pairs to (N+1, N+2).
-    """
-    n = params.n_main
-    seeds = [("1", (1, 2))]
-    sub = "2" if n % 2 == 0 else "2'"
-    for k in range(1, math.ceil(n / 2) - 1):
-        seeds.append((f"{sub}(k={k})", (1, k + 2)))
-    if n % 2 == 0:
-        seeds.append(("3", (1, n // 2 + 1)))
-    seeds.append(("4", (1, n + 1)))
-    seeds.append(("5", (n + 1, n + 2)))
-    return seeds
+    """(label, seed pair) of every collision case: the entries of ``pair_kinds``."""
+    return [(k.label, k.pair) for k in pair_kinds(params)]
 
 
 def collision_threshold(params: SymmetryParams) -> ThresholdReport:
-    """Minimum of the case bounds over every collision case."""
-    cases = tuple(
-        case_lower_bound(params, seed, label) for label, seed in representative_seeds(params)
-    )
+    """Minimum of the case bounds over every collision case, one per pair orbit."""
+    cases = tuple(case_lower_bound(params, k.pair, k.label) for k in pair_kinds(params))
     parity = (
         "N even: threshold over cases 1, 2, 3, 4, 5"
         if params.n_main % 2 == 0

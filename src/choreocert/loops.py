@@ -31,9 +31,10 @@ compare a shifted generator with an independent evaluation rather than with
 a copy of itself. They agree with the table's samples in the last bits only.
 
 Every same-chain pair is a time shift of a representative pair, or its
-negation: (1, 1+s) for s = 1..floor(N/2) on the main chain and (N+1, N+2)
-on the triple chain. ``winding_table`` winds the representatives and
-``expand_windings`` lists them for every pair.
+negation: the main and triple entries of ``symmetry.pair_kinds``, (1, 1+s)
+for s = 1..floor(N/2) and (N+1, N+2), the orbits that are also the collision
+cases 1, 2 (or 2'), 3 and 5 of ``bounds``. ``winding_table`` winds the
+representatives and ``expand_windings`` lists them for every pair.
 """
 
 from __future__ import annotations
@@ -45,7 +46,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .symmetry import ROLE_MAIN, ROLE_TRIPLE, SymmetryParams, frequency_allowed
+from .symmetry import (
+    ROLE_CROSS,
+    ROLE_MAIN,
+    ROLE_TRIPLE,
+    SymmetryParams,
+    frequency_allowed,
+    pair_kinds,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -353,23 +361,23 @@ def min_separation(traj: Trajectory) -> MinSeparation:
     return MinSeparation(pair=(i + 1, j + 1), time_index=k, distance=d)
 
 
-def expand_windings(n_main: int, wind) -> dict[str, list[list]]:
+def expand_windings(params: SymmetryParams, wind) -> dict[str, list[list]]:
     """Winding table of every same-chain pair, from one winding per representative.
 
     ``wind(i, j)`` returns the winding of pair (i, j), 1-based bodies, and is
-    called once per representative: (1, 1+s) for s = 1..floor(N/2), then
-    (N+1, N+2). Main pair (i, j) is pair (1, 1+s) advanced in time,
-    s = j - i, and the negative of pair (1, 1+N-s) advanced in time; neither
-    changes a winding number, so it gets the winding of offset min(s, N-s).
-    Every triple pair gets the triple representative's. Rows are [i, j, w]
-    with i < j, lexicographic, under "main" and "triple".
+    called once per same-chain entry of ``pair_kinds``, in its order: (1, 1+s)
+    for s = 1..floor(N/2), then (N+1, N+2). Main pair (i, j) is pair (1, 1+s)
+    advanced in time, s = j - i, and the negative of pair (1, 1+N-s) advanced
+    in time; neither changes a winding number, so it gets the winding of
+    offset min(s, N-s). Every triple pair gets the triple representative's.
+    Rows are [i, j, w] with i < j, lexicographic, under "main" and "triple".
     """
-    n = n_main
-    by_offset = {s: wind(1, 1 + s) for s in range(1, n // 2 + 1)}
-    triple = wind(n + 1, n + 2)
+    n = params.n_main
+    winds = {(k.kind, k.offset): wind(*k.pair) for k in pair_kinds(params) if k.kind != ROLE_CROSS}
+    triple = winds[ROLE_TRIPLE, 0]
     return {
         "main": [
-            [i + 1, j + 1, by_offset[min(j - i, n - (j - i))]]
+            [i + 1, j + 1, winds[ROLE_MAIN, min(j - i, n - (j - i))]]
             for i in range(n)
             for j in range(i + 1, n)
         ],
@@ -387,7 +395,7 @@ def winding_table(traj: Trajectory) -> dict[str, list[list[int]]]:
     """
     pos = traj.positions
     return expand_windings(
-        traj.params.n_main,
+        traj.params,
         lambda i, j: winding_number(pos[i - 1] - pos[j - 1], (0.0, 0.0)),
     )
 

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 ROLE_MAIN = "main"
 ROLE_TRIPLE = "triple"
+ROLE_CROSS = "cross"
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,13 @@ class SymmetryParams:
         return math.lcm(3, self.n_main, self.r)
 
     def default_grid(self) -> int:
-        """Default sample count: resolves the finest collision lattice 3*N*r."""
+        """Default sample count: 16 grid units, 16 * lcm(3, N, r).
+
+        Every symmetry shift is then a whole number of nodes, and each of
+        1/3, 1/N and 1/r spans at least 16 of them. It need not be a multiple
+        of the collision lattice modulus 3*N*r: for N = 10, r = 25 it is 2400,
+        where 3*N*r = 750.
+        """
         return 16 * self.grid_unit
 
 
@@ -148,3 +156,51 @@ def allowed_frequencies(params: SymmetryParams, role: str, cutoff: int) -> list[
             f"empty basis: smallest admissible |m| for role {role!r} exceeds cutoff {cutoff}"
         )
     return freqs
+
+
+class PairKind(NamedTuple):
+    """One orbit of body pairs under g2 and g3; see ``pair_kinds``."""
+
+    kind: str              # ROLE_MAIN, ROLE_CROSS or ROLE_TRIPLE
+    label: str             # its collision case: "1", "2(k=..)", "2'(k=..)", "3", "4" or "5"
+    pair: tuple[int, int]  # 1-based representative (i, j), i < j
+    offset: int            # s = j - i of a main pair; 0 for the cross and triple pairs
+    multiplicity: int      # pairs of the full system in the orbit
+
+
+def pair_kinds(params: SymmetryParams) -> tuple[PairKind, ...]:
+    """The orbits of the (N+3)(N+2)/2 body pairs under g2 and g3, one entry each.
+
+    Main frequencies satisfy m = 0 (mod 3) and triple frequencies m = 0 (mod
+    N), so the main generator q_1 has period 1/3 and the triple generator
+    q_{N+1} has period 1/N. With q_i(t) = q_1(t + (i-1)/N) and
+    q_{N+j}(t) = q_{N+1}(t + (j-1)/3):
+
+      main pair (i, j), s = j - i:  q_i - q_j at t is q_1 - q_{1+s} at
+          t + (i-1)/N, and minus q_1 - q_{1+N-s} at t + (j-1)/N. So the pairs
+          with offset s or N - s are time shifts of (1, 1+s), s = 1..floor(N/2):
+          N of them, or N/2 when s = N/2.
+      cross pair (i, N+j):  |q_i - q_{N+j}| at t is |q_1 - q_{N+1}| at
+          t + (i-1)/N + (j-1)/3, by the two periods: all 3N cross pairs are
+          time shifts of (1, N+1).
+      triple pair:  the 3 pairs are time shifts of (N+1, N+2).
+
+    The entries come in that order, the main offsets ascending, and their
+    multiplicities sum to (N+3)(N+2)/2. A collision of one pair forces one
+    of every pair in its orbit, so the orbits are also the collision cases
+    of ``bounds``, whose labels the entries carry: "1" for s = 1, "3" for
+    the antipodal s = N/2 of even N, "2(k=s-1)" (N even) or "2'(k=s-1)"
+    (N odd) for the offsets between, "4" for the cross pair and "5" for the
+    triple pair. For N = 2 the offset 1 is antipodal too and is labelled
+    "1". N must be at least 1.
+    """
+    n = params.n_main
+    sub = "2" if n % 2 == 0 else "2'"
+    kinds = []
+    for s in range(1, n // 2 + 1):
+        antipodal = 2 * s == n
+        label = "1" if s == 1 else "3" if antipodal else f"{sub}(k={s - 1})"
+        kinds.append(PairKind(ROLE_MAIN, label, (1, 1 + s), s, n // 2 if antipodal else n))
+    kinds.append(PairKind(ROLE_CROSS, "4", (1, n + 1), 0, 3 * n))
+    kinds.append(PairKind(ROLE_TRIPLE, "5", (n + 1, n + 2), 0, 3))
+    return tuple(kinds)

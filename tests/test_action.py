@@ -6,7 +6,6 @@ import pytest
 from choreocert.action import (
     ActionWorkspace,
     kinetic_action,
-    representative_pairs,
     total_action,
 )
 from choreocert import kernels
@@ -17,7 +16,7 @@ from choreocert.loops import (
     sample,
     winding_table,
 )
-from choreocert.symmetry import SymmetryParams
+from choreocert.symmetry import SymmetryParams, pair_kinds
 from choreocert.testorbits import build_test_orbit
 
 from conftest import (
@@ -366,8 +365,8 @@ class TestRepresentativePairs:
     )
     def test_node_shifts_cover_every_pair_once(self, params):
         n = params.n_main
-        bodies, pairs, weights = representative_pairs(n)
-        assert weights.sum() == (n + 3) * (n + 2) // 2
+        kinds = pair_kinds(params)
+        assert sum(kind.multiplicity for kind in kinds) == (n + 3) * (n + 2) // 2
         # two modes per chain, so no pair distance is constant in time
         system = random_admissible_system(params, n * params.r + n, seed=n, min_sep=0.0)
         m_samples = 2 * params.grid_unit
@@ -378,16 +377,16 @@ class TestRepresentativePairs:
             return np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2)
 
         covered = []
-        for (a, b), weight in zip(pairs, weights):
-            rep = distance(bodies[a], bodies[b])
+        for kind in kinds:
+            rep = distance(*kind.pair)
             orbit = set()
             for c in range(n):
                 for e in range(3):
-                    pair = tuple(sorted(_moved(x, n, c, e) for x in (bodies[a], bodies[b])))
+                    pair = tuple(sorted(_moved(x, n, c, e) for x in kind.pair))
                     shift = c * m_samples // n + e * m_samples // 3
                     assert np.allclose(distance(*pair), np.roll(rep, -shift), rtol=0, atol=1e-12)
                     orbit.add(pair)
-            assert len(orbit) == weight
+            assert len(orbit) == kind.multiplicity
             covered += sorted(orbit)
         every = [(i, j) for i in range(1, n + 4) for j in range(i + 1, n + 4)]
         assert sorted(covered) == every

@@ -15,7 +15,7 @@ from choreocert.bounds import (
     representative_seeds,
     verify_time_lemmas,
 )
-from choreocert.symmetry import SymmetryParams
+from choreocert.symmetry import SymmetryParams, pair_kinds
 
 from conftest import (
     PI_TRUNCATION_FACTOR,
@@ -179,6 +179,24 @@ class TestClosure:
             for pair, lattice in closure.items():
                 assert lattice.size == size, (seed, pair)
                 assert lattice.ticks == tuple(range(lattice.ticks[0], L, L // size)), (seed, pair)
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_no_seed_pair_repeats(self, n):
+        # N = 1 and N = 2 once listed (1, 2) as two cases
+        pairs = [seed for _, seed in representative_seeds(SymmetryParams(n, 7, 3, 3, -n))]
+        assert len(set(pairs)) == len(pairs)
+
+    @pytest.mark.parametrize("params", LATTICE_GRID, ids=repr)
+    def test_multiplicities_are_the_closures(self, params):
+        n = params.n_main
+        kinds = pair_kinds(params)
+        covered = []
+        for kind in kinds:
+            closure = collision_closure(params, kind.pair)
+            assert kind.multiplicity == len(closure), kind
+            covered += closure
+        assert sum(kind.multiplicity for kind in kinds) == (n + 3) * (n + 2) // 2
+        assert sorted(covered) == [(i, j) for i in range(1, n + 4) for j in range(i + 1, n + 4)]
 
     @pytest.mark.parametrize("n, r", [(4, 0), (4, -7), (-4, 7), (0, 7)])
     def test_nonpositive_n_or_r_rejected(self, n, r):

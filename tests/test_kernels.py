@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from choreocert import action, kernels
+from choreocert import kernels
 from choreocert.loops import sample
+from choreocert.symmetry import pair_kinds
 from choreocert.testorbits import build_test_orbit
 from conftest import REFERENCE_CASES
 
@@ -220,7 +221,9 @@ def test_scan_kernels_bit_identical_to_one_gather_on_random(random_positions):
 
 
 def test_table_scan_kernels_bit_identical_to_one_gather(random_positions):
-    bodies, reps, _ = action.representative_pairs(7)
+    kinds = pair_kinds(REFERENCE_CASES[2]["params"])
+    bodies = sorted({body for kind in kinds for body in kind.pair})
+    reps = np.array([[bodies.index(i), bodies.index(j)] for i, j in (k.pair for k in kinds)])
     reduced = _orbit_sample(REFERENCE_CASES[2]).positions[[b - 1 for b in bodies]]
     for pos, pairs in [(random_positions, TABLE), (reduced, reps)]:
         want_means, want_min = one_gather_scan(pos, pairs)

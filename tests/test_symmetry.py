@@ -1,9 +1,14 @@
 import pytest
 
 from choreocert.symmetry import (
+    ROLE_CROSS,
+    ROLE_MAIN,
+    ROLE_TRIPLE,
+    PairKind,
     SymmetryParams,
     allowed_frequencies,
     compatibility_check,
+    pair_kinds,
 )
 
 from conftest import REFERENCE_CASES, brute_force_frequencies
@@ -98,3 +103,20 @@ class TestAllowedFrequencies:
             freqs = allowed_frequencies(p, "main", 500)
             steps = {b - a for a, b in zip(freqs, freqs[1:])}
             assert steps == {3 * p.r}
+
+
+class TestPairKinds:
+    def test_even_n_table(self):
+        assert pair_kinds(SymmetryParams(8, 11, 3, 3, -8)) == (
+            PairKind(ROLE_MAIN, "1", (1, 2), 1, 8),
+            PairKind(ROLE_MAIN, "2(k=1)", (1, 3), 2, 8),
+            PairKind(ROLE_MAIN, "2(k=2)", (1, 4), 3, 8),
+            PairKind(ROLE_MAIN, "3", (1, 5), 4, 4),
+            PairKind(ROLE_CROSS, "4", (1, 9), 0, 24),
+            PairKind(ROLE_TRIPLE, "5", (9, 10), 0, 3),
+        )
+
+    # N = 1 has no main pair; for N = 2 the adjacent pair is also antipodal
+    @pytest.mark.parametrize("n, labels", [(1, ["4", "5"]), (2, ["1", "4", "5"])])
+    def test_small_n_labels(self, n, labels):
+        assert [k.label for k in pair_kinds(SymmetryParams(n, 7, 3, 3, -n))] == labels
