@@ -4,10 +4,10 @@ Subcommands: bounds (collision-set lower-bound table), certify (test-orbit
 certificate), minimize (action descent with result/trajectory/log files),
 lemmas (exact collision-grid distinctness scans).
 
-Exit codes: 0 success or certified, 1 checked-and-negative, 2 invalid input,
-3 solver failure. Human tables print 4 decimals; files carry 17 significant
-digits and are written atomically. Environment variables are not consulted
-for run configuration.
+Exit codes: 0 success or certified, 1 checked-and-negative, 2 invalid input
+or an output file that cannot be written, 3 solver failure. Human tables
+print 4 decimals; files carry 17 significant digits and are written
+atomically. Environment variables are not consulted for run configuration.
 """
 
 from __future__ import annotations
@@ -157,10 +157,20 @@ def _resolve_grid(grid: int | None, params: SymmetryParams) -> int | None:
     return grid
 
 
-def _emit(text: str, out: str | None) -> None:
+def _write(path: str, text: str) -> bool:
+    """Write a file atomically; False, after an error line naming it, if that fails."""
+    try:
+        atomic_write_text(path, text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _emit(text: str, out: str | None) -> bool:
+    """Print a rendering and write it to ``out`` if given; False if that write fails."""
     print(text, end="" if text.endswith("\n") else "\n")
-    if out:
-        atomic_write_text(out, text if text.endswith("\n") else text + "\n")
+    return not out or _write(out, text if text.endswith("\n") else text + "\n")
 
 
 def _lattice_summary(sizes) -> str:
@@ -203,12 +213,12 @@ def _cmd_bounds(args) -> int:
     report = collision_threshold(params)
     fmt = args.format or "table"
     if fmt == "json":
-        _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
+        text = json.dumps(report.to_dict(), indent=2) + "\n"
     elif fmt == "csv":
-        _emit(_render_bounds_csv(report), args.out)
+        text = _render_bounds_csv(report)
     else:
-        _emit(_render_bounds_table(report), args.out)
-    return 0
+        text = _render_bounds_table(report)
+    return 0 if _emit(text, args.out) else 2
 
 
 def _winding_summary(windings: dict) -> str:
@@ -257,14 +267,17 @@ def _cmd_certify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
+        text = json.dumps(report.to_dict(), indent=2) + "\n"
     else:
-        _emit(_render_certificate(report, m_samples), args.out)
+        text = _render_certificate(report, m_samples)
+    if not _emit(text, args.out):
+        return 2
     if args.emit_plot:
         from .testorbits import build_test_orbit
 
         traj = sample(build_test_orbit(params, args.a, args.b), m_samples)
-        atomic_write_text(args.emit_plot, trajectory_to_csv(traj))
+        if not _write(args.emit_plot, trajectory_to_csv(traj)):
+            return 2
     return 0 if report.certified else 1
 
 
@@ -341,12 +354,14 @@ def _cmd_minimize(args) -> int:
     )
     out = args.out or "result.json"
     stem = out[:-5] if out.endswith(".json") else out
-    atomic_write_text(out, json.dumps(result.to_dict(), indent=2) + "\n")
+    if not _write(out, json.dumps(result.to_dict(), indent=2) + "\n"):
+        return 2
     traj_csv = trajectory_to_csv(sample(result.system, m_samples))
-    atomic_write_text(stem + ".traj.csv", traj_csv)
-    atomic_write_text(stem + ".iters.csv", result.log_csv())
+    files = [(stem + ".traj.csv", traj_csv), (stem + ".iters.csv", result.log_csv())]
     if args.emit_plot:
-        atomic_write_text(args.emit_plot, traj_csv)
+        files.append((args.emit_plot, traj_csv))
+    if not all(_write(path, text) for path, text in files):
+        return 2
     if result.termination != "converged":
         print(f"solver did not converge: {result.termination}", file=sys.stderr)
         return 3

@@ -40,6 +40,7 @@ representatives and ``expand_windings`` lists them for every pair.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -436,32 +437,195 @@ def system_from_dict(doc) -> SystemLoop:
     return SystemLoop(params, *spectra)
 
 
-# Grid nodes whose rows trajectory_to_csv turns into Python objects at a time,
-# both to format rows and to assemble lines. Converting every formatted row at
-# once raised the peak RSS of eight cli_pipeline repetitions from about 80 to
-# 97 MB.
+# -- exact "%.17g" text ---------------------------------------------------------
+
+# Bytes of the longest "%.17g" text, "-2.2250738585072014e-308".
+_G17_WIDTH = 24
+# 10**p for p = 0..22, every one an exact double (5**22 < 2**53).
+_POW10 = 10.0 ** np.arange(23)
+_VELTKAMP = 134217729.0  # 2**27 + 1
+
+
+def _veltkamp_split(a):
+    """(hi, lo) with hi + lo == a exactly, each half of at most 26 significant bits."""
+    scaled = _VELTKAMP * a
+    hi = scaled - (scaled - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp_split(_POW10)
+
+
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """ASCII "0000".."9999" as uint32 words, then the same with trailing zeros NUL.
+
+    Built on first use, so a run that writes no CSV does not pay for it.
+    """
+    groups = np.arange(10000, dtype=np.uint32)[:, None]
+    digits = groups // np.array([1000, 100, 10, 1], dtype=np.uint32) % 10
+    text = (digits + ord("0")).astype(np.uint8)
+    # a digit is trailing when the group is 0 modulo the place of the digit before it
+    trailing = groups % np.array([10000, 1000, 100, 10], dtype=np.uint32) == 0
+    table = np.concatenate([text, text * ~trailing]).view(np.uint32).ravel()
+    table.setflags(write=False)
+    return table
+
+
+def _scaled_product(a, exponent):
+    """(h, l) with h + l == a * 10**(16 - exponent) exactly: Dekker's two-product."""
+    scale = 16 - exponent
+    h = a * _POW10[scale]
+    a_hi, a_lo = _veltkamp_split(a)
+    b_hi, b_lo = _POW10_HI[scale], _POW10_LO[scale]
+    return h, ((a_hi * b_hi - h) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _format_17g(values) -> np.ndarray:
+    """The text "%.17g" % x of every float64 x, as (n, 24) uint8 rows padded with NUL.
+
+    Finite 1e-4 <= |x| < 1e15 print in fixed notation and are formatted in
+    numpy (``_fixed_17g``); every other value (zeros, subnormals, |x| < 1e-4,
+    |x| >= 1e15, inf, nan) goes through ``_printf_17g``.
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    magnitude = np.abs(x)
+    fixed = (magnitude >= 1e-4) & (magnitude < 1e15)
+    text = np.empty((len(x), _G17_WIDTH), dtype=np.uint8)
+    _fixed_17g(x[fixed], magnitude[fixed], text, np.flatnonzero(fixed))
+    others = ~fixed
+    text[others] = _printf_17g(x[others])
+    return text
+
+
+def _printf_17g(x) -> np.ndarray:
+    """"%.17g" % v for each float64 v, one call per value, as (n, 24) NUL-padded rows."""
+    text = np.array(["%.17g" % v for v in x.tolist()], dtype=f"S{_G17_WIDTH}")
+    return text.view(np.uint8).reshape(-1, _G17_WIDTH)
+
+
+def _fixed_17g(x, magnitude, out, rows) -> None:
+    """Write "%.17g" % x into out[rows] for finite 1e-4 <= |x| < 1e15.
+
+    "%.17g" rounds |x| to 17 significant digits, half to even on its exact
+    binary value, and prints fixed notation for these x (decimal exponent
+    -4..14). With k = floor(log10 |x|), the 17 digits are the exact product
+    |x| * 10**(16 - k), in [1e16, 1e17), rounded to an integer:
+    - 10**(16 - k) is an exact double (16 - k is 2..20), and Dekker's
+      two-product gives h + l equal to the product exactly;
+    - k is estimated from log10 and corrected by one wherever the exact
+      product falls outside [1e16, 1e17), tested on h and the sign of l,
+      never on the rounded sum h + l;
+    - h >= 1e16 > 2**53 is an even integer, so h + rint(l) is the product
+      rounded half to even;
+    - it never rounds up to 1e17, which would need a double within 5e-18
+      relative below a power of ten: 10**0..10**15 are doubles, spaced 1e-16
+      relative, and the doubles nearest 10**-3..10**-1 lie above them.
+    The text is then laid out: the integer digits, a point only before a
+    nonzero fractional digit, the fractional digits without trailing zeros,
+    and a leading "-" for negative x.
+    """
+    exponent = np.floor(np.log10(magnitude)).astype(np.int64)
+    h, lo = _scaled_product(magnitude, exponent)
+    while True:
+        low = (h < 1e16) | ((h == 1e16) & (lo < 0))
+        high = (h > 1e17) | ((h == 1e17) & (lo >= 0))
+        wrong = np.flatnonzero(low | high)
+        if not len(wrong):
+            break
+        exponent[wrong] += high[wrong].astype(np.int64) - low[wrong]
+        h[wrong], lo[wrong] = _scaled_product(magnitude[wrong], exponent[wrong])
+    digits = h.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # Rows sorted by kind, 20 * sign + exponent + 4, share one layout.
+    kind = (exponent + 4) + 20 * np.signbit(x)
+    order = np.argsort(kind.astype(np.uint8), kind="stable")
+    digits = digits[order]
+    # The lead digit, then four groups of four digits, each an ASCII word; a
+    # group followed only by zero groups is read with its trailing zeros NUL.
+    table = _digit_groups()
+    words = np.empty((len(digits), 5), dtype=np.uint32)
+    stripped = np.full(len(digits), 10000)
+    for column in range(4, 0, -1):
+        rest = digits // 10000
+        group = digits - rest * 10000
+        words[:, column] = table[group + stripped]
+        stripped *= group == 0
+        digits = rest
+    words[:, 0] = table[digits]
+    ascii_digits = words.view(np.uint8)[:, 3:]  # 17 digits, trailing zeros NUL
+    text = np.zeros((len(words), _G17_WIDTH), dtype=np.uint8)
+    start = 0
+    for layout, count in enumerate(np.bincount(kind).tolist()):
+        if not count:
+            continue
+        stop = start + count
+        e, sign = layout % 20 - 4, layout // 20
+        row, digit = text[start:stop, sign:], ascii_digits[start:stop]
+        if sign:
+            text[start:stop, 0] = ord("-")
+        if e >= 0:
+            # zeros of the integer part stay, NUL or not
+            np.maximum(digit[:, :e + 1], ord("0"), out=row[:, :e + 1])
+            row[:, e + 1] = (digit[:, e + 1] != 0) * ord(".")
+            row[:, e + 2:18] = digit[:, e + 1:]
+        else:
+            row[:, :1 - e] = ord("0")
+            row[:, 1] = ord(".")
+            row[:, 1 - e:18 - e] = digit
+        start = stop
+    out.view(f"V{_G17_WIDTH}")[rows[order]] = text.view(f"V{_G17_WIDTH}")
+
+
+def _csv_text(values) -> str:
+    """The rows of a 2-D float array as lines of "%.17g" fields joined by commas."""
+    n_rows, n_fields = values.shape
+    fields = np.zeros((n_rows, n_fields, _G17_WIDTH + 1), dtype=np.uint8)
+    fields[:, :, :-1] = _format_17g(values).reshape(n_rows, n_fields, _G17_WIDTH)
+    fields[:, :-1, -1] = ord(",")
+    fields[:, -1, -1] = ord("\n")
+    return fields.tobytes().translate(None, b"\0").decode("ascii")
+
+
+# -- trajectory CSV -------------------------------------------------------------
+
+# Grid nodes whose rows trajectory_to_csv compares, formats and assembles at a
+# time; every temporary is one block's. Converting every formatted row to
+# Python objects at once raised the peak RSS of eight cli_pipeline
+# repetitions from about 80 to 97 MB.
 _CSV_BLOCK_NODES = 256
 
 
-def _csv_candidates(traj: Trajectory) -> np.ndarray:
-    """(M, B) node-major flat row index of the row each (node, body) row repeats.
+def _csv_chains(traj: Trajectory) -> tuple[tuple[int, int, int], ...]:
+    """(first body, length, period) of each chain of a trajectory on its grid; () off it.
 
     ``sample`` fills body i of the chain that starts at body ``first`` with
-    its generator read (i - first)*M/chain nodes later, and the generator
-    repeats bit for bit every M/3 nodes (main) or M/N nodes (triple). So on a
-    valid grid the candidate of (k, i) is the generator's row at node
-    (k + (i - first)*M/chain) mod period, which is its own candidate. A
-    trajectory off the grid, or without N+3 bodies, gets every row as its own.
+    its generator read (i - first)*M/length nodes later, and the generator
+    repeats bit for bit every M/3 nodes (main) or M/N nodes (triple). A
+    trajectory off the grid, or without N+3 bodies, has no chains.
     """
-    params, m_samples, n_bodies = traj.params, traj.m_samples, traj.n_bodies
-    if n_bodies != params.n_bodies or not valid_grid(params, m_samples):
-        return np.arange(m_samples * n_bodies).reshape(m_samples, n_bodies)
+    params, m_samples = traj.params, traj.m_samples
+    if traj.n_bodies != params.n_bodies or not valid_grid(params, m_samples):
+        return ()
     n = params.n_main
-    nodes = np.arange(m_samples)[:, None]
-    candidates = np.empty((m_samples, n_bodies), dtype=np.int64)
-    for first, chain, period in ((0, n, m_samples // 3), (n, 3, m_samples // n)):
-        shifts = np.arange(chain) * (m_samples // chain)
-        candidates[:, first:first + chain] = (nodes + shifts) % period * n_bodies + first
+    return ((0, n, m_samples // 3), (n, 3, m_samples // n))
+
+
+def _csv_candidates(traj: Trajectory, start: int, stop: int) -> np.ndarray:
+    """(stop - start, B) anchor of the row each (node, body) row repeats, nodes start..stop-1.
+
+    A chain's anchors are its generator's rows at nodes 0..period-1, numbered
+    in chain order: main node k is anchor k, triple node k anchor M/3 + k.
+    Body i of a chain at node k repeats its generator at node
+    (k + (i - first)*M/length) mod period. Only for a trajectory with chains.
+    """
+    m_samples = traj.m_samples
+    nodes = np.arange(start, stop)[:, None]
+    candidates = np.empty((stop - start, traj.n_bodies), dtype=np.int64)
+    base = 0
+    for first, length, period in _csv_chains(traj):
+        shifts = np.arange(length) * (m_samples // length)
+        candidates[:, first:first + length] = base + (nodes + shifts) % period
+        base += period
     return candidates
 
 
@@ -469,46 +633,50 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV with header t,body,x,y,vx,vy; row-major by time then body; 17 digits.
 
     Every value is written as "%.17g", the format of f"{x:.17g}", so the text
-    is that of one f-string per row. Most (x, y, vx, vy) rows of a sampled
-    loop are copies ``sample`` made (see ``_csv_candidates``). Each row is
-    compared with its candidate by bit pattern, not by value (-0.0 == 0.0,
-    yet the two print differently): a row equal to its candidate reuses the
-    candidate's text, any other row is formatted on its own. So every
-    trajectory is written exactly, and a sampled one formats only its
-    generators' periods and the rows of bodies 2 and N+2 that differ.
+    is that of one f-string per row, byte for byte. ``_format_17g`` makes that
+    text in numpy, exactly. A finite 1e-4 <= |x| < 1e15 prints in fixed
+    notation, and its 17 digits are the exact product |x| * 10**(16 - k),
+    k = floor(log10 |x|), rounded half to even. 10**(16 - k) is an exact
+    double, and Dekker's two-product gives the product exactly as h + l; k is
+    corrected by exact tests on h and the sign of l; h >= 1e16 is an even
+    integer, so h + rint(l) rounds as "%.17g" does (see ``_fixed_17g``).
+    Every other value is formatted by "%.17g" itself.
+
+    Most (x, y, vx, vy) rows of a sampled loop are copies ``sample`` made of
+    its chains' anchors (see ``_csv_candidates``), whose text is made first.
+    Each row is compared with its candidate anchor by bit pattern, not by
+    value (-0.0 == 0.0, yet the two print differently): a row equal to its
+    candidate reuses the anchor's text, any other row is formatted on its
+    own. So every trajectory is written exactly, and a sampled one formats
+    only its generators' periods and the rows of bodies 2 and N+2 that
+    differ.
     """
     m_samples, n_bodies = traj.m_samples, traj.n_bodies
-    # (M*B, 4): node-major, then body, then x, y, vx, vy.
-    values = np.empty((m_samples, n_bodies, 4))
-    values[:, :, :2] = traj.positions.transpose(1, 0, 2)
-    values[:, :, 2:] = traj.velocities.transpose(1, 0, 2)
-    values = values.reshape(-1, 4)
-    bits = values.view(np.uint64)
-    candidates = _csv_candidates(traj).ravel()
-    rows = np.arange(len(values))
-    sources = np.where((bits == bits[candidates]).all(axis=1), candidates, rows)
-    own = sources == rows
-    formatted = values[own]
-    del values, bits, candidates, rows
-    # A source is always its own source, so its text is its rank among them.
-    slots = (np.cumsum(own) - 1)[sources].reshape(m_samples, n_bodies)
-    del sources, own
-    chunk = _CSV_BLOCK_NODES * n_bodies
-    text = np.array([
-        "%.17g,%.17g,%.17g,%.17g\n" % tuple(row)
-        for start in range(0, len(formatted), chunk)
-        for row in formatted[start:start + chunk].tolist()
-    ], dtype=object)
-    del formatted
-    times = np.array(["%.17g" % t for t in traj.times.tolist()], dtype=object)
+    chains = _csv_chains(traj)
+    anchors = np.concatenate([np.empty((0, 4))] + [
+        np.concatenate([traj.positions[first, :period], traj.velocities[first, :period]], axis=1)
+        for first, _, period in chains
+    ])
+    anchor_bits = anchors.view(np.uint64)
+    anchor_text = np.array(_csv_text(anchors).splitlines(keepends=True), dtype=object)
+    times = np.array(_csv_text(traj.times[:, None]).splitlines(), dtype=object)
     # One block of lines as (time, body tag, row text ending in a newline).
     block = np.empty((_CSV_BLOCK_NODES, n_bodies, 3), dtype=object)
     block[:, :, 1] = [f",{b + 1}," for b in range(n_bodies)]
     parts = ["t,body,x,y,vx,vy\n"]
     for start in range(0, m_samples, _CSV_BLOCK_NODES):
         stop = min(start + _CSV_BLOCK_NODES, m_samples)
+        # (nodes, B, 4): node-major, then body, then x, y, vx, vy.
+        values = np.empty((stop - start, n_bodies, 4))
+        values[:, :, :2] = traj.positions[:, start:stop].transpose(1, 0, 2)
+        values[:, :, 2:] = traj.velocities[:, start:stop].transpose(1, 0, 2)
         lines = block[:stop - start]
         lines[:, :, 0] = times[start:stop, None]
-        lines[:, :, 2] = text[slots[start:stop]]
+        own = np.ones((stop - start, n_bodies), dtype=bool)
+        if chains:
+            candidates = _csv_candidates(traj, start, stop)
+            own = (values.view(np.uint64) != anchor_bits[candidates]).any(axis=2)
+            lines[~own, 2] = anchor_text[candidates[~own]]
+        lines[own, 2] = np.array(_csv_text(values[own]).splitlines(keepends=True), dtype=object)
         parts.append("".join(lines.ravel().tolist()))
     return "".join(parts)

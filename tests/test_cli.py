@@ -410,6 +410,40 @@ class TestRenderingFlags:
         assert marker in printed and out.read_text() == printed
 
 
+class TestUnwritableOutput:
+    """An output file that cannot be written exits 2 naming it, not 1 (a verdict)
+    with a traceback, and leaves no temporary file behind."""
+
+    CERTIFY = ("certify", *PARAMS4, "--a", "0.23", "--b", "0.088", "--grid", "84")
+    MINIMIZE = ("minimize", *PARAMS4, "--a", "0.23", "--b", "0.088", "--modes", "24",
+                "--grid", "84", "--max-iter", "2")
+
+    @pytest.mark.parametrize("argv, path", [
+        pytest.param(("bounds", *PARAMS4, "--out"), "missing/b.json", id="bounds-out"),
+        pytest.param((*CERTIFY, "--emit-plot"), "missing/p.csv", id="certify-emit-plot"),
+        pytest.param((*CERTIFY, "--out"), "adir", id="certify-out-directory"),
+        pytest.param((*MINIMIZE, "--out"), "missing/m.json", id="minimize-out"),
+        pytest.param((*MINIMIZE, "--out", "m.json", "--emit-plot"), "adir",
+                     id="minimize-emit-plot"),
+    ])
+    def test_exit_2_naming_the_path(self, capsys, tmp_path, monkeypatch, argv, path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        code, _, err = run_cli(capsys, *argv, path)
+        assert code == 2
+        assert f"error: cannot write {path}: " in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob(".tmp-*~"))
+
+    def test_minimize_traj_csv_failure_after_result(self, capsys, tmp_path):
+        (tmp_path / "m.traj.csv").mkdir()
+        code, _, err = run_cli(capsys, *self.MINIMIZE, "--out", str(tmp_path / "m.json"))
+        assert code == 2
+        assert f"error: cannot write {tmp_path / 'm.traj.csv'}: " in err
+        assert (tmp_path / "m.json").is_file()
+        assert not list(tmp_path.rglob(".tmp-*~"))
+
+
 class TestConfig:
     def test_config_file_supplies_flags(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import json
 
 import numpy as np
@@ -378,6 +379,90 @@ class TestGroupAction:
             group_action_residual(traj, "g4")
 
 
+def assert_printf_17g(values):
+    """loops._format_17g gives "%.17g" % x for every x, NUL-padded to the width."""
+    values = np.asarray(values, dtype=float)
+    rows = loops._format_17g(values)
+    assert rows.shape == (values.size, loops._G17_WIDTH)
+    got = rows.view(f"S{loops._G17_WIDTH}").ravel().tolist()
+    want = [("%.17g" % v).encode() for v in values.ravel().tolist()]
+    wrong = [(v, g, w) for v, g, w in zip(values.ravel().tolist(), got, want) if g != w]
+    assert not wrong, f"{len(wrong)} of {values.size} differ, e.g. {wrong[:3]}"
+
+
+def ulp_neighbours(centers, steps):
+    """Every center moved by -steps..steps units in the last place."""
+    bits = np.asarray(centers, dtype=float).view(np.int64)[:, None] + np.arange(-steps, steps + 1)
+    return bits.view(float).ravel()
+
+
+class TestFormat17g:
+    """The numpy "%.17g" of the trajectory CSV, on seeded samples of 1e5+ values."""
+
+    SIZE = 100_000
+
+    def test_normal_values(self):
+        assert_printf_17g(np.random.default_rng(11).normal(size=self.SIZE))
+
+    def test_log_uniform_1e_30_to_1e20(self):
+        rng = np.random.default_rng(12)
+        signs = rng.choice([-1.0, 1.0], size=self.SIZE)
+        assert_printf_17g(signs * 10.0 ** rng.uniform(-30, 20, size=self.SIZE))
+
+    def test_dyadic_ties_round_half_even(self):
+        # i + k / 2**j with odd k has j decimals and i 18 - j digits: 18
+        # significant digits ending in 5, a tie at 17 digits.
+        rng = np.random.default_rng(13)
+        j = rng.integers(3, 18, size=self.SIZE)
+        i = rng.integers(10 ** (17 - j), 10 ** (18 - j))
+        k = 2 * rng.integers(0, 2 ** (j - 1)) + 1
+        ties = (i + k / 2.0 ** j) * rng.choice([-1.0, 1.0], size=self.SIZE)
+        for tie in ties[:2000].tolist():
+            digits = decimal.Decimal(tie).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        assert "%.17g" % 562949953421312.125 == "562949953421312.12"
+        assert_printf_17g(np.concatenate([ties, [562949953421312.125, 562949953421312.375]]))
+
+    def test_powers_of_ten_and_neighbours(self):
+        powers = 10.0 ** np.arange(-30, 21)
+        values = ulp_neighbours(powers, 1000)
+        assert values.size > self.SIZE
+        assert_printf_17g(np.concatenate([values, -values]))
+
+    def test_fixed_domain_edges(self):
+        values = ulp_neighbours([1e-4, 1e15], 50_000)
+        assert ((values < 1e-4) | (values >= 1e15)).sum() == 100_001
+        assert_printf_17g(np.concatenate([values, -values]))
+
+    def test_zeros_infinities_nan_and_subnormals(self):
+        rng = np.random.default_rng(14)
+        subnormals = rng.integers(1, 2 ** 52, size=self.SIZE).view(float)
+        assert (subnormals < 2.2250738585072014e-308).all()
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0),
+                   5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                   np.finfo(float).max, 0.09999999999999999, 1e-7, 1e15, 1e-4]
+        assert_printf_17g(np.concatenate([subnormals, -subnormals, special]))
+        assert "-2.2250738585072014e-308" == "%.17g" % -2.2250738585072014e-308
+        assert len("-2.2250738585072014e-308") == loops._G17_WIDTH
+
+    def test_fast_path_formats_the_test_orbit(self, monkeypatch):
+        # An always-fallback formatter passes every byte test: count the
+        # values that reach the per-value "%.17g".
+        ref = REFERENCE_CASES[2]
+        traj = sample(build_test_orbit(ref["params"], ref["a"], ref["b"]),
+                      2 * ref["params"].grid_unit)
+        values = np.concatenate([traj.positions.ravel(), traj.velocities.ravel(), traj.times])
+        fallback = loops._printf_17g
+        seen = []
+        monkeypatch.setattr(loops, "_printf_17g", lambda x: seen.append(x.size) or fallback(x))
+        assert_printf_17g(values)
+        magnitude = np.abs(values)
+        assert sum(seen) == ((magnitude < 1e-4) | (magnitude >= 1e15)).sum()
+        seen.clear()
+        assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
+        assert 0 < sum(seen) < 0.01 * values.size
+
+
 class TestSerialization:
     def test_json_round_trip(self, orbit4):
         system = random_admissible_system(PARAMS4, 45, seed=9)
@@ -508,14 +593,17 @@ class TestSerialization:
         # Every row except the directly evaluated bodies 2 and N+2 is its
         # candidate bit for bit, so a sampled loop formats few rows.
         traj = grid_traj7
-        n_bodies = traj.n_bodies
+        n_bodies, m_samples = traj.n_bodies, traj.m_samples
         rows = np.concatenate([traj.positions, traj.velocities], axis=2).transpose(1, 0, 2)
-        bits = rows.reshape(-1, 4).view(np.uint64)
-        candidates = loops._csv_candidates(traj)
+        bits = rows.view(np.uint64)
+        # anchors: main generator rows over M/3 nodes, then triple over M/N
+        anchors = np.concatenate([bits[:m_samples // 3, 0], bits[:m_samples // 7, 7]])
+        candidates = loops._csv_candidates(traj, 0, m_samples)
+        assert np.array_equal(loops._csv_candidates(traj, 250, 300), candidates[250:300])
         for k, body in [(0, 0), (7, 3), (200, 6), (419, 8), (300, 9)]:
             node, first = self._candidate(traj, k, body)
-            assert candidates[k, body] == node * n_bodies + first
-        copies = (bits == bits[candidates.ravel()]).all(axis=1).reshape(-1, n_bodies)
+            assert candidates[k, body] == node + (m_samples // 3 if first else 0)
+        copies = (bits == anchors[candidates]).all(axis=2)
         direct = [1, PARAMS7.n_main + 1]
         assert copies[:, np.setdiff1d(np.arange(n_bodies), direct)].all()
 
