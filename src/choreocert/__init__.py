@@ -52,7 +52,7 @@ from .symmetry import (
     allowed_frequencies,
     compatibility_check,
 )
-from .testorbits import CertificateReport, build_test_orbit, certify, restricted_action
+from .testorbits import CertificateReport, build_test_orbit, certify, circular_action
 
 __version__ = "0.1.0"
 
@@ -76,6 +76,7 @@ __all__ = [
     "build_test_orbit",
     "case_lower_bound",
     "certify",
+    "circular_action",
     "collision_closure",
     "collision_threshold",
     "compatibility_check",
@@ -86,7 +87,6 @@ __all__ = [
     "min_separation",
     "minimize",
     "ode_residual",
-    "restricted_action",
     "sample",
     "system_from_dict",
     "system_to_dict",

@@ -19,10 +19,10 @@ from collections import Counter
 
 from .bounds import ThresholdReport, collision_threshold, lattice_modulus, verify_time_lemmas
 from .fileio import atomic_write_text, read_config
-from .loops import sample, system_from_dict, trajectory_to_csv
+from .loops import sample, system_from_dict, trajectory_to_csv, valid_grid
 from .solver import MinimizeOptions, minimize
 from .symmetry import SymmetryParams, compatibility_check
-from .testorbits import CertificateReport, certify
+from .testorbits import CertificateReport, build_test_orbit, certify
 
 # The values a config file may give a switch such as --force, in any letter case.
 _SWITCH_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -147,7 +147,7 @@ def _resolve_grid(grid: int | None, params: SymmetryParams) -> int | None:
     """--grid, or the default grid when it is absent; None after an error."""
     if grid is None:
         return params.default_grid()
-    if grid <= 0 or grid % params.grid_unit:
+    if not valid_grid(params, grid):
         print(
             f"error: --grid must be a positive multiple of lcm(3, N, r) = "
             f"{params.grid_unit}",
@@ -273,8 +273,6 @@ def _cmd_certify(args) -> int:
     if not _emit(text, args.out):
         return 2
     if args.emit_plot:
-        from .testorbits import build_test_orbit
-
         traj = sample(build_test_orbit(params, args.a, args.b), m_samples)
         if not _write(args.emit_plot, trajectory_to_csv(traj)):
             return 2
@@ -308,8 +306,6 @@ def _cmd_minimize(args) -> int:
         if args.a is None or args.b is None:
             print("error: minimize requires --a/--b or --loop-in", file=sys.stderr)
             return 2
-        from .testorbits import build_test_orbit
-
         try:
             start = build_test_orbit(params, args.a, args.b)
         except ValueError as exc:

@@ -386,6 +386,13 @@ def expand_windings(params: SymmetryParams, wind) -> dict[str, list[list]]:
     }
 
 
+def windings_match(params: SymmetryParams, table: dict[str, list[list]]) -> bool:
+    """True when every main pair of a winding table winds k1 and every triple pair k2."""
+    return all(w == params.k1 for _, _, w in table["main"]) and all(
+        w == params.k2 for _, _, w in table["triple"]
+    )
+
+
 def winding_table(traj: Trajectory) -> dict[str, list[list[int]]]:
     """deg(q_i - q_j) for all main-main and triple-triple pairs, 1-based rows.
 

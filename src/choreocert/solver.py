@@ -15,11 +15,13 @@ cap, gradient tolerance and separation guard. A run is a pure function of
 
 After the descent, ``minimize`` samples the final loop once on the full grid
 and reports its windings, minimum separation, symmetry residual and
-center-of-mass drift: the class check of a descended loop. It also reports
-the equations-of-motion residual, ``ode_residual``. Both the sample and the
-residual read the generators' phases from one table of M-th roots of unity
-(``loops.evaluate_ticks``), the table the workspace's phase tables are read
-from.
+center-of-mass drift: the class check of a descended loop. It certifies only
+a converged loop below the collision threshold, above the separation guard
+and with the class's windings (``loops.windings_match``, as ``certify``).
+It also reports the equations-of-motion residual, ``ode_residual``. Both
+the sample and the residual read the generators' phases from one table of
+M-th roots of unity (``loops.evaluate_ticks``), the table the workspace's
+phase tables are read from.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .loops import (
     roots_of_unity,
     sample,
     winding_table,
+    windings_match,
 )
 from .symmetry import ROLE_MAIN, ROLE_TRIPLE, allowed_frequencies
 
@@ -209,8 +212,8 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
 
     def admissible_probe(base, direction, step):
         """Projected step as (x, cm, ct, domain positions, minsep), or None on guard."""
-        xn = _pack(*ws.project(*_unpack(base + step * direction, nm)))
-        cmn, ctn = _unpack(xn, nm)
+        cmn, ctn = ws.project(*_unpack(base + step * direction, nm))
+        xn = _pack(cmn, ctn)
         pos = ws.positions(cmn, ctn)
         minsep = ws.min_separation(pos)[0]
         if minsep < options.eps_sep:
@@ -288,7 +291,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
         accepted = None  # (xn, f, g, minsep, step, (cm, ct, positions))
         if not flat:
             step = 1.0
-            for _ in range(200):
+            while step >= 1e-18:
                 hit = admissible_probe(x, direction, step)
                 if hit is not None:
                     xn, cmn, ctn, pos, minsep = hit
@@ -300,8 +303,6 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
                         accepted = (xn, fn, gn_vec, minsep, step, (cmn, ctn, pos))
                         break
                 step *= SHRINK
-                if step < 1e-18:
-                    break
         else:
             f_floor = f + 256.0 * eps64 * max(1.0, abs(f))
             found = flat_search(direction, gnorm, f_floor)
@@ -346,6 +347,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
         termination == "converged"
         and f < threshold
         and minsep_info.distance >= options.eps_sep
+        and windings_match(params, windings)
     )
     return MinimizeResult(
         system=final,

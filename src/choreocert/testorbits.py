@@ -6,6 +6,16 @@ frequency -N, phases fixed to zero at t = 0. Both frequencies are admissible
 whenever 3 = d (mod r) and -N = d (mod r); equally spaced initial positions
 then follow from the chain shifts because gcd(3, N) = gcd(N, 3) = 1.
 
+On this family the action has a closed form, ``circular_action``, with one
+term per entry of ``symmetry.pair_kinds`` weighted by its multiplicity. Every
+body moves at constant speed, so the kinetic action is
+(N/2)(6 pi a)^2 + (3/2)(2 pi N b)^2. Main bodies at offset s stay
+6 pi s/N apart in angle, at distance 2a|sin(3 pi s/N)|, and the triple
+bodies 2 pi N/3 apart, at sqrt(3) b. The relative angle of a cross pair
+turns 3 + N times per period at constant speed, so its mean inverse
+distance is the mean of 1/|a - b e^(i phi)| over the circle,
+1/AGM(a + b, |a - b|) (Gauss).
+
 A certificate compares the action of such a loop against the collision-set
 threshold: action strictly below the threshold proves the action minimizer
 over the symmetric class is collision-free.
@@ -20,8 +30,8 @@ import numpy as np
 
 from .action import checked_min_separation, total_action
 from .bounds import ThresholdReport, collision_threshold
-from .loops import GeneratorSpectrum, SystemLoop, sample, winding_table
-from .symmetry import ROLE_MAIN, ROLE_TRIPLE, SymmetryParams, frequency_allowed
+from .loops import GeneratorSpectrum, SystemLoop, sample, winding_table, windings_match
+from .symmetry import ROLE_MAIN, ROLE_TRIPLE, SymmetryParams, frequency_allowed, pair_kinds
 
 
 def build_test_orbit(params: SymmetryParams, a: float, b: float) -> SystemLoop:
@@ -38,6 +48,34 @@ def build_test_orbit(params: SymmetryParams, a: float, b: float) -> SystemLoop:
     main = GeneratorSpectrum(ROLE_MAIN, (3,), np.array([a + 0.0j]))
     triple = GeneratorSpectrum(ROLE_TRIPLE, (-n,), np.array([b + 0.0j]))
     return SystemLoop(params, main, triple)
+
+
+def circular_action(params: SymmetryParams, a: float, b: float) -> float:
+    """Exact action of ``build_test_orbit(params, a, b)``, the module docstring's closed form.
+
+    Input that ``build_test_orbit`` refuses raises its ValueError; so do equal
+    radii, where the cross pairs collide, and N divisible by 3, where bodies
+    of one chain coincide.
+    """
+    build_test_orbit(params, a, b)
+    n = params.n_main
+    if a == b:
+        raise ValueError("equal radii: the cross pairs collide")
+    if n % 3 == 0:
+        raise ValueError(f"3 divides N = {n}: the bodies of each chain collide")
+    potential = 0.0
+    for kind in pair_kinds(params):
+        if kind.kind == ROLE_MAIN:
+            mean_inverse = 1 / (2 * a * abs(math.sin(3 * math.pi * kind.offset / n)))
+        elif kind.kind == ROLE_TRIPLE:
+            mean_inverse = 1 / (math.sqrt(3) * b)
+        else:  # 1/AGM(a + b, |a - b|); the two means meet within a few ulps
+            x, y = a + b, abs(a - b)
+            while abs(x - y) > 1e-15 * x:
+                x, y = (x + y) / 2, math.sqrt(x) * math.sqrt(y)
+            mean_inverse = 1 / x
+        potential += kind.multiplicity * mean_inverse
+    return 0.5 * n * (6 * math.pi * a) ** 2 + 1.5 * (2 * math.pi * n * b) ** 2 + potential
 
 
 @dataclass(frozen=True)
@@ -100,9 +138,7 @@ def certify(
     breakdown = total_action(system, m_samples, traj)
     report = collision_threshold(params)
     windings = winding_table(traj)
-    windings_ok = all(w == params.k1 for _, _, w in windings["main"]) and all(
-        w == params.k2 for _, _, w in windings["triple"]
-    )
+    windings_ok = windings_match(params, windings)
     margin = report.threshold - breakdown.total
     return CertificateReport(
         params=params,
@@ -118,52 +154,4 @@ def certify(
         min_separation=separation.distance,
         certified=bool(margin > 0 and windings_ok),
         threshold_report=report,
-    )
-
-
-def restricted_action(
-    params: SymmetryParams, a: float, b: float, m_samples: int | None = None
-) -> float:
-    """Action of the circular test family as a function of the two radii."""
-    if m_samples is None:
-        m_samples = params.default_grid()
-    return total_action(build_test_orbit(params, a, b), m_samples).total
-
-
-@dataclass(frozen=True)
-class StencilReport:
-    """5x5 grid of the restricted action around a center point (a, b)."""
-
-    a: float
-    b: float
-    delta: float
-    values: np.ndarray         # (5, 5), rows vary a, columns vary b
-    center_is_min: bool
-    argmin_offset: tuple[int, int]  # grid steps from center, (da, db)
-
-
-def restricted_action_stencil(
-    params: SymmetryParams,
-    a: float,
-    b: float,
-    delta: float = 1e-3,
-    m_samples: int | None = None,
-) -> StencilReport:
-    """Probe whether (a, b) minimizes the circular family at grid resolution delta."""
-    offsets = (-2, -1, 0, 1, 2)
-    values = np.empty((5, 5))
-    for ia, da in enumerate(offsets):
-        for ib, db in enumerate(offsets):
-            values[ia, ib] = restricted_action(
-                params, a + da * delta, b + db * delta, m_samples
-            )
-    flat = int(np.argmin(values))
-    ia, ib = divmod(flat, 5)
-    return StencilReport(
-        a=a,
-        b=b,
-        delta=delta,
-        values=values,
-        center_is_min=(ia, ib) == (2, 2),
-        argmin_offset=(offsets[ia], offsets[ib]),
     )

@@ -22,6 +22,7 @@ from choreocert.loops import (
     trajectory_to_csv,
     winding_number,
     winding_table,
+    windings_match,
 )
 from choreocert.symmetry import SymmetryParams
 from choreocert.testorbits import build_test_orbit
@@ -238,6 +239,13 @@ class TestWinding:
             assert table == all_pairs_winding_table(traj)
             assert {w for _, _, w in table["main"]} == {params.k1}
             assert {w for _, _, w in table["triple"]} == {params.k2}
+
+    def test_windings_match_the_class(self, orbit4):
+        # the test orbit winds (3, -4): it matches k2 = -4, not k2 = 24
+        table = winding_table(sample(orbit4, 1344))
+        assert windings_match(SymmetryParams(4, 7, 3, 3, -4), table)
+        assert not windings_match(SymmetryParams(4, 7, 3, 3, 24), table)
+        assert not windings_match(SymmetryParams(4, 7, 3, 10, -4), table)
 
     def test_undersampled_rejected(self):
         t = np.arange(6) / 6

@@ -19,7 +19,7 @@ from choreocert.solver import (
     ode_residual,
 )
 from choreocert.symmetry import SymmetryParams
-from choreocert.testorbits import build_test_orbit, restricted_action
+from choreocert.testorbits import build_test_orbit, circular_action
 
 from conftest import REFERENCE_CASES, direct_phase_table, random_admissible_system
 
@@ -85,7 +85,8 @@ class TestMinimize:
         assert sorted(res.system.main.freqs) == [3]
         assert sorted(res.system.triple.freqs) == [-4]
 
-        # independent oracle: nested grid search over the two radii
+        # independent oracle: nested grid search over the two radii of the
+        # family's closed-form action
         best = (np.inf, None)
         grid_a = np.arange(0.01, 0.5, 0.01)
         grid_b = np.arange(0.01, 0.5, 0.01)
@@ -93,20 +94,30 @@ class TestMinimize:
             for b in grid_b:
                 if abs(a - b) < 1e-6:
                     continue  # cross pairs collide when the radii coincide
-                f = restricted_action(PARAMS4, a, b, 168)
+                f = circular_action(PARAMS4, a, b)
                 if f < best[0]:
                     best = (f, (a, b))
         (a0, b0) = best[1]
         for step in (1e-3, 1e-4, 1e-5):
             local = [
-                (restricted_action(PARAMS4, a0 + i * step, b0 + j * step, 672), i, j)
+                (circular_action(PARAMS4, a0 + i * step, b0 + j * step), i, j)
                 for i in range(-12, 13)
                 for j in range(-12, 13)
             ]
             _, i, j = min(local)
             a0, b0 = a0 + i * step, b0 + j * step
-        oracle = restricted_action(PARAMS4, a0, b0, 672)
+        oracle = circular_action(PARAMS4, a0, b0)
         assert abs(res.action - oracle) <= 1e-4
+
+    def test_windings_outside_the_class_not_certified(self):
+        # (4, 7, k2=24) is admissible and has the thresholds of k2=-4, but the
+        # test orbit's triple pairs wind -4 times, so no certificate
+        params = SymmetryParams(4, 7, 3, 3, 24)
+        res = minimize(build_test_orbit(params, 0.23, 0.088), MinimizeOptions(cutoff=24))
+        assert res.termination == "converged"
+        assert res.action < res.threshold
+        assert {w for _, _, w in res.windings["triple"]} == {-4}
+        assert res.certificate is None
 
     def test_separation_guard_at_start(self):
         # radii nearly equal: the cross-pair distance a-b starts below the guard

@@ -3,22 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from choreocert.action import total_action
+from choreocert.action import ActionWorkspace, total_action
 from choreocert.loops import evaluate, max_symmetry_residual, min_separation, sample
-from choreocert.symmetry import SymmetryParams
-from choreocert.testorbits import (
-    build_test_orbit,
-    certify,
-    restricted_action,
-    restricted_action_stencil,
-)
+from choreocert.symmetry import SymmetryParams, compatibility_check
+from choreocert.testorbits import build_test_orbit, certify, circular_action
 
 from conftest import PUBLISHED_ACTIONS, REFERENCE_CASES, circular_kinetic
 
 PARAMS4 = SymmetryParams(4, 7, 3, 3, -4)
 
+# Every class with N <= 20 that admits the circular test orbit: gcd(N, 3) = 1,
+# r | N + 3 (so 3 = -N = d (mod r)), r >= 2 and 3 not dividing r.
+CIRCULAR_CLASSES = [
+    (n, r) for n in range(4, 21) if n % 3 for r in range(2, n + 4) if (n + 3) % r == 0 and r % 3
+]
+
 # Minimizers of the circular two-radius family, found by derivative-free
-# refinement of the sampled action (stable to 1e-6 under grid doubling).
+# refinement of the sampled action (stable to 1e-6 under grid doubling) and
+# checked on the closed form by the stencil tests below.
 FAMILY_OPTIMUM = {
     4: (0.230385, 0.088695, 135.512971),
     5: (0.235711, 0.078259, 175.256081),
@@ -124,25 +126,35 @@ class TestCertify:
         assert doc["verdict"] == "certified"
 
 
+def family_stencil(params, a, b, delta=1e-3):
+    """5x5 grid of the family action around (a, b); rows vary a, columns b."""
+    steps = (-2, -1, 0, 1, 2)
+    return np.array(
+        [[circular_action(params, a + i * delta, b + j * delta) for j in steps] for i in steps]
+    )
+
+
+def center_is_min(values):
+    return np.unravel_index(np.argmin(values), values.shape) == (2, 2)
+
+
 class TestRestrictedFamily:
     def test_family_optimum_is_stencil_minimum(self, reference_case):
         p = reference_case["params"]
         a_opt, b_opt, f_opt = FAMILY_OPTIMUM[p.n_main]
-        stencil = restricted_action_stencil(p, a_opt, b_opt, delta=1e-3)
-        assert stencil.center_is_min
-        assert abs(stencil.values[2, 2] - f_opt) <= 1e-4
+        values = family_stencil(p, a_opt, b_opt)
+        assert center_is_min(values)
+        assert abs(values[2, 2] - f_opt) <= 1e-4
 
     def test_published_radii_are_near_but_not_at_the_optimum(self, reference_case):
         # at 1e-3 resolution the stencil walks off the published radii toward
         # the family optimum, so the center is not the grid minimum
         p = reference_case["params"]
-        stencil = restricted_action_stencil(
-            p, reference_case["a"], reference_case["b"], delta=1e-3
-        )
-        assert not stencil.center_is_min
+        values = family_stencil(p, reference_case["a"], reference_case["b"])
+        assert not center_is_min(values)
         a_opt, b_opt, f_opt = FAMILY_OPTIMUM[p.n_main]
-        assert stencil.values.min() >= f_opt - 1e-6
-        assert stencil.values[2, 2] - f_opt <= 0.31
+        assert values.min() >= f_opt - 1e-6
+        assert values[2, 2] - f_opt <= 0.31
 
     def test_published_n5_action_is_no_circular_orbit(self):
         # the published N=5 action lies below the family minimum, and with
@@ -158,12 +170,64 @@ class TestRestrictedFamily:
         paper_convention = kappa * breakdown.kinetic + breakdown.potential
         assert paper_convention - published > 0.25
 
-    def test_restricted_action_smooth(self):
+    def test_sampled_family_action_smooth(self):
         # second differences converge to a curvature: f''(a) estimates at two
         # step sizes agree, so the sampled family has no kinks
         def curvature(h):
-            f = [restricted_action(PARAMS4, 0.23 + k * h, 0.088, 336) for k in (-1, 0, 1)]
+            f = [
+                total_action(build_test_orbit(PARAMS4, 0.23 + k * h, 0.088), 336).total
+                for k in (-1, 0, 1)
+            ]
             return (f[0] - 2 * f[1] + f[2]) / h**2
 
         c1, c2 = curvature(1e-3), curvature(5e-4)
         assert abs(c1 - c2) <= 0.05 * abs(c1)
+
+
+class TestCircularAction:
+    def test_circular_classes_listed(self):
+        assert len(CIRCULAR_CLASSES) == 27
+        for n, r in CIRCULAR_CLASSES:
+            assert compatibility_check(SymmetryParams(n, r, 3, 3, -n))
+
+    @pytest.mark.parametrize("n, r", CIRCULAR_CLASSES)
+    def test_matches_sampled_action_and_separation(self, n, r):
+        # On the default grid the sampled family action agrees with the closed
+        # form to rounding. The radii stay apart: the grid does not resolve a
+        # near-collision of the cross pair.
+        params = SymmetryParams(n, r, 3, 3, -n)
+        rng = np.random.default_rng(1900 + 100 * n + r)
+        m_samples = params.default_grid()
+        for a, b in zip(rng.uniform(0.15, 0.4, 8), rng.uniform(0.02, 0.1, 8)):
+            a, b = float(a), float(b)
+            exact = circular_action(params, a, b)
+            # certify reports total_action's full-pair total on the default grid
+            report = certify(params, a, b)
+            assert report.action == pytest.approx(exact, rel=1e-13)
+            orbit = build_test_orbit(params, a, b)
+            ws = ActionWorkspace.for_system(orbit, m_samples)
+            assert ws.value(*ws.coefficients_of(orbit)) == pytest.approx(exact, rel=1e-13)
+            closest = min(2 * a * math.sin(math.pi / n), math.sqrt(3) * b, abs(a - b))
+            assert report.min_separation == pytest.approx(closest, rel=1e-12)
+
+    def test_equal_radii_refused(self):
+        with pytest.raises(ValueError, match="equal radii"):
+            circular_action(PARAMS4, 0.1, 0.1)
+
+    def test_chain_collision_refused(self):
+        # 3 | N: the test-orbit frequencies are admissible for (6, 9, 3), yet
+        # bodies 1 and 3 coincide, as do the three triple bodies
+        with pytest.raises(ValueError, match="3 divides N = 6"):
+            circular_action(SymmetryParams(6, 9, 3, 3, -6), 0.23, 0.088)
+
+    @pytest.mark.parametrize(
+        "params, a, b, message",
+        [
+            (PARAMS4, 0.0, 0.1, "positive"),
+            (PARAMS4, float("nan"), 0.1, "positive and finite"),
+            (SymmetryParams(4, 7, 5, 12, -16), 0.23, 0.088, "not admissible"),
+        ],
+    )
+    def test_refuses_what_build_test_orbit_refuses(self, params, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            circular_action(params, a, b)
