@@ -42,6 +42,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .symmetry import SymmetryParams, pair_kinds
 
 GORDON_COEFF = 1.5 * (2.0 * math.pi) ** (2.0 / 3.0)
@@ -71,27 +73,35 @@ def gordon_periodic(strength: float, period: float) -> float:
 class TimeLattice:
     """Sorted set of collision ticks modulo L = 3*N*r (tick/L is the time).
 
-    Ticks may come in any order, as any integers: they are reduced mod L,
-    sorted and stored as a tuple of Python ints, and a tick repeated after
-    reduction raises ValueError. An ascending range inside [0, L) is already
-    sorted, distinct and reduced, so it is stored without those checks.
+    Ticks may come in any order, as any integers: they are reduced mod L and
+    sorted, and a tick repeated after reduction raises ValueError. A non-empty
+    set whose sorted ticks form an ascending arithmetic progression is stored
+    as a ``range``, any other set as a tuple of Python ints, so that ``==``
+    and ``hash`` depend only on the tick set. An ascending range inside
+    [0, L) is already sorted, distinct and reduced, so it is stored as given.
     """
 
     modulus: int
-    ticks: tuple[int, ...]
+    ticks: range | tuple[int, ...]
 
     def __post_init__(self):
         m = self.modulus
         ts = self.ticks
         if isinstance(ts, range) and ts.step > 0 and ts.start >= 0 and ts.stop <= m:
-            object.__setattr__(self, "ticks", tuple(ts))
+            if not ts:
+                object.__setattr__(self, "ticks", ())
             return
         ts = sorted(map(int, ts))
         if ts and (ts[0] < 0 or ts[-1] >= m):
             ts = sorted(map(m.__rmod__, ts))
-        if any(map(operator.ge, ts, ts[1:])):
+        steps = set(map(operator.sub, ts[1:], ts))
+        if steps and min(steps) <= 0:
             raise ValueError("duplicate ticks")
-        object.__setattr__(self, "ticks", tuple(ts))
+        if ts and len(steps) <= 1:
+            step = steps.pop() if steps else 1
+            object.__setattr__(self, "ticks", range(ts[0], ts[-1] + 1, step))
+        else:
+            object.__setattr__(self, "ticks", tuple(ts))
 
     @property
     def size(self) -> int:
@@ -100,6 +110,8 @@ class TimeLattice:
     def gaps(self) -> list[int]:
         """Tick counts of the consecutive inter-collision intervals (wrap included)."""
         ts = self.ticks
+        if not ts:
+            return []
         gaps = list(map(operator.sub, ts[1:], ts))
         gaps.append(self.modulus + ts[0] - ts[-1])
         return gaps
@@ -110,7 +122,13 @@ class TimeLattice:
 
     @property
     def is_arithmetic(self) -> bool:
-        return len(set(self.gaps())) == 1
+        """True when every gap is equal: the ticks are one coset of a subgroup of Z_L.
+
+        An empty set is no coset. Only a range can be arithmetic, since every
+        other non-empty set has two different gaps before the wrap.
+        """
+        ts = self.ticks
+        return isinstance(ts, range) and (len(ts) == 1 or self.modulus == ts.step * len(ts))
 
 
 def _canonical(i: int, j: int) -> tuple[int, int]:
@@ -158,7 +176,7 @@ def collision_closure(
     power that reaches it. When two powers reach one pair (only the antipodal
     main seed), their bases differ by L/2 and gap takes the gcd with that
     difference, so the pair's ticks are the union of both cosets. That range
-    is ascending and inside [0, L), so TimeLattice stores it unchecked.
+    is ascending and inside [0, L), so TimeLattice stores it as built.
     """
     n, r = params.n_main, params.r
     L = lattice_modulus(params)
@@ -335,15 +353,18 @@ def _distinct(name: str, denominator: int, *axes: tuple[int, range]) -> LatticeC
     """All ticks sum(c * x) mod denominator over a grid distinct, exact integers.
 
     Each axis is (coefficient c, range of its index x), innermost loop first;
-    the witness lists indices in the same order. A failure's witness pairs
-    the first state in loop order whose tick repeats with the first state
-    that had that tick: ((indices a), (indices b), tick, denominator).
+    the witness lists indices in the same order. The grid is built in int64
+    by outer sums, outermost axis first, so its flat order is the loop order;
+    the largest tick is below 9*N*r, far inside int64, and nothing is a float.
+    A failure's witness pairs the first state in loop order whose tick
+    repeats with the first state that had that tick: ((indices a),
+    (indices b), tick, denominator).
     """
-    ticks = [0]
+    ticks = np.zeros(1, dtype=np.int64)
     for c, x in reversed(axes):
-        ticks = [t + c * i for t in ticks for i in x]
-    ticks = [t % denominator for t in ticks]
-    if len(set(ticks)) == len(ticks):
+        ticks = np.add.outer(ticks, c * np.arange(x.start, x.stop, x.step, dtype=np.int64)).ravel()
+    ticks %= denominator
+    if ticks.size <= denominator and np.bincount(ticks, minlength=denominator).max() <= 1:
         return LatticeCheck(name, True, None)
 
     def indices(flat):
@@ -353,6 +374,7 @@ def _distinct(name: str, denominator: int, *axes: tuple[int, range]) -> LatticeC
             out.append(x[k])
         return tuple(out)
 
+    ticks = ticks.tolist()
     first: dict[int, int] = {}
     repeat = next(k for k, tick in enumerate(ticks) if first.setdefault(tick, k) != k)
     tick = ticks[repeat]

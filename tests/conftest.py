@@ -441,3 +441,28 @@ def oracle_time_lemmas(params: SymmetryParams) -> LatticeCheckReport:
          for k in range(3) for j in range(1, n) for i in range(r)],
         3 * r * n))
     return LatticeCheckReport(params, tuple(checks))
+
+
+# The distinctness scan on one grid as Python list comprehensions: ticks built
+# outermost axis first, so their order is the loop order, and the witness
+# found by one pass over them. The reference for bounds._distinct, which
+# builds the same grid in int64 numpy.
+def oracle_distinct(name: str, denominator: int, *axes) -> LatticeCheck:
+    ticks = [0]
+    for c, x in reversed(axes):
+        ticks = [t + c * i for t in ticks for i in x]
+    ticks = [t % denominator for t in ticks]
+    if len(set(ticks)) == len(ticks):
+        return LatticeCheck(name, True, None)
+
+    def indices(flat):
+        out = []
+        for _, x in axes:
+            flat, k = divmod(flat, len(x))
+            out.append(x[k])
+        return tuple(out)
+
+    first: dict = {}
+    repeat = next(k for k, tick in enumerate(ticks) if first.setdefault(tick, k) != k)
+    tick = ticks[repeat]
+    return LatticeCheck(name, False, (indices(first[tick]), indices(repeat), tick, denominator))

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from choreocert import bounds
 from choreocert.bounds import (
     TimeLattice,
     case_lower_bound,
@@ -24,6 +25,7 @@ from conftest import (
     bfs_closure,
     case_seed,
     oracle_case_bound,
+    oracle_distinct,
     oracle_threshold,
     oracle_time_lemmas,
 )
@@ -112,7 +114,7 @@ class TestClosure:
         lattice = closure[(1, 2)]
         assert lattice.modulus == 84
         assert lattice.size == 21  # 3r
-        assert lattice.ticks == tuple(range(0, 84, 4))  # t = i/(3r)
+        assert lattice.ticks == range(0, 84, 4)  # t = i/(3r)
         adjacent = [(1, 2), (2, 3), (3, 4), (1, 4)]
         assert sorted(closure) == sorted(adjacent)
         assert all(closure[p].size == 21 for p in adjacent)
@@ -122,7 +124,7 @@ class TestClosure:
         closure = collision_closure(params, (1, 3))
         assert sorted(closure) == [(1, 3), (2, 4)]
         assert closure[(1, 3)].size == 42  # 6r
-        assert closure[(1, 3)].ticks == tuple(range(0, 84, 2))
+        assert closure[(1, 3)].ticks == range(0, 84, 2)
 
     def test_cross_seed_reaches_all_cross_pairs(self):
         params = SymmetryParams(4, 7, 3, 3, -4)
@@ -137,12 +139,12 @@ class TestClosure:
         assert sorted(closure) == [(5, 6), (5, 7), (6, 7)]
         base = closure[(5, 6)]
         assert base.size == 28  # N r
-        assert base.ticks == tuple(range(0, 84, 3))
+        assert base.ticks == range(0, 84, 3)
         L = 84
         shifted_23 = tuple(sorted((t + 2 * L // 3) % L for t in base.ticks))
         shifted_13 = tuple(sorted((t + L // 3) % L for t in base.ticks))
-        assert closure[(6, 7)].ticks == shifted_23
-        assert closure[(5, 7)].ticks == shifted_13
+        assert tuple(closure[(6, 7)].ticks) == shifted_23
+        assert tuple(closure[(5, 7)].ticks) == shifted_13
 
     def test_every_lattice_is_arithmetic(self):
         for case in REFERENCE_CASES:
@@ -178,7 +180,7 @@ class TestClosure:
             size = closure[seed].size
             for pair, lattice in closure.items():
                 assert lattice.size == size, (seed, pair)
-                assert lattice.ticks == tuple(range(lattice.ticks[0], L, L // size)), (seed, pair)
+                assert lattice.ticks == range(lattice.ticks[0], L, L // size), (seed, pair)
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_no_seed_pair_repeats(self, n):
@@ -221,8 +223,8 @@ class TestTimeLattice:
 
     def test_out_of_range_ticks_reduced(self):
         assert TimeLattice(84, (-1, 84, 170, 5)).ticks == (0, 2, 5, 83)
-        assert TimeLattice(84, (-3, 5)).ticks == (5, 81)
-        assert TimeLattice(84, (90, 1)).ticks == (1, 6)
+        assert tuple(TimeLattice(84, (-3, 5)).ticks) == (5, 81)
+        assert tuple(TimeLattice(84, (90, 1)).ticks) == (1, 6)
 
     def test_numpy_ticks_become_python_ints(self):
         lattice = TimeLattice(84, np.array([50, -2, 7], dtype=np.int64))
@@ -233,6 +235,64 @@ class TestTimeLattice:
         lattice = TimeLattice(84, ())
         assert lattice.ticks == ()
         assert lattice.size == 0
+
+    def test_empty_lattice_has_no_gaps(self):
+        # an empty tick set is no coset, and it has no intervals to list
+        lattice = TimeLattice(84, ())
+        assert lattice.gaps() == []
+        assert lattice.durations() == []
+        assert not lattice.is_arithmetic
+
+    def test_closure_lattices_are_ranges(self):
+        for params in LATTICE_GRID[:8]:
+            for _, seed in representative_seeds(params):
+                for lattice in collision_closure(params, seed).values():
+                    assert type(lattice.ticks) is range
+
+    @pytest.mark.parametrize(
+        "ticks", [(0, 4, 8), (80, 0, 40), (-3, 5), (42,), (2, 89, 176), tuple(range(1, 84, 2))]
+    )
+    def test_progression_tuples_equal_their_range(self, ticks):
+        lattice = TimeLattice(84, ticks)
+        reduced = sorted(t % 84 for t in ticks)
+        step = reduced[1] - reduced[0] if len(reduced) > 1 else 1
+        built = TimeLattice(84, range(reduced[0], reduced[-1] + 1, step))
+        assert type(lattice.ticks) is range
+        assert lattice == built
+        assert hash(lattice) == hash(built)
+        assert tuple(lattice.ticks) == tuple(reduced)
+
+    @pytest.mark.parametrize(
+        "ticks",
+        [
+            (0, 4, 40, 83),
+            (1, 2, 4),
+            (5, 6, 8, 9),
+            (-1, 84, 170, 5),
+        ],
+    )
+    def test_other_tuples_stay_tuples_of_ints(self, ticks):
+        stored = TimeLattice(84, ticks).ticks
+        assert type(stored) is tuple
+        assert all(type(t) is int for t in stored)
+        assert list(stored) == sorted(t % 84 for t in ticks)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_is_arithmetic_and_gaps_match_the_tick_list(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            m = int(rng.integers(1, 60))
+            if rng.random() < 0.5:
+                step = int(rng.integers(1, m + 1))
+                start = int(rng.integers(0, step))
+                ticks = range(start, int(rng.integers(start, m + 1)), step)
+            else:
+                ticks = rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False).tolist()
+            lattice = TimeLattice(m, ticks)
+            ts = sorted(ticks)
+            gaps = [b - a for a, b in zip(ts, ts[1:])] + ([m + ts[0] - ts[-1]] if ts else [])
+            assert lattice.gaps() == gaps
+            assert lattice.is_arithmetic == (len(set(gaps)) == 1)
 
     @pytest.mark.parametrize("ticks", [(1, 85), (3, 3), (0, -84), (5, 2, 5)])
     def test_duplicate_ticks_rejected(self, ticks):
@@ -245,7 +305,7 @@ class TestTimeLattice:
     def test_ascending_range_matches_tuple(self, ticks):
         lattice = TimeLattice(84, ticks)
         assert lattice == TimeLattice(84, tuple(ticks))
-        assert lattice.ticks == tuple(ticks)
+        assert tuple(lattice.ticks) == tuple(ticks)
 
     @pytest.mark.parametrize(
         "ticks",
@@ -271,7 +331,7 @@ class TestTimeLattice:
     @pytest.mark.parametrize("ticks", [range(0, 84, 4), range(80, 0, -4), range(-7, 70, 12)])
     def test_range_ticks_stored_as_tuple_of_ints(self, ticks):
         stored = TimeLattice(84, ticks).ticks
-        assert type(stored) is tuple
+        assert tuple(stored) == tuple(sorted(t % 84 for t in ticks))
         assert all(type(t) is int for t in stored)
 
 
@@ -417,3 +477,33 @@ class TestTimeLemmas:
         got, want = verify_time_lemmas(params), oracle_time_lemmas(params)
         assert got == want
         assert repr(got) == repr(want)
+
+
+# A seeded draw of (N, r) plus classes whose scans fail: 3 | r fails the
+# thirds scans, and even N with even r the sixths scans.
+_rng = np.random.default_rng(2020)
+SCAN_GRID = sorted(
+    {(int(n), int(r)) for n, r in _rng.integers(1, 61, size=(40, 2))}
+    | {(4, 9), (4, 6), (5, 12), (4, 8), (6, 10), (8, 4), (10, 14), (1, 1), (2, 2), (40, 43)}
+)
+
+
+@pytest.mark.parametrize("n, r", SCAN_GRID)
+def test_scans_match_list_oracle(monkeypatch, n, r):
+    params = SymmetryParams(n, r, 3, 3, -n)
+    got = verify_time_lemmas(params).checks
+    monkeypatch.setattr(bounds, "_distinct", oracle_distinct)
+    want = verify_time_lemmas(params).checks
+    # names, verdicts and witnesses, down to the int type of each entry
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def test_scan_grid_has_failures():
+    failing = {
+        c.name
+        for n, r in SCAN_GRID
+        for c in verify_time_lemmas(SymmetryParams(n, r, 3, 3, -n)).checks
+        if not c.passed
+    }
+    assert {"rotation-vs-thirds", "rotation-vs-sixths"} <= failing
