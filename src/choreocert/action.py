@@ -39,9 +39,8 @@ do not change under a shift. The potential is the weighted sum of the
 representatives' node averages, and the minimum separation is their minimum.
 The representatives need bodies 1..floor(N/2)+1, N+1 and N+2 only, the
 reduced body set; the gradient of the weighted sum reaches the generator
-coefficients through the phase of each reduced row. total_action and certify
-keep the full-pair path on all M nodes, an independent check of this
-reduction.
+coefficients through the phase of each reduced row. total_action keeps the
+full-pair path on all M nodes, an independent check of this reduction.
 
 The phase tables hold e^(2 pi i m k/M) for the domain nodes k. Each entry is
 read from loops.roots_of_unity(M) at m*k mod M, so the workspace computes M
@@ -60,12 +59,13 @@ from .loops import (
     MinSeparation,
     SystemLoop,
     Trajectory,
-    expand_windings,
+    domain_min_separation,
+    domain_windings,
     min_separation,
+    representative_rows,
     require_grid,
     roots_of_unity,
     sample,
-    winding_number,
 )
 from .symmetry import SymmetryParams, pair_kinds
 
@@ -111,19 +111,19 @@ def kinetic_action(system: SystemLoop) -> float:
     return float(km + kt)
 
 
-def _require_separated(d: float, i: int, j: int, k: int) -> None:
-    """Raise on a near-collision sample: distance d of 1-based bodies i, j at node k."""
-    if d < DISTANCE_FLOOR:
+def _require_separated(sep: MinSeparation) -> MinSeparation:
+    """``sep``, or ValueError on a near-collision sample naming its bodies and node."""
+    if sep.distance < DISTANCE_FLOOR:
+        (i, j), k = sep.pair, sep.time_index
         raise ValueError(
-            f"near-collision sample: bodies {i} and {j} at node {k} are {d:.3e} apart"
+            f"near-collision sample: bodies {i} and {j} at node {k} are {sep.distance:.3e} apart"
         )
+    return sep
 
 
 def checked_min_separation(traj: Trajectory) -> MinSeparation:
-    """Minimum separation over all pairs and samples; ValueError on a near-collision."""
-    sep = min_separation(traj)
-    _require_separated(sep.distance, *sep.pair, sep.time_index)
-    return sep
+    """``loops.min_separation`` of a trajectory; ValueError on a near-collision."""
+    return _require_separated(min_separation(traj))
 
 
 def total_action(
@@ -192,13 +192,8 @@ class ActionWorkspace:
         self.main_freqs = np.array(sorted(int(m) for m in main_freqs), dtype=np.int64)
         self.triple_freqs = np.array(sorted(int(m) for m in triple_freqs), dtype=np.int64)
         n = params.n_main
-        kinds = pair_kinds(params)
-        self.bodies = tuple(sorted({body for kind in kinds for body in kind.pair}))
-        self._row = {body: row for row, body in enumerate(self.bodies)}
-        self._pairs = np.array(
-            [[self._row[i], self._row[j]] for i, j in (kind.pair for kind in kinds)], dtype=np.int64
-        )
-        self._weights = np.array([kind.multiplicity for kind in kinds], dtype=float)
+        self.bodies, self._pairs = representative_rows(params)
+        self._weights = np.array([kind.multiplicity for kind in pair_kinds(params)], dtype=float)
         self._n_main_rows = n // 2 + 1
         roots = roots_of_unity(m_samples)
         self._em = _phase_table(self.main_freqs, roots, self.m_domain)   # (F, M/r)
@@ -249,34 +244,13 @@ class ActionWorkspace:
         z = np.concatenate([zm, zt])
         return np.stack([z.real, z.imag], axis=-1)
 
-    def min_separation(self, pos: np.ndarray) -> tuple[float, int, int, int]:
-        """Minimum pair distance of positions(cm, ct): (distance, body i, body j, node).
-
-        Bodies are 1-based; every pair of the full system is a node shift of
-        a representative, so this is the minimum over all pairs and nodes.
-        """
-        d, a, b, k = kernels.min_separation_scan(pos, self._pairs)
-        return d, self.bodies[a], self.bodies[b], k
+    def min_separation(self, pos: np.ndarray) -> MinSeparation:
+        """``loops.domain_min_separation`` of positions(cm, ct), over all pairs and nodes."""
+        return domain_min_separation(pos, self.bodies, self._pairs)
 
     def windings(self, cm: np.ndarray, ct: np.ndarray, pos=None) -> dict[str, list[list[int]]]:
-        """Windings of all same-chain pairs, in the layout of loops.winding_table.
-
-        Each representative pair of ``loops.expand_windings`` is wound over
-        its arc on the M/r domain nodes, which the next domain continues
-        rotated by 2 pi d/r, so the full loop is r such arcs. ``pos`` may pass
-        positions(cm, ct). An undersampled representative raises ValueError
-        as winding_number does.
-        """
-        if pos is None:
-            pos = self.positions(cm, ct)
-        r = self.params.r
-        turn = TWO_PI * self.params.d / r
-        row = self._row
-
-        def wind(i, j):
-            return winding_number(pos[row[i]] - pos[row[j]], (0.0, 0.0), arcs=r, arc_turn=turn)
-
-        return expand_windings(self.params, wind)
+        """``loops.domain_windings`` of positions(cm, ct), which ``pos`` may pass."""
+        return domain_windings(self.params, self.positions(cm, ct) if pos is None else pos)
 
     def kinetic(self, cm: np.ndarray, ct: np.ndarray) -> float:
         return float(
@@ -286,7 +260,7 @@ class ActionWorkspace:
 
     def _checked_positions(self, cm, ct) -> np.ndarray:
         pos = self.positions(cm, ct)
-        _require_separated(*self.min_separation(pos))
+        _require_separated(self.min_separation(pos))
         return pos
 
     def value(self, cm: np.ndarray, ct: np.ndarray, pos=None) -> float:

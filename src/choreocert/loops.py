@@ -30,11 +30,11 @@ times with ``evaluate``, so the g2/g3 residuals of ``group_action_residual``
 compare a shifted generator with an independent evaluation rather than with
 a copy of itself. They agree with the table's samples in the last bits only.
 
-Every same-chain pair is a time shift of a representative pair, or its
-negation: the main and triple entries of ``symmetry.pair_kinds``, (1, 1+s)
-for s = 1..floor(N/2) and (N+1, N+2), the orbits that are also the collision
-cases 1, 2 (or 2'), 3 and 5 of ``bounds``. ``winding_table`` winds the
-representatives and ``expand_windings`` lists them for every pair.
+Every pair distance is a time shift of one of the ``symmetry.pair_kinds``
+representatives, and the loop at t + 1/r is the loop at t rotated by
+2*pi*d/r, so the first M/r nodes, one domain of g1, hold every pair at every
+node. ``domain_windings`` and ``domain_min_separation`` check a loop there;
+``winding_table`` and ``min_separation`` apply them to a trajectory.
 """
 
 from __future__ import annotations
@@ -280,12 +280,8 @@ def group_action_residual(traj: Trajectory, generator: str) -> float:
     """
     if generator not in _GENERATORS:
         raise ValueError(f"generator must be one of {_GENERATORS}")
-    p = traj.params
-    M = traj.m_samples
-    if not valid_grid(p, M):
-        raise ValueError(
-            f"trajectory grid M={M} is not a multiple of lcm(3, N, r) = {p.grid_unit}"
-        )
+    p, M = traj.params, traj.m_samples
+    require_grid(p, M)
     pos = traj.positions
     n = p.n_main
     if generator == "g1":
@@ -337,9 +333,12 @@ def winding_number(points, base, arcs: int = 1, arc_turn: float = 0.0) -> int:
         c, s = math.cos(arc_turn), math.sin(arc_turn)
         end = np.array([[c * end[0, 0] - s * end[0, 1], s * end[0, 0] + c * end[0, 1]]])
     nxt = np.concatenate([rel[1:], end])
-    cross = rel[:, 0] * nxt[:, 1] - rel[:, 1] * nxt[:, 0]
-    dot = rel[:, 0] * nxt[:, 0] + rel[:, 1] * nxt[:, 1]
-    steps = np.arctan2(cross, dot)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = rel[:, 0] * nxt[:, 1] - rel[:, 1] * nxt[:, 0]
+        dot = rel[:, 0] * nxt[:, 0] + rel[:, 1] * nxt[:, 1]
+        steps = np.arctan2(cross, dot)
+    if not np.isfinite(steps).all():
+        raise ValueError("non-finite angle steps: a point is not finite or a product overflows")
     if np.any(np.abs(steps) >= np.pi * (1.0 - 1e-12)):
         raise ValueError("undersampled: angular step >= pi between adjacent samples")
     total = arcs * steps.sum() / TWO_PI
@@ -356,25 +355,52 @@ class MinSeparation:
     distance: float
 
 
-def min_separation(traj: Trajectory) -> MinSeparation:
-    """Global minimum of |q_i - q_j| over pairs and samples; lexicographic ties."""
-    d, i, j, k = kernels.min_separation_scan(traj.positions)
-    return MinSeparation(pair=(i + 1, j + 1), time_index=k, distance=d)
+def representative_rows(params: SymmetryParams) -> tuple[tuple[int, ...], np.ndarray]:
+    """(bodies, pairs): the bodies of the ``pair_kinds`` representatives, ascending
+    (1..floor(N/2)+1, N+1 and N+2), and the (P, 2) rows in ``bodies`` of each
+    representative, in ``pair_kinds`` order."""
+    kinds = pair_kinds(params)
+    bodies = tuple(sorted({body for kind in kinds for body in kind.pair}))
+    pairs = [[bodies.index(i), bodies.index(j)] for i, j in (kind.pair for kind in kinds)]
+    return bodies, np.array(pairs, dtype=np.int64)
 
 
-def expand_windings(params: SymmetryParams, wind) -> dict[str, list[list]]:
-    """Winding table of every same-chain pair, from one winding per representative.
+def _domain_positions(traj: Trajectory) -> np.ndarray:
+    """The rows of ``representative_rows``' bodies on the first M/r nodes, one g1
+    domain: the layout of ``action.ActionWorkspace.positions``."""
+    require_grid(traj.params, traj.m_samples)
+    bodies, _ = representative_rows(traj.params)
+    return traj.positions[np.array(bodies) - 1, : traj.m_samples // traj.params.r]
 
-    ``wind(i, j)`` returns the winding of pair (i, j), 1-based bodies, and is
-    called once per same-chain entry of ``pair_kinds``, in its order: (1, 1+s)
-    for s = 1..floor(N/2), then (N+1, N+2). Main pair (i, j) is pair (1, 1+s)
-    advanced in time, s = j - i, and the negative of pair (1, 1+N-s) advanced
-    in time; neither changes a winding number, so it gets the winding of
-    offset min(s, N-s). Every triple pair gets the triple representative's.
-    Rows are [i, j, w] with i < j, lexicographic, under "main" and "triple".
+
+def domain_min_separation(pos: np.ndarray, bodies, pairs) -> MinSeparation:
+    """Minimum distance over all pairs and nodes, from positions on one g1 domain.
+
+    ``bodies`` and ``pairs`` are ``representative_rows``. The pair is the
+    representative that attains it and time_index a domain node; ties break
+    to the first representative in ``pair_kinds`` order, then the first node.
     """
-    n = params.n_main
-    winds = {(k.kind, k.offset): wind(*k.pair) for k in pair_kinds(params) if k.kind != ROLE_CROSS}
+    d, a, b, k = kernels.min_separation_scan(pos, pairs)
+    return MinSeparation(pair=(bodies[a], bodies[b]), time_index=k, distance=d)
+
+
+def domain_windings(params: SymmetryParams, pos: np.ndarray) -> dict[str, list[list[int]]]:
+    """deg(q_i - q_j) of every main-main and triple-triple pair, from one g1 domain.
+
+    Each same-chain representative is wound as r arcs, each the previous one
+    rotated by 2*pi*d/r. Main pair (i, j), s = j - i, is pair (1, 1+s) and
+    minus pair (1, 1+N-s), both advanced in time, so it winds as offset
+    min(s, N-s); every triple pair winds as (N+1, N+2). Rows are [i, j, w],
+    i < j, lexicographic, under "main" and "triple". A representative that
+    cannot be wound raises ValueError.
+    """
+    n, r, turn = params.n_main, params.r, TWO_PI * params.d / params.r
+    _, pairs = representative_rows(params)
+    winds = {
+        (k.kind, k.offset): winding_number(pos[a] - pos[b], (0.0, 0.0), arcs=r, arc_turn=turn)
+        for k, (a, b) in zip(pair_kinds(params), pairs)
+        if k.kind != ROLE_CROSS
+    }
     triple = winds[ROLE_TRIPLE, 0]
     return {
         "main": [
@@ -393,19 +419,14 @@ def windings_match(params: SymmetryParams, table: dict[str, list[list]]) -> bool
     )
 
 
-def winding_table(traj: Trajectory) -> dict[str, list[list[int]]]:
-    """deg(q_i - q_j) for all main-main and triple-triple pairs, 1-based rows.
+def min_separation(traj: Trajectory) -> MinSeparation:
+    """``domain_min_separation`` of a sampled symmetric loop on its grid."""
+    return domain_min_separation(_domain_positions(traj), *representative_rows(traj.params))
 
-    Winds only the representative pairs over all M samples and expands them
-    with ``expand_windings``, so the trajectory must be that of a symmetric
-    loop, as ``sample`` returns. A representative that cannot be wound
-    (undersampled, or through the origin) raises ValueError.
-    """
-    pos = traj.positions
-    return expand_windings(
-        traj.params,
-        lambda i, j: winding_number(pos[i - 1] - pos[j - 1], (0.0, 0.0)),
-    )
+
+def winding_table(traj: Trajectory) -> dict[str, list[list[int]]]:
+    """``domain_windings`` of a sampled symmetric loop on its grid."""
+    return domain_windings(traj.params, _domain_positions(traj))
 
 
 # -- serialization --------------------------------------------------------------

@@ -14,14 +14,15 @@ cap, gradient tolerance and separation guard. A run is a pure function of
 (start, options): repeated runs are identical bit for bit.
 
 After the descent, ``minimize`` samples the final loop once on the full grid
-and reports its windings, minimum separation, symmetry residual and
-center-of-mass drift: the class check of a descended loop. It certifies only
-a converged loop below the collision threshold, above the separation guard
-and with the class's windings (``loops.windings_match``, as ``certify``).
-It also reports the equations-of-motion residual, ``ode_residual``. Both
-the sample and the residual read the generators' phases from one table of
-M-th roots of unity (``loops.evaluate_ticks``), the table the workspace's
-phase tables are read from.
+and reports its windings and minimum separation (read on one g1 domain, as
+the guards read them), symmetry residual and center-of-mass drift: the
+class check of a descended loop. It certifies only a converged loop below
+the collision threshold, above the separation guard and with the class's
+windings (``loops.windings_match``, as ``certify``). It also reports the
+equations-of-motion residual, ``ode_residual``. Both the sample and the
+residual read the generators' phases from one table of M-th roots of unity
+(``loops.evaluate_ticks``), the table the workspace's phase tables are read
+from.
 """
 
 from __future__ import annotations
@@ -112,7 +113,6 @@ class MinimizeResult:
     def to_dict(self) -> dict:
         from .loops import system_to_dict
 
-        ms = self.min_separation
         return {
             "loop": system_to_dict(self.system),
             "action": self.action,
@@ -123,11 +123,7 @@ class MinimizeResult:
             "ode_residual": self.ode_residual,
             "windings": self.windings,
             "windings_preserved": self.windings_preserved,
-            "min_separation": {
-                "pair": list(ms.pair),
-                "time_index": ms.time_index,
-                "distance": ms.distance,
-            },
+            "min_separation": asdict(self.min_separation),
             "symmetry_residual": self.symmetry_residual,
             "com_drift": self.com_drift,
             "threshold": self.threshold,
@@ -186,7 +182,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
     cm, ct = ws.project(*ws.coefficients_of(start))
 
     pos = ws.positions(cm, ct)
-    start_minsep = ws.min_separation(pos)[0]
+    start_minsep = ws.min_separation(pos).distance
     if start_minsep < options.eps_sep:
         raise ValueError(
             f"separation guard hit at start: min separation {start_minsep:.3e} "
@@ -215,7 +211,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
         cmn, ctn = ws.project(*_unpack(base + step * direction, nm))
         xn = _pack(cmn, ctn)
         pos = ws.positions(cmn, ctn)
-        minsep = ws.min_separation(pos)[0]
+        minsep = ws.min_separation(pos).distance
         if minsep < options.eps_sep:
             return None
         return xn, cmn, ctn, pos, minsep

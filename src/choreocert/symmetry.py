@@ -91,7 +91,8 @@ def compatibility_check(params: SymmetryParams) -> CompatibilityResult:
 
     Returns an ok result exactly when all conditions hold; otherwise lists
     every violated condition by name. Invalid input is a reported outcome,
-    never an exception.
+    never an exception. gcd(N, r) = g > 1 makes g divide d and every main
+    frequency, so main bodies i and i + N/g coincide in every loop.
     """
     n, r, d, k1, k2 = params.n_main, params.r, params.d, params.k1, params.k2
     violations = []
@@ -112,6 +113,9 @@ def compatibility_check(params: SymmetryParams) -> CompatibilityResult:
             violations.append("k1 != d (mod r)")
         if (k2 - d) % r != 0:
             violations.append("k2 != d (mod r)")
+    g = math.gcd(n, r)
+    if n >= 1 and r >= 2 and g != 1:
+        violations.append(f"gcd(N,r) = {g} != 1: main bodies i and i+{n // g} coincide")
     return CompatibilityResult(ok=not violations, violations=tuple(violations))
 
 

@@ -39,6 +39,9 @@ def build_test_orbit(params: SymmetryParams, a: float, b: float) -> SystemLoop:
     if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b > 0):
         raise ValueError("radii must be positive and finite")
     n = params.n_main
+    main, triple = 6 * math.pi * a, 2 * math.pi * n * b  # the bodies' speeds
+    if not math.isfinite(0.5 * n * main * main + 1.5 * triple * triple):
+        raise ValueError(f"radii a={a!r}, b={b!r}: the test orbit's kinetic action overflows")
     for role, m in ((ROLE_MAIN, 3), (ROLE_TRIPLE, -n)):
         if not frequency_allowed(params, role, m):
             raise ValueError(

@@ -260,6 +260,16 @@ def all_pairs_winding_table(traj) -> dict:
     return table
 
 
+def all_pairs_min_separation(traj) -> float:
+    """Reference for loops.min_separation: every pair's distance at every node."""
+    pos = traj.positions
+    return min(
+        float(np.hypot(*(pos[i] - pos[j]).T).min())
+        for i in range(traj.n_bodies)
+        for j in range(i + 1, traj.n_bodies)
+    )
+
+
 def brute_force_frequencies(params: SymmetryParams, role: str, cutoff: int) -> list[int]:
     """Literal congruence scan used as the oracle for allowed_frequencies."""
     anchor = 3 if role == ROLE_MAIN else params.n_main

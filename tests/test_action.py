@@ -21,6 +21,7 @@ from choreocert.testorbits import build_test_orbit
 
 from conftest import (
     REFERENCE_CASES,
+    all_pairs_min_separation,
     all_pairs_winding_table,
     brute_potential,
     circular_kinetic,
@@ -271,7 +272,21 @@ class TestFundamentalDomain:
         assert np.abs(grad - ref_grad).max() <= 1e-11 * max(1.0, np.abs(grad).max())
         sep = kernels.min_separation_scan(ws.positions(cm, ct))[0]
         assert abs(sep - ref_sep) <= 1e-13 * ref_sep
-        assert ws.windings(cm, ct) == winding_table(sample(system, m_samples))
+        table = all_pairs_winding_table(direct_trajectory(system, m_samples))
+        assert ws.windings(cm, ct) == table
+
+    @pytest.mark.parametrize(
+        "params", DOMAIN_FAMILIES, ids=lambda p: f"N{p.n_main}r{p.r}"
+    )
+    def test_min_separation_names_a_representative(self, params):
+        system = random_admissible_system(params, 48, seed=300 * params.n_main + params.r)
+        m_samples = params.default_grid()
+        ws = ActionWorkspace.for_system(system, m_samples)
+        info = ws.min_separation(ws.positions(*ws.coefficients_of(system)))
+        want = all_pairs_min_separation(direct_trajectory(system, m_samples))
+        assert abs(info.distance - want) <= 1e-13 * want
+        assert info.pair in {kind.pair for kind in pair_kinds(params)}
+        assert 0 <= info.time_index < ws.m_domain
 
     def test_windings_differ_by_offset(self):
         # frequency -18 cancels in pair (1, 3) (offset 2) but dominates the
@@ -279,7 +294,7 @@ class TestFundamentalDomain:
         system = offset_loop(-18)
         ws = ActionWorkspace.for_system(system, 1344)
         table = ws.windings(*ws.coefficients_of(system))
-        assert table == winding_table(sample(system, 1344))
+        assert table == all_pairs_winding_table(direct_trajectory(system, 1344))
         assert {w for _, _, w in table["main"]} == {-18, 3}
 
     def test_domain_arc_agrees_on_undersampled_grids(self):
@@ -290,7 +305,7 @@ class TestFundamentalDomain:
             ws = ActionWorkspace.for_system(system, m_samples)
             cm, ct = ws.coefficients_of(system)
             table = ws.windings(cm, ct, ws.positions(cm, ct))
-            assert table == winding_table(sample(system, m_samples))
+            assert table == all_pairs_winding_table(direct_trajectory(system, m_samples))
         assert {w for _, _, w in table["main"]} == {-102, 3}
 
     @pytest.mark.parametrize("m_samples", [30, 480])
@@ -300,7 +315,7 @@ class TestFundamentalDomain:
         system = half_turn_loop()
         ws = ActionWorkspace.for_system(system, m_samples)
         with pytest.raises(ValueError, match="undersampled"):
-            winding_table(sample(system, m_samples))
+            all_pairs_winding_table(direct_trajectory(system, m_samples))
         with pytest.raises(ValueError, match="undersampled"):
             ws.windings(*ws.coefficients_of(system))
 
@@ -334,7 +349,7 @@ class TestFundamentalDomain:
             ws.value(cm, ct)
         i, j = (int(b) for b in re.search(r"bodies (\d+) and (\d+)", str(err.value)).groups())
         assert 1 <= i <= 4 < j <= 7
-        assert ws.min_separation(ws.positions(cm, ct))[1:3] == (i, j)
+        assert ws.min_separation(ws.positions(cm, ct)).pair == (i, j)
 
 
 def _moved(body: int, n: int, c: int, e: int) -> int:

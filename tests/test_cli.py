@@ -18,6 +18,9 @@ def run_cli(capsys, *argv):
 
 
 PARAMS4 = ["--n", "4", "--r", "7", "--d", "3", "--k1", "3", "--k2", "-4"]
+RADII4 = ["--a", "0.23", "--b", "0.088"]
+# gcd(N, r) = 2, a class every one of whose loops has coinciding main bodies
+GCD2_CLASS = ["--n", "4", "--r", "2", "--d", "0", "--k1", "6", "--k2", "4"]
 
 
 class TestBounds:
@@ -49,6 +52,15 @@ class TestBounds:
         )
         assert code == 2
         assert "gcd(N,3) != 1" in err
+
+    @pytest.mark.parametrize("argv", [["bounds"], ["lemmas"], ["certify", *RADII4],
+                                      ["minimize", *RADII4]], ids=lambda argv: argv[0])
+    def test_coinciding_main_bodies_exit_2(self, capsys, argv):
+        # gcd(N, r) = 2: bodies i and i+2 coincide in every loop of the class
+        code, out, err = run_cli(capsys, *argv, *GCD2_CLASS)
+        assert code == 2
+        assert "gcd(N,r) = 2 != 1: main bodies i and i+2 coincide" in err
+        assert "85.5470" not in out
 
     def test_missing_params_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds")
@@ -100,6 +112,16 @@ class TestCertify:
         code, _, err = run_cli(capsys, "certify", *PARAMS4, "--a", radii[0], "--b", radii[1])
         assert code == 2
         assert "radii must be positive and finite" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["certify", "minimize"])
+    def test_overflowing_radii_exit_2(self, capsys, tmp_path, command):
+        out = ["--out", str(tmp_path / "m.json")] if command == "minimize" else []
+        code, _, err = run_cli(capsys, command, *PARAMS4, "--a", "1e300", "--b", "0.088", *out)
+        assert code == 2
+        assert "radii a=1e+300, b=0.088" in err
+        assert "NaN" not in err and "Warning" not in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("grid", ["0", "-84", "85"])
     def test_bad_grid_exit_2(self, capsys, grid):
@@ -348,6 +370,11 @@ class TestLemmas:
         assert code == 2
         assert "N >= 1 and r >= 1" in err
         assert "PASS" not in out
+
+    def test_force_scans_coinciding_main_bodies(self, capsys):
+        code, out, _ = run_cli(capsys, "lemmas", *GCD2_CLASS, "--force")
+        assert code in (0, 1)
+        assert out.count("PASS") + out.count("FAIL") == 5
 
     def test_force_scans_n_multiple_of_3(self, capsys):
         code, out, _ = run_cli(capsys, "lemmas", "--n", "6", "--r", "7", "--force")

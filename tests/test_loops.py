@@ -24,11 +24,12 @@ from choreocert.loops import (
     winding_table,
     windings_match,
 )
-from choreocert.symmetry import SymmetryParams
+from choreocert.symmetry import SymmetryParams, pair_kinds
 from choreocert.testorbits import build_test_orbit
 
 from conftest import (
     REFERENCE_CASES,
+    all_pairs_min_separation,
     all_pairs_winding_table,
     direct_trajectory,
     longdouble_generator,
@@ -254,6 +255,19 @@ class TestWinding:
         with pytest.raises(ValueError, match="undersampled"):
             winding_number(pts, (0.0, 0.0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_overflowing_products_rejected(self, scale):
+        # the cross and dot products of neighbouring points overflow to
+        # inf - inf; the refusal names the steps and numpy stays silent
+        t = np.arange(64) / 64
+        pts = scale * np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=1)
+        with pytest.raises(ValueError, match="non-finite angle steps"):
+            winding_number(pts, (0.0, 0.0))
+        with pytest.raises(ValueError, match="non-finite angle steps"):
+            winding_number(np.full((8, 2), np.nan), (0.0, 0.0))
+        assert winding_number(pts / scale * 1e150, (0.0, 0.0)) == 1
+
 
 class TestMinSeparation:
     def test_reference_orbit_cross_pair(self, orbit4):
@@ -263,6 +277,29 @@ class TestMinSeparation:
         i, j = info.pair
         assert i <= 4 < j  # every same-curve pair stays strictly farther apart
         assert abs(info.distance - (0.23 - 0.088)) <= 2e-3
+
+    @pytest.mark.parametrize("params", SHIFT_FAMILIES, ids=lambda p: f"N{p.n_main}r{p.r}")
+    def test_representative_on_one_domain_matches_all_pairs(self, params):
+        # sampled by index shifts or body by body, the minimum read from the
+        # representatives on M/r nodes is the minimum over every pair and node
+        representatives = {kind.pair for kind in pair_kinds(params)}
+        for cutoff in (24, 96):
+            system = random_admissible_system(params, cutoff, seed=200 * params.n_main + cutoff)
+            m_samples = params.default_grid()
+            for traj in (sample(system, m_samples), direct_trajectory(system, m_samples)):
+                info = min_separation(traj)
+                want = all_pairs_min_separation(traj)
+                assert abs(info.distance - want) <= 1e-13 * want
+                assert info.pair in representatives
+                assert 0 <= info.time_index < m_samples // params.r
+
+
+class TestOffGridTrajectory:
+    @pytest.mark.parametrize("check", [min_separation, winding_table])
+    def test_names_the_grid(self, orbit4, check):
+        # 1000 nodes hold no whole g1 domain of lcm(3, 4, 7) = 84
+        with pytest.raises(ValueError, match=r"M=1000 must be .* lcm\(3, N, r\) = 84"):
+            check(direct_trajectory(orbit4, 1000))
 
 
 def _projected(system: SystemLoop) -> SystemLoop:

@@ -11,7 +11,13 @@ from choreocert.symmetry import (
     pair_kinds,
 )
 
-from conftest import REFERENCE_CASES, brute_force_frequencies
+import math
+
+import numpy as np
+
+from choreocert.loops import sample
+
+from conftest import REFERENCE_CASES, brute_force_frequencies, random_admissible_system
 
 
 class TestCompatibility:
@@ -40,6 +46,36 @@ class TestCompatibility:
         assert "k1 != d (mod r)" in result.violations
         result = compatibility_check(SymmetryParams(4, 7, 3, 3, -8))
         assert "k2 != d (mod r)" in result.violations
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 8, 10])
+    def test_refused_exactly_when_main_bodies_coincide(self, n):
+        # every (r, d) with a k1 and a k2 that satisfy the other conditions:
+        # the class is refused exactly when a seeded random loop has two main
+        # bodies at distance 0 on every node; triple and cross pairs never are
+        for r in (2, 4, 5, 7, 8, 10):
+            for d in range(r):
+                k2 = next((k for k in range(0, n * r, n) if (k - d) % r == 0), None)
+                if k2 is None:
+                    continue
+                k1 = next(k for k in range(0, 3 * r, 3) if (k - d) % r == 0)
+                params = SymmetryParams(n, r, d, k1, k2)
+                violations = compatibility_check(params).violations
+                system = random_admissible_system(params, 2 * n * r, seed=n * r + d, min_sep=0.0)
+                pos = sample(system, 2 * params.grid_unit).positions
+                farthest = {
+                    (i, j): np.hypot(*(pos[i] - pos[j]).T).max()
+                    for i in range(n + 3) for j in range(i + 1, n + 3)
+                }
+                forced = {pair for pair, far in farthest.items() if far <= 1e-12}
+                g = math.gcd(n, r)
+                assert bool(forced) == (g != 1), params
+                assert all(i < j < n for i, j in forced)
+                if g == 1:
+                    assert violations == ()
+                else:
+                    assert violations == (
+                        f"gcd(N,r) = {g} != 1: main bodies i and i+{n // g} coincide",)
+                    assert (0, n // g) in forced
 
     def test_small_n_reported(self):
         result = compatibility_check(SymmetryParams(2, 7, 3, 3, -2))

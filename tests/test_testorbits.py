@@ -74,6 +74,17 @@ class TestBuildTestOrbit:
         with pytest.raises(ValueError, match="radii must be positive and finite"):
             build_test_orbit(PARAMS4, a, b)
 
+    @pytest.mark.parametrize("a, b", [(1e300, 0.088), (0.23, 1e200), (1e154, 1e154)])
+    def test_overflowing_kinetic_action_refused(self, a, b):
+        # finite radii whose kinetic action (N/2)(6 pi a)^2 + (3/2)(2 pi N b)^2
+        # overflows float64 are refused, named, before any sampling
+        with pytest.raises(ValueError, match="kinetic action overflows") as err:
+            build_test_orbit(PARAMS4, a, b)
+        assert f"radii a={a!r}, b={b!r}:" in str(err.value)
+        with pytest.raises(ValueError, match="kinetic action overflows"):
+            circular_action(PARAMS4, a, b)
+        assert build_test_orbit(PARAMS4, 1e150, 1e150).main.coeffs[0] == 1e150
+
 
 class TestCertify:
     def test_reference_cases_certified(self, reference_case):
@@ -108,7 +119,8 @@ class TestCertify:
         assert report.margin < 0  # the verdict follows the sign, nothing else
 
     def test_reports_the_full_pair_scan(self):
-        # the reported separation and action are the full-pair, full-grid ones
+        # the reported separation is loops.min_separation's (the representative
+        # pairs on M/r nodes) and the action the full-pair, full-grid one
         report = certify(PARAMS4, 0.23, 0.088, 1344)
         traj = sample(build_test_orbit(PARAMS4, 0.23, 0.088), 1344)
         assert report.min_separation == min_separation(traj).distance
