@@ -228,7 +228,7 @@ def _winding_summary(windings: dict) -> str:
         if len(values) == 1:
             parts.append(f"{key}:{values.pop()}")
         else:
-            parts.append(f"{key}:mixed{sorted(v for v in values if v is not None)}")
+            parts.append(f"{key}:mixed{sorted(values)}")
     return ",".join(parts)
 
 

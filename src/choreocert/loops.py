@@ -125,6 +125,15 @@ class SystemLoop:
                         f"frequency {m} not admissible for role {spec.role!r} "
                         f"with params {self.params}"
                     )
+        # Every |q(t)| is at most R = sum |c_m| + sum |b_m|, so pair distances
+        # stay below 2R, and pair_forces cubes them.
+        reach = sum(math.hypot(c.real, c.imag) for spec in (self.main, self.triple)
+                    for c in spec.coeffs)
+        if not math.isfinite(8.0 * reach * reach * reach):
+            raise ValueError(
+                f"coefficient moduli sum to R = {reach:.6g}: pair forces cube "
+                "distances up to 2R, and (2R)^3 overflows float64"
+            )
 
     def body_shift(self, body: int) -> float:
         """Time shift applied to the generator to obtain body ``body`` (1-based)."""

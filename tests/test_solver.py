@@ -156,6 +156,37 @@ class TestMinimize:
         assert set(recorded) == {f.name for f in dataclasses.fields(MinimizeOptions)}
         assert recorded == dataclasses.asdict(converged4.options)
 
+    def test_no_iteration_costs_one_evaluation(self):
+        options = MinimizeOptions(cutoff=24, m_samples=1344, max_iterations=0)
+        res = minimize(build_test_orbit(PARAMS4, 0.23, 0.088), options)
+        assert res.termination == "max_iterations"
+        assert (res.iterations, res.evaluations, len(res.log)) == (0, 1, 1)
+
+    def test_evaluations_count_the_start_and_every_guarded_probe(self, monkeypatch):
+        # one action value per evaluation: the start's, and one per probe
+        # that clears the separation guard, accepted or not
+        calls = {"value": 0, "scan": 0}
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(action.ActionWorkspace, "value",
+                            counted("value", action.ActionWorkspace.value))
+        monkeypatch.setattr(action.ActionWorkspace, "min_separation",
+                            counted("scan", action.ActionWorkspace.min_separation))
+        system = build_test_orbit(PARAMS4, 0.23, 0.088)
+        for cutoff, multiple in ((24, 1), (48, 2), (96, 4)):
+            calls.update(value=0, scan=0)
+            res = minimize(system, MinimizeOptions(cutoff=cutoff, m_samples=multiple * 1344))
+            assert res.termination == "converged"
+            assert res.iterations + 1 <= res.evaluations
+            assert res.evaluations == calls["value"]
+            assert res.evaluations <= calls["scan"]  # the start's scan and every probe's
+            system = res.system
+
 
 class TestOdeResidual:
     def test_equilateral_ring_oracle(self):

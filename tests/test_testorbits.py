@@ -83,7 +83,13 @@ class TestBuildTestOrbit:
         assert f"radii a={a!r}, b={b!r}:" in str(err.value)
         with pytest.raises(ValueError, match="kinetic action overflows"):
             circular_action(PARAMS4, a, b)
-        assert build_test_orbit(PARAMS4, 1e150, 1e150).main.coeffs[0] == 1e150
+
+    def test_overflowing_pair_forces_refused(self):
+        # a finite kinetic action whose pair forces still overflow: every
+        # pair distance stays below 2R = 2(a + b), and (2R)^3 must be finite
+        with pytest.raises(ValueError, match=r"sum to R = 2e\+150: pair forces cube"):
+            build_test_orbit(PARAMS4, 1e150, 1e150)
+        assert build_test_orbit(PARAMS4, 1e102, 1e102).main.coeffs[0] == 1e102
 
 
 class TestCertify:
