@@ -94,7 +94,11 @@ def pair_forces(pos, pairs=None, weights=None) -> np.ndarray:
     """
     ii, jj, diff = _pair_differences(pos, pairs)
     d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
-    g = -diff / (d2 * np.sqrt(d2))[..., None]
+    cube = np.sqrt(d2)
+    cube *= d2
+    # the gathered differences are a fresh array: -diff / |diff|^3 in place
+    g = np.negative(diff, out=diff)
+    np.divide(g, cube[..., None], out=g)
     w = np.ones(len(ii)) if weights is None else np.asarray(weights, dtype=np.float64)
     incidence = np.zeros((len(pos), len(ii)))
     cols = np.arange(len(ii))

@@ -24,7 +24,8 @@ and body N+j is the triple generator read (j-1)*M/3 nodes later, so only the
 two generators are evaluated on the grid, from the table, and the other
 bodies are index shifts of them. Main frequencies are multiples of 3 and
 triple frequencies multiples of N, so the table makes the main generator
-repeat every M/3 nodes and the triple generator every M/N nodes, bit for bit.
+repeat every M/3 nodes and the triple generator every M/N nodes, bit for bit,
+and each generator is summed over that one period only.
 Bodies 2 and N+2 are the exception: each is evaluated directly at its own
 times with ``evaluate``, so the g2/g3 residuals of ``group_action_residual``
 compare a shifted generator with an independent evaluation rather than with
@@ -187,13 +188,19 @@ def evaluate(
     return tuple(planar) if isinstance(derivative, tuple) else planar[0]
 
 
+@functools.lru_cache(maxsize=1)
 def roots_of_unity(m_samples: int) -> np.ndarray:
     """e^(2*pi*i*k/M) for k = 0..M-1, each entry one complex exponential.
 
     On a grid of M nodes the phase of frequency m at node k is the entry at
-    m*k mod M, an exact integer index.
+    m*k mod M, an exact integer index. The table of the last grid asked for
+    is kept and shared, read-only: a descent builds it once for its
+    workspace, its final ``sample`` and its ``solver.ode_residual``, and no
+    table outlives the next grid.
     """
-    return np.exp((TWO_PI / m_samples) * 1j * np.arange(m_samples))
+    roots = np.exp((TWO_PI / m_samples) * 1j * np.arange(m_samples))
+    roots.setflags(write=False)
+    return roots
 
 
 def evaluate_ticks(
@@ -247,26 +254,30 @@ def sample(system: SystemLoop, m_samples: int) -> Trajectory:
     """Sample all bodies at t_k = k/M. M must be a multiple of lcm(3, N, r).
 
     Evaluates four bodies, whatever N is: the generators 1 and N+1 from the
-    table of M-th roots of unity (``evaluate_ticks``), whose samples fill the
-    other rows of their chain as two slice copies each, and bodies 2 and N+2
-    with ``evaluate`` at their own times (see the module docstring).
+    table of M-th roots of unity (``evaluate_ticks``), and bodies 2 and N+2
+    with ``evaluate`` at their own times (see the module docstring). The
+    table makes a generator repeat bit for bit every M/3 nodes (main) or M/N
+    nodes (triple), so it is summed over that one period only. Each row of
+    its chain is then filled with the period, as a tile that starts where
+    the row's time shift puts it.
     """
     params = system.params
     require_grid(params, m_samples)
-    nodes = np.arange(m_samples)
-    times = nodes / m_samples
+    times = np.arange(m_samples) / m_samples
     roots = roots_of_unity(m_samples)
     n = params.n_main
     pos = np.empty((params.n_bodies, m_samples, 2))
     vel = np.empty((params.n_bodies, m_samples, 2))
-    for first, chain in ((0, n), (n, 3)):
-        position, velocity = evaluate_ticks(system.generator_for(first + 1), roots, nodes, (0, 1))
+    for first, chain, period in ((0, n, m_samples // 3), (n, 3, m_samples // n)):
+        spec = system.generator_for(first + 1)
+        # one period, twice over, so every rotation of it is a slice
+        tiles = [np.concatenate([samples, samples])
+                 for samples in evaluate_ticks(spec, roots, np.arange(period), (0, 1))]
         for row, start in enumerate(range(0, m_samples, m_samples // chain), first):
-            # this row's body reads its generator `start` nodes later, wrapping at M
-            tail = m_samples - start
-            for out, samples in ((pos, position), (vel, velocity)):
-                out[row, :tail] = samples[start:]
-                out[row, tail:] = samples[:start]
+            # this row's body reads its generator `start` nodes later
+            start %= period
+            for out, tile in zip((pos, vel), tiles):
+                out[row].reshape(-1, period, 2)[:] = tile[start:start + period]
         pos[first + 1], vel[first + 1] = evaluate(system, first + 2, times, derivative=(0, 1))
     return Trajectory(params, m_samples, times, pos, vel)
 
@@ -286,6 +297,12 @@ def group_action_residual(traj: Trajectory, generator: str) -> float:
     g1 rotates by 2*pi*d/r and shifts time by 1/r; g2 shifts by 1/3 and cycles
     the triple chain; g3 shifts by 1/N and cycles the main chain. Zero residual
     (<= 1e-10) means the sampled loop lies in the symmetric fixed-point space.
+
+    The generator is applied one body row at a time into one (M, 2) buffer,
+    so the working set is a row, not a copy of the trajectory. Each element
+    gets the float operations it gets on the whole array at once, and the
+    maximum is exact, so the result does not depend on how rows are grouped.
+    A NaN anywhere gives nan.
     """
     if generator not in _GENERATORS:
         raise ValueError(f"generator must be one of {_GENERATORS}")
@@ -297,21 +314,32 @@ def group_action_residual(traj: Trajectory, generator: str) -> float:
         shift = M // p.r
         theta = -TWO_PI * p.d / p.r
         c, s = math.cos(theta), math.sin(theta)
-        acted = np.empty_like(pos)
-        acted[..., 0] = c * pos[..., 0] - s * pos[..., 1]
-        acted[..., 1] = s * pos[..., 0] + c * pos[..., 1]
+        sources = range(len(pos))
     elif generator == "g2":
         shift = M // 3
-        acted = pos[list(range(n)) + [n + 2, n, n + 1]]
+        sources = list(range(n)) + [n + 2, n, n + 1]
     else:
         shift = M // n
-        acted = pos[[n - 1] + list(range(n - 1)) + [n, n + 1, n + 2]]
-    # (g.q) at node k is `acted` read `shift` nodes later, wrapping at M; the
-    # largest distance is the root of the largest square, as sqrt is monotone
+        sources = [n - 1] + list(range(n - 1)) + [n, n + 1, n + 2]
     shift %= M
-    diffs = [acted[:, shift:] - pos[:, :M - shift], acted[:, :shift] - pos[:, M - shift:]]
-    squares = [(diff[..., 0] ** 2 + diff[..., 1] ** 2).max() for diff in diffs if diff.size]
-    return math.sqrt(np.max(squares))
+    acted, square = np.empty((M, 2)), np.empty(M)
+    peaks = np.empty(len(sources))
+    for body, source in enumerate(sources):
+        if generator == "g1":
+            x, y = pos[source, :, 0], pos[source, :, 1]
+            acted[:, 0] = c * x - s * y
+            acted[:, 1] = s * x + c * y
+        else:
+            acted[...] = pos[source]
+        # (g.q) of this body at node k is `acted` read `shift` nodes later,
+        # wrapping at M: node k + shift of `acted` is compared with node k
+        acted[shift:] -= pos[body, :M - shift]
+        acted[:shift] -= pos[body, M - shift:]
+        np.multiply(acted, acted, out=acted)
+        peaks[body] = np.add(acted[:, 0], acted[:, 1], out=square).max()
+    # the largest distance is the root of the largest square, as sqrt is
+    # monotone; np.max keeps a NaN where Python's max could drop it
+    return math.sqrt(peaks.max())
 
 
 def max_symmetry_residual(traj: Trajectory) -> float:

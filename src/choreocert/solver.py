@@ -12,9 +12,10 @@ Both regimes run one backtracking line search over the steps 1, 1/2, 1/4,
 ... down to 1e-18. Each probe is projected onto zero center of mass, sampled
 on one g1 domain and rejected if its minimum pair separation falls below the
 guard. A probe that clears the guard costs one evaluation, its action value,
-and is accepted by the regime's test: the Armijo condition, or in the flat
-regime an action at most f_floor, a few hundred ulps above the current one,
-and a gradient norm at most 0.999 of the current one. The gradient is
+and is accepted by the regime's test: the Armijo condition with a decrease
+f + ARMIJO*step*slope < f resolvable in float64, or in the flat regime an
+action at most f_floor, a few hundred ulps above the current one, and a
+gradient norm at most 0.999 of the current one. The gradient is
 computed only for a probe whose value passes. If a flat search fails along
 the L-BFGS direction, it is retried once along the preconditioned steepest
 descent direction with the history cleared. An accepted probe must keep
@@ -40,7 +41,7 @@ windings (``loops.windings_match``, as ``certify``). It also reports the
 equations-of-motion residual, ``ode_residual``. Both the sample and the
 residual read the generators' phases from one table of M-th roots of unity
 (``loops.evaluate_ticks``), the table the workspace's phase tables are read
-from.
+from; ``loops.roots_of_unity`` keeps it, so the descent builds it once.
 """
 
 from __future__ import annotations
@@ -244,7 +245,9 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
             if minsep >= options.eps_sep:
                 evaluations += 1
                 fn = ws.value(cmn, ctn, pos)
-                if fn <= (f_floor if flat else f + ARMIJO * step * slope):
+                # an Armijo target that rounds to f asks for no decrease at all
+                target = f + ARMIJO * step * slope
+                if (fn <= f_floor) if flat else (fn <= target < f):
                     gn = _pack(*ws.gradient(cmn, ctn, pos))
                     if not flat or np.linalg.norm(gn) <= 0.999 * gnorm:
                         return _pack(cmn, ctn), fn, gn, minsep, step, (cmn, ctn, pos)

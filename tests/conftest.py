@@ -248,6 +248,23 @@ def direct_phase_table(freqs: np.ndarray, roots: np.ndarray, m_nodes: int) -> np
     return np.exp((2.0 * np.pi / m_samples) * 1j * ticks)
 
 
+def gathered_pair_forces(pos, pairs=None, weights=None) -> np.ndarray:
+    """Reference for kernels.pair_forces: -diff/|diff|^3 as one expression on the
+    gathered differences, contracted over pairs by the dense (B, P) incidence."""
+    pos = np.asarray(pos, dtype=np.float64)
+    table = kernels.pair_index_table(len(pos)) if pairs is None else np.asarray(pairs, np.int64)
+    ii, jj = table.T
+    diff = pos[ii] - pos[jj]
+    d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
+    g = -diff / (d2 * np.sqrt(d2))[..., None]
+    w = np.ones(len(ii)) if weights is None else np.asarray(weights, dtype=np.float64)
+    incidence = np.zeros((len(pos), len(ii)))
+    cols = np.arange(len(ii))
+    incidence[ii, cols] = w
+    incidence[jj, cols] = -w
+    return np.tensordot(incidence, g, axes=(1, 0))
+
+
 def all_pairs_winding_table(traj) -> dict:
     """Reference for loops.winding_table: every same-chain pair wound on its own."""
     n = traj.params.n_main

@@ -5,7 +5,7 @@ from choreocert import kernels
 from choreocert.loops import sample
 from choreocert.symmetry import pair_kinds
 from choreocert.testorbits import build_test_orbit
-from conftest import REFERENCE_CASES
+from conftest import REFERENCE_CASES, gathered_pair_forces
 
 
 @pytest.fixture
@@ -229,6 +229,29 @@ def test_table_scan_kernels_bit_identical_to_one_gather(random_positions):
         want_means, want_min = one_gather_scan(pos, pairs)
         assert np.array_equal(kernels.pair_mean_inverse_distance(pos, pairs), want_means)
         assert kernels.min_separation_scan(pos, pairs) == want_min
+
+
+def test_pair_forces_bit_identical_to_gathered_formula(random_positions):
+    weights = np.linspace(0.5, 10.5, len(kernels.pair_index_table(7)))
+    for pairs, w in [(None, None), (None, weights), (TABLE, None), (TABLE, TABLE_WEIGHTS)]:
+        assert np.array_equal(kernels.pair_forces(random_positions, pairs, w),
+                              gathered_pair_forces(random_positions, pairs, w))
+
+
+def test_pair_forces_bit_identical_to_gathered_formula_on_orbits(reference_case):
+    # every pair of the full grid, and the representatives weighted by their
+    # multiplicities on one g1 domain, as the solver calls it
+    params = reference_case["params"]
+    pos = _orbit_sample(reference_case).positions
+    kinds = pair_kinds(params)
+    bodies = sorted({body for kind in kinds for body in kind.pair})
+    reps = np.array([[bodies.index(i), bodies.index(j)] for i, j in (k.pair for k in kinds)])
+    weights = np.array([kind.multiplicity for kind in kinds], dtype=float)
+    reduced = np.ascontiguousarray(pos[[b - 1 for b in bodies], :pos.shape[1] // params.r])
+    assert np.array_equal(kernels.pair_forces(pos), gathered_pair_forces(pos))
+    for w in (None, weights):
+        assert np.array_equal(kernels.pair_forces(reduced, reps, w),
+                              gathered_pair_forces(reduced, reps, w))
 
 
 def test_repeated_calls_bit_identical(random_positions):

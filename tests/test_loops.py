@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from choreocert.loops import (
     winding_table,
     windings_match,
 )
+from choreocert.solver import MinimizeOptions, minimize
 from choreocert.symmetry import SymmetryParams, pair_kinds
 from choreocert.testorbits import build_test_orbit
 
@@ -41,11 +43,12 @@ from conftest import (
 
 PARAMS4 = SymmetryParams(4, 7, 3, 3, -4)
 PARAMS7 = SymmetryParams(7, 10, 3, 3, -7)
+PARAMS8 = SymmetryParams(8, 11, 3, 3, -8)
 # The reference families, an r = 2 family and N = 8: systems for the
 # index-shift and representative-pair oracles.
 SHIFT_FAMILIES = [case["params"] for case in REFERENCE_CASES] + [
     SymmetryParams(5, 2, 3, 3, -5),
-    SymmetryParams(8, 11, 3, 3, -8),
+    PARAMS8,
 ]
 
 
@@ -114,6 +117,35 @@ class TestSample:
                     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
                     for body in (2, n + 2):
                         assert np.array_equal(got[body - 1], want[body - 1])
+
+    @pytest.mark.parametrize("multiple", [1, 4])
+    @pytest.mark.parametrize("cutoff", [24, 96])
+    @pytest.mark.parametrize("params", SHIFT_FAMILIES, ids=lambda p: f"N{p.n_main}r{p.r}")
+    def test_chain_copies_are_shifted_tick_table_rows_bitwise(self, params, cutoff, multiple):
+        # body i of a chain of L reads its generator (i-1)*M/L nodes later;
+        # bodies 2 and N+2 are evaluate's own (see the test above)
+        n = params.n_main
+        system = random_admissible_system(params, cutoff, seed=100 * n + cutoff)
+        m_samples = multiple * params.default_grid()
+        traj = sample(system, m_samples)
+        nodes = np.arange(m_samples)
+        for first, chain, spec in ((0, n, system.main), (n, 3, system.triple)):
+            rows = tick_table_generator(spec, m_samples)
+            for i in (0, *range(2, chain)):
+                shifted = (nodes + i * (m_samples // chain)) % m_samples
+                for got, want in zip((traj.positions, traj.velocities), rows):
+                    assert np.array_equal(got[first + i], want[shifted])
+
+    def test_alternating_grids_sample_the_same_bits(self):
+        system = random_admissible_system(PARAMS4, 30, seed=11)
+        alone = {}
+        for m_samples in (168, 1344):
+            loops.roots_of_unity.cache_clear()
+            alone[m_samples] = sample(system, m_samples)
+        for m_samples in (168, 1344, 168, 1344, 1344):
+            traj = sample(system, m_samples)
+            assert np.array_equal(traj.positions, alone[m_samples].positions)
+            assert np.array_equal(traj.velocities, alone[m_samples].velocities)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 60,
                         reason="needs an extended-precision long double")
@@ -192,6 +224,29 @@ class TestSample:
             errors.append(np.abs(fd - traj.velocities).max())
         assert errors[0] > 3.0 * errors[1]  # roughly O(1/M^2) convergence
         assert errors[1] <= 1e-2
+
+
+class TestRootsOfUnity:
+    def test_table_is_read_only(self):
+        roots = loops.roots_of_unity(168)
+        with pytest.raises(ValueError, match="read-only"):
+            roots[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(roots, 1j, out=roots)
+
+    def test_cache_holds_the_last_grid_only(self):
+        first = loops.roots_of_unity(168)
+        assert loops.roots_of_unity(168) is first
+        loops.roots_of_unity(336)
+        assert loops.roots_of_unity.cache_info().currsize == 1
+        assert loops.roots_of_unity(168) is not first
+
+    @pytest.mark.parametrize("m_samples", [168, 1344, 13440])
+    def test_table_after_eviction_equals_a_fresh_exponential(self, m_samples):
+        loops.roots_of_unity(m_samples)
+        loops.roots_of_unity(2 * m_samples)
+        fresh = np.exp((2.0 * np.pi / m_samples) * 1j * np.arange(m_samples))
+        assert np.array_equal(loops.roots_of_unity(m_samples), fresh)
 
 
 class TestWinding:
@@ -417,6 +472,31 @@ class TestGroupAction:
             for g in ("g1", "g2", "g3"):
                 residual = group_action_residual(candidate, g)
                 assert residual == roll_group_action_residual(candidate, g)
+
+    @pytest.mark.parametrize("generator", ["g1", "g2", "g3"])
+    @pytest.mark.parametrize("body, node, axis", [(0, 0, 0), (2, 700, 1), (6, 1343, 1)],
+                             ids=["first", "middle", "last"])
+    def test_nan_coordinate_gives_nan(self, orbit4, generator, body, node, axis):
+        traj = sample(orbit4, 1344)
+        positions = traj.positions.copy()
+        positions[body, node, axis] = np.nan
+        broken = dataclasses.replace(traj, positions=positions)
+        assert math.isnan(group_action_residual(broken, generator))
+        assert math.isnan(max_symmetry_residual(broken))
+
+    @pytest.mark.parametrize("params, a, b, cutoff, multiple",
+                             [(PARAMS7, 0.25, 0.064, 96, 4), (PARAMS8, 0.25, 0.06, 48, 2)],
+                             ids=["N7K96", "N8K48"])
+    def test_matches_roll_oracle_bitwise_on_descended_loops(self, params, a, b, cutoff,
+                                                            multiple):
+        m_samples = multiple * params.default_grid()
+        result = minimize(build_test_orbit(params, a, b),
+                          MinimizeOptions(cutoff=cutoff, m_samples=m_samples))
+        assert result.termination == "converged"
+        traj = sample(result.system, m_samples)
+        residuals = [group_action_residual(traj, g) for g in ("g1", "g2", "g3")]
+        assert residuals == [roll_group_action_residual(traj, g) for g in ("g1", "g2", "g3")]
+        assert result.symmetry_residual == max(residuals) <= 1e-10
 
     def test_invalid_generator_name(self, orbit4):
         traj = sample(orbit4, 1344)

@@ -162,6 +162,17 @@ class TestMinimize:
         assert res.termination == "max_iterations"
         assert (res.iterations, res.evaluations, len(res.log)) == (0, 1, 1)
 
+    def test_guard_tight_start_stops_at_once(self):
+        # The start's separation a - b = 0.2 equals the guard. Only steps too
+        # short to change the action keep it, and their Armijo targets round
+        # to f, so none is accepted instead of creeping to max_iterations.
+        start = build_test_orbit(PARAMS4, 0.5, 0.3)
+        res = minimize(start, MinimizeOptions(cutoff=24, eps_sep=0.2))
+        assert res.termination == "no_admissible_step"
+        assert (res.iterations, res.evaluations, len(res.log)) == (0, 8, 1)
+        assert res.action == res.log[0].action
+        assert res.certificate is None
+
     def test_evaluations_count_the_start_and_every_guarded_probe(self, monkeypatch):
         # one action value per evaluation: the start's, and one per probe
         # that clears the separation guard, accepted or not
