@@ -290,8 +290,7 @@ def _cmd_minimize(args) -> int:
         params = start.params
         if not _check_params(params):
             return 2
-        for flag, value in (("n", params.n_main), ("r", params.r), ("d", params.d),
-                            ("k1", params.k1), ("k2", params.k2)):
+        for flag, value in params.to_dict().items():  # the keys are the flags
             given = getattr(args, flag)
             if flag == "d" and given is not None:
                 given %= params.r  # SymmetryParams stores d modulo r

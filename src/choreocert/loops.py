@@ -18,14 +18,11 @@ serves ``sample``, ``solver.ode_residual`` and the phase tables of
 ``action.ActionWorkspace``. ``evaluate`` takes arbitrary times and computes
 each phase directly.
 
-``sample`` uses the shifts. On a grid of M nodes (a multiple of N and 3)
-body i of the main chain is the main generator read (i-1)*M/N nodes later,
-and body N+j is the triple generator read (j-1)*M/3 nodes later, so only the
-two generators are evaluated on the grid, from the table, and the other
-bodies are index shifts of them. Main frequencies are multiples of 3 and
-triple frequencies multiples of N, so the table makes the main generator
-repeat every M/3 nodes and the triple generator every M/N nodes, bit for bit,
-and each generator is summed over that one period only.
+``sample`` uses the shifts. On a grid of M nodes every body is its chain's
+generator read a whole number of nodes later, and from the table each
+generator repeats bit for bit after M/3 (main) or M/N (triple) nodes
+(``chain_layout``), so only the two generators are summed, over one period
+each, and the other bodies are index shifts of them.
 Bodies 2 and N+2 are the exception: each is evaluated directly at its own
 times with ``evaluate``, so the g2/g3 residuals of ``group_action_residual``
 compare a shifted generator with an independent evaluation rather than with
@@ -54,6 +51,7 @@ from .symmetry import (
     ROLE_TRIPLE,
     SymmetryParams,
     frequency_allowed,
+    frequency_rule,
     pair_kinds,
 )
 
@@ -123,8 +121,8 @@ class SystemLoop:
             for m in spec.freqs:
                 if not frequency_allowed(self.params, spec.role, m):
                     raise ValueError(
-                        f"frequency {m} not admissible for role {spec.role!r} "
-                        f"with params {self.params}"
+                        f"frequency {m} not admissible for role {spec.role!r} with params "
+                        f"{self.params}: requires {frequency_rule(self.params, spec.role)}"
                     )
         # Every |q(t)| is at most R = sum |c_m| + sum |b_m|, so pair distances
         # stay below 2R, and pair_forces cubes them.
@@ -250,30 +248,39 @@ def require_grid(params: SymmetryParams, m_samples: int) -> None:
         )
 
 
+def chain_layout(params: SymmetryParams, m_samples: int) -> tuple[tuple[int, int, int], ...]:
+    """(first row, length, period) of the main and the triple chain on M nodes.
+
+    Row first + b is the chain's generator read b*M/length nodes later. Main
+    frequencies are multiples of 3 and triple ones of N, so read from the
+    table of M-th roots of unity a generator repeats bit for bit every period
+    nodes, M/3 (main) or M/N (triple). M must be a multiple of lcm(3, N, r).
+    """
+    n = params.n_main
+    return ((0, n, m_samples // 3), (n, 3, m_samples // n))
+
+
 def sample(system: SystemLoop, m_samples: int) -> Trajectory:
     """Sample all bodies at t_k = k/M. M must be a multiple of lcm(3, N, r).
 
     Evaluates four bodies, whatever N is: the generators 1 and N+1 from the
-    table of M-th roots of unity (``evaluate_ticks``), and bodies 2 and N+2
-    with ``evaluate`` at their own times (see the module docstring). The
-    table makes a generator repeat bit for bit every M/3 nodes (main) or M/N
-    nodes (triple), so it is summed over that one period only. Each row of
-    its chain is then filled with the period, as a tile that starts where
-    the row's time shift puts it.
+    table of M-th roots of unity (``evaluate_ticks``) over one period of
+    ``chain_layout`` each, and bodies 2 and N+2 with ``evaluate`` at their
+    own times (see the module docstring). Each row of a chain is then filled
+    with the period, as a tile that starts where the row's time shift puts it.
     """
     params = system.params
     require_grid(params, m_samples)
     times = np.arange(m_samples) / m_samples
     roots = roots_of_unity(m_samples)
-    n = params.n_main
     pos = np.empty((params.n_bodies, m_samples, 2))
     vel = np.empty((params.n_bodies, m_samples, 2))
-    for first, chain, period in ((0, n, m_samples // 3), (n, 3, m_samples // n)):
+    for first, length, period in chain_layout(params, m_samples):
         spec = system.generator_for(first + 1)
         # one period, twice over, so every rotation of it is a slice
         tiles = [np.concatenate([samples, samples])
                  for samples in evaluate_ticks(spec, roots, np.arange(period), (0, 1))]
-        for row, start in enumerate(range(0, m_samples, m_samples // chain), first):
+        for row, start in enumerate(range(0, m_samples, m_samples // length), first):
             # this row's body reads its generator `start` nodes later
             start %= period
             for out, tile in zip((pos, vel), tiles):
@@ -469,9 +476,8 @@ def winding_table(traj: Trajectory) -> dict[str, list[list[int]]]:
 # -- serialization --------------------------------------------------------------
 
 def system_to_dict(system: SystemLoop) -> dict:
-    p = system.params
     return {
-        "params": {"n": p.n_main, "r": p.r, "d": p.d, "k1": p.k1, "k2": p.k2},
+        "params": system.params.to_dict(),
         "main": system.main.to_rows(),
         "triple": system.triple.to_rows(),
     }
@@ -486,13 +492,7 @@ def system_from_dict(doc) -> SystemLoop:
         doc = doc["loop"]
     if not isinstance(doc, dict):
         raise ValueError(f"a loop must be a JSON object, not {type(doc).__name__}")
-    try:
-        p = doc["params"]
-        params = SymmetryParams(
-            n_main=int(p["n"]), r=int(p["r"]), d=int(p["d"]), k1=int(p["k1"]), k2=int(p["k2"])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"'params' must map n, r, d, k1 and k2 to integers ({exc!r})") from None
+    params = SymmetryParams.from_dict(doc.get("params", {}))
     spectra = []
     for role in (ROLE_MAIN, ROLE_TRIPLE):
         try:
@@ -660,34 +660,19 @@ def _csv_text(values) -> str:
 _CSV_BLOCK_NODES = 256
 
 
-def _csv_chains(traj: Trajectory) -> tuple[tuple[int, int, int], ...]:
-    """(first body, length, period) of each chain of a trajectory on its grid; () off it.
-
-    ``sample`` fills body i of the chain that starts at body ``first`` with
-    its generator read (i - first)*M/length nodes later, and the generator
-    repeats bit for bit every M/3 nodes (main) or M/N nodes (triple). A
-    trajectory off the grid, or without N+3 bodies, has no chains.
-    """
-    params, m_samples = traj.params, traj.m_samples
-    if traj.n_bodies != params.n_bodies or not valid_grid(params, m_samples):
-        return ()
-    n = params.n_main
-    return ((0, n, m_samples // 3), (n, 3, m_samples // n))
-
-
 def _csv_candidates(traj: Trajectory, start: int, stop: int) -> np.ndarray:
     """(stop - start, B) anchor of the row each (node, body) row repeats, nodes start..stop-1.
 
-    A chain's anchors are its generator's rows at nodes 0..period-1, numbered
-    in chain order: main node k is anchor k, triple node k anchor M/3 + k.
+    A chain's anchors are its generator's rows at nodes 0..period-1 (see
+    ``chain_layout``), main node k anchor k and triple node k anchor M/3 + k.
     Body i of a chain at node k repeats its generator at node
-    (k + (i - first)*M/length) mod period. Only for a trajectory with chains.
+    (k + (i - first)*M/length) mod period. Only for N+3 bodies on a valid grid.
     """
     m_samples = traj.m_samples
     nodes = np.arange(start, stop)[:, None]
     candidates = np.empty((stop - start, traj.n_bodies), dtype=np.int64)
     base = 0
-    for first, length, period in _csv_chains(traj):
+    for first, length, period in chain_layout(traj.params, m_samples):
         shifts = np.arange(length) * (m_samples // length)
         candidates[:, first:first + length] = base + (nodes + shifts) % period
         base += period
@@ -716,8 +701,9 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     only its generators' periods and the rows of bodies 2 and N+2 that
     differ.
     """
-    m_samples, n_bodies = traj.m_samples, traj.n_bodies
-    chains = _csv_chains(traj)
+    params, m_samples, n_bodies = traj.params, traj.m_samples, traj.n_bodies
+    sampled = n_bodies == params.n_bodies and valid_grid(params, m_samples)  # else no chains
+    chains = chain_layout(params, m_samples) if sampled else ()
     anchors = np.concatenate([np.empty((0, 4))] + [
         np.concatenate([traj.positions[first, :period], traj.velocities[first, :period]], axis=1)
         for first, _, period in chains

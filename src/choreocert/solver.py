@@ -52,12 +52,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import kernels
-from .action import DISTANCE_FLOOR, ActionWorkspace
+from .action import ActionWorkspace, _require_separated
 from .bounds import collision_threshold
 from .loops import (
     GeneratorSpectrum,
     MinSeparation,
     SystemLoop,
+    chain_layout,
     com_drift,
     evaluate_ticks,
     max_symmetry_residual,
@@ -345,12 +346,13 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
 def acceleration_residual_rms(positions: np.ndarray, accelerations: np.ndarray) -> float:
     """RMS of |a_i(t) - sum_{j != i} (q_j - q_i)/|q_i - q_j|^3| over bodies and nodes.
 
-    Raw-array form of the equations-of-motion residual for unit masses; the
-    pair force sum reuses the potential-gradient kernel.
+    Raw-array form of the equations-of-motion residual for unit masses, row i
+    body i + 1; the pair force sum reuses the potential-gradient kernel. A
+    near-collision sample raises the ValueError of ``action`` that names the
+    bodies and the node.
     """
-    d = kernels.min_separation_scan(positions)[0]
-    if d < DISTANCE_FLOOR:
-        raise ValueError("near-collision sample: residual undefined at a collision")
+    d, i, j, k = kernels.min_separation_scan(positions)
+    _require_separated(MinSeparation(pair=(i + 1, j + 1), time_index=k, distance=d))
     forces = kernels.pair_forces(positions)
     diff = np.asarray(accelerations, dtype=float) - forces
     return float(np.sqrt((diff[..., 0] ** 2 + diff[..., 1] ** 2).mean()))
@@ -363,17 +365,17 @@ def ode_residual(system: SystemLoop, m_samples: int) -> float:
     of 1/r, so its RMS over the first M/r nodes is its RMS over all M. Only
     those nodes are evaluated: every body reads its generator from the table
     of M-th roots of unity at the window of nodes that starts where its shift
-    puts it (``loops.evaluate_ticks``).
+    puts it (``loops.chain_layout``, ``loops.evaluate_ticks``).
     """
     params = system.params
     require_grid(params, m_samples)
     roots = roots_of_unity(m_samples)
     window = np.arange(m_samples // params.r)
     pos, acc = [], []
-    for spec, chain in ((system.main, params.n_main), (system.triple, 3)):
-        starts = np.arange(0, m_samples, m_samples // chain)
+    for first, length, _ in chain_layout(params, m_samples):
+        starts = np.arange(length) * (m_samples // length)
         position, acceleration = evaluate_ticks(
-            spec, roots, starts[:, None] + window, derivatives=(0, 2)
+            system.generator_for(first + 1), roots, starts[:, None] + window, derivatives=(0, 2)
         )
         pos.append(position)
         acc.append(acceleration)

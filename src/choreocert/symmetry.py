@@ -57,6 +57,24 @@ class SymmetryParams:
         if self.r >= 1:
             object.__setattr__(self, "d", self.d % self.r)
 
+    def to_dict(self) -> dict:
+        """The JSON form {n, r, d, k1, k2} of loop and certificate files."""
+        return {"n": self.n_main, "r": self.r, "d": self.d, "k1": self.k1, "k2": self.k2}
+
+    @classmethod
+    def from_dict(cls, doc) -> SymmetryParams:
+        """Inverse of ``to_dict``; ValueError unless every value is a whole number
+        (the test ``loops.GeneratorSpectrum.from_pairs`` applies to frequencies)."""
+        keys = ("n", "r", "d", "k1", "k2")
+        try:
+            integers = [int(doc[key]) for key in keys]
+            if integers != [float(doc[key]) for key in keys]:
+                raise ValueError({key: doc[key] for key in keys})
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"'params' must map n, r, d, k1 and k2 to integers ({exc!r})") from None
+        return cls(*integers)
+
     @property
     def n_bodies(self) -> int:
         return self.n_main + 3
@@ -128,36 +146,29 @@ def _anchor_modulus(params: SymmetryParams, role: str) -> int:
 
 
 def frequency_allowed(params: SymmetryParams, role: str, m: int) -> bool:
-    """True when frequency m satisfies both congruences for the given role."""
+    """True when frequency m satisfies both congruences of the role, ``frequency_rule``."""
     a = _anchor_modulus(params, role)
     return m % a == 0 and (m - params.d) % params.r == 0
 
 
-def allowed_frequencies(params: SymmetryParams, role: str, cutoff: int) -> list[int]:
-    """All frequencies m with |m| <= cutoff admissible for the role, ascending.
+def frequency_rule(params: SymmetryParams, role: str) -> str:
+    """The congruences of ``frequency_allowed`` as text, for messages."""
+    return f"m = 0 (mod {_anchor_modulus(params, role)}) and m = {params.d} (mod {params.r})"
 
-    The admissible set is the intersection of two arithmetic progressions;
-    when gcd(anchor, r) does not divide d the intersection is empty and an
-    "empty basis" error is raised, as it is when the cutoff is below the
-    smallest admissible |m|.
+
+def allowed_frequencies(params: SymmetryParams, role: str, cutoff: int) -> list[int]:
+    """The frequencies m with |m| <= cutoff that ``frequency_allowed`` admits, ascending.
+
+    None may exist: gcd(anchor, r) need not divide d, and the cutoff may be
+    below the smallest admissible |m|. Both raise an "empty basis" error.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be a positive integer")
-    a = _anchor_modulus(params, role)
-    r = params.r
-    step = math.lcm(a, r)
-    anchor = next((m for m in range(step) if m % a == 0 and (m - params.d) % r == 0), None)
-    if anchor is None:
-        raise ValueError(
-            f"empty basis: no frequency satisfies m=0 (mod {a}) and m={params.d} (mod {r})"
-        )
-    lo = -((cutoff + anchor) // step)
-    hi = (cutoff - anchor) // step
-    freqs = [anchor + k * step for k in range(lo, hi + 1)]
-    freqs = [m for m in freqs if -cutoff <= m <= cutoff]
+    freqs = [m for m in range(-cutoff, cutoff + 1) if frequency_allowed(params, role, m)]
     if not freqs:
         raise ValueError(
-            f"empty basis: smallest admissible |m| for role {role!r} exceeds cutoff {cutoff}"
+            f"empty basis: no frequency |m| <= {cutoff} of role {role!r} satisfies "
+            f"{frequency_rule(params, role)}"
         )
     return freqs
 

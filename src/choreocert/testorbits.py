@@ -31,23 +31,20 @@ import numpy as np
 from .action import checked_min_separation, total_action
 from .bounds import ThresholdReport, collision_threshold
 from .loops import GeneratorSpectrum, SystemLoop, sample, winding_table, windings_match
-from .symmetry import ROLE_MAIN, ROLE_TRIPLE, SymmetryParams, frequency_allowed, pair_kinds
+from .symmetry import ROLE_MAIN, ROLE_TRIPLE, SymmetryParams, pair_kinds
 
 
 def build_test_orbit(params: SymmetryParams, a: float, b: float) -> SystemLoop:
-    """Circular loop: main radius a at frequency 3, triple radius b at -N."""
+    """Circular loop: main radius a at frequency 3, triple radius b at -N.
+
+    ``SystemLoop`` refuses a class that does not admit these frequencies.
+    """
     if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b > 0):
         raise ValueError("radii must be positive and finite")
     n = params.n_main
     main, triple = 6 * math.pi * a, 2 * math.pi * n * b  # the bodies' speeds
     if not math.isfinite(0.5 * n * main * main + 1.5 * triple * triple):
         raise ValueError(f"radii a={a!r}, b={b!r}: the test orbit's kinetic action overflows")
-    for role, m in ((ROLE_MAIN, 3), (ROLE_TRIPLE, -n)):
-        if not frequency_allowed(params, role, m):
-            raise ValueError(
-                f"test-orbit frequency {m} not admissible for role {role!r} "
-                f"(requires {m} = d (mod r))"
-            )
     main = GeneratorSpectrum(ROLE_MAIN, (3,), np.array([a + 0.0j]))
     triple = GeneratorSpectrum(ROLE_TRIPLE, (-n,), np.array([b + 0.0j]))
     return SystemLoop(params, main, triple)
@@ -104,9 +101,8 @@ class CertificateReport:
         return "certified" if self.certified else "not certified"
 
     def to_dict(self) -> dict:
-        p = self.params
         return {
-            "params": {"n": p.n_main, "r": p.r, "d": p.d, "k1": p.k1, "k2": p.k2},
+            "params": self.params.to_dict(),
             "a": self.a,
             "b": self.b,
             "kinetic": self.kinetic,

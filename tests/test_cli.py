@@ -319,6 +319,12 @@ class TestMinimize:
             (lambda doc: {**doc, "main": [[3]]}, "'main' must be a list of [m, x, y] rows"),
             (lambda doc: {**doc, "params": [4]},
              "'params' must map n, r, d, k1 and k2 to integers"),
+            (lambda doc: {**doc, "params": {"n": 4.7, "r": 7.9, "d": 3.5, "k1": "3", "k2": -4.2}},
+             "'params' must map n, r, d, k1 and k2 to integers"),
+            (lambda doc: {**doc, "params": {**doc["params"], "k2": float("inf")}},
+             "'params' must map n, r, d, k1 and k2 to integers"),
+            (lambda doc: {key: value for key, value in doc.items() if key != "params"},
+             "'params' must map n, r, d, k1 and k2 to integers"),
             (lambda doc: [doc], "a loop must be a JSON object, not list"),
             (lambda doc: {**doc, "main": [[3, 0.2, 0.0, 99]]},
              "'main' must be a list of [m, x, y] rows: row 0 is [3, 0.2, 0.0, 99]"),
@@ -327,7 +333,8 @@ class TestMinimize:
             (lambda doc: {**doc, "main": [[3, float("nan"), 0.0]]},
              "'main' must be a list of [m, x, y] rows: row 0 is [3, nan, 0.0]"),
         ],
-        ids=["main-number", "main-short-row", "params-list", "top-level-list",
+        ids=["main-number", "main-short-row", "params-list", "params-non-integral",
+             "params-infinite", "params-missing", "top-level-list",
              "main-extra-field", "main-non-numeric", "main-nan-coefficient"],
     )
     def test_malformed_loop_in_exit_2(self, capsys, tmp_path, malform, message):

@@ -7,8 +7,10 @@ from choreocert import action
 from choreocert.loops import (
     com_drift,
     evaluate,
+    evaluate_ticks,
     max_symmetry_residual,
     min_separation,
+    roots_of_unity,
     sample,
     winding_table,
 )
@@ -241,6 +243,44 @@ class TestOdeResidual:
                          for body in range(1, params.n_bodies + 1)))
         want = acceleration_residual_rms(np.stack(pos), np.stack(acc))
         assert abs(ode_residual(system, m_samples) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize(
+        "params, a, b",
+        [(case["params"], case["a"], case["b"]) for case in REFERENCE_CASES]
+        + [(SymmetryParams(5, 2, 3, 3, -5), 0.245, 0.076)],
+        ids=["N4", "N5", "N7", "N5r2"],
+    )
+    def test_equals_residual_of_windowed_chain_rows(self, params, a, b):
+        # every body row on the first M/r nodes, read from its generator at
+        # the window that starts j*M/length nodes in, j = 0..length-1
+        m_samples = params.default_grid()
+        roots = roots_of_unity(m_samples)
+        window = np.arange(m_samples // params.r)
+        for system in (build_test_orbit(params, a, b),
+                       random_admissible_system(params, 40, seed=params.n_main + params.r)):
+            pos, acc = [], []
+            for spec, length in ((system.main, params.n_main), (system.triple, 3)):
+                starts = np.arange(0, m_samples, m_samples // length)
+                position, acceleration = evaluate_ticks(
+                    spec, roots, starts[:, None] + window, derivatives=(0, 2)
+                )
+                pos.append(position)
+                acc.append(acceleration)
+            want = acceleration_residual_rms(np.concatenate(pos), np.concatenate(acc))
+            assert ode_residual(system, m_samples) == want
+
+    def test_near_collision_names_bodies_and_node(self):
+        # the equilateral ring of test_equilateral_ring_oracle, with body 3
+        # moved onto body 2 at node 5 only
+        M = 60
+        z = np.exp(2j * np.pi * (np.arange(M) / M + np.arange(3)[:, None] / 3))
+        pos = np.stack([z.real, z.imag], axis=-1)
+        pos[2, 5] = pos[1, 5]
+        acc = -(3.0 ** -0.5) * pos
+        with pytest.raises(
+            ValueError, match="near-collision sample: bodies 2 and 3 at node 5 are 0.000e[+]00 apart"
+        ):
+            acceleration_residual_rms(pos, acc)
 
     def test_converged_minimizer_near_solution(self):
         orbit = build_test_orbit(PARAMS4, 0.23, 0.088)

@@ -90,6 +90,52 @@ class TestCompatibility:
             SymmetryParams(4.0, 7, 3, 3, -4)
 
 
+class TestJsonForm:
+    def test_json_form_round_trip(self):
+        params = SymmetryParams(4, 7, 10, 3, -4)
+        assert params.to_dict() == {"n": 4, "r": 7, "d": 3, "k1": 3, "k2": -4}
+        assert SymmetryParams.from_dict(params.to_dict()) == params
+        assert SymmetryParams.from_dict({"n": 4.0, "r": 7, "d": 10, "k1": 3.0, "k2": -4}) == params
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 4.7, "r": 7.9, "d": 3.5, "k1": "3", "k2": -4.2},
+            {"n": 4, "r": 7, "d": 3, "k1": 3, "k2": -4.5},
+            {"n": 4, "r": 7, "d": 3, "k1": 3, "k2": float("inf")},
+            {"n": 4, "r": 7, "d": 3, "k1": 3, "k2": float("nan")},
+            {"n": 4, "r": 7, "d": 3, "k1": 3},
+            {"n": 4, "r": 7, "d": 3, "k1": 3, "k2": "x"},
+            {"n": 4, "r": 7, "d": 3, "k1": 3, "k2": None},
+            [4, 7, 3, 3, -4],
+        ],
+        ids=["fractional", "one-fractional", "infinite", "nan", "missing", "text", "null",
+             "list"],
+    )
+    def test_json_form_refuses_non_integers(self, doc):
+        with pytest.raises(ValueError, match="'params' must map n, r, d, k1 and k2 to integers"):
+            SymmetryParams.from_dict(doc)
+
+
+def progression_frequencies(params, role, cutoff):
+    """The admissible |m| <= cutoff as one arithmetic progression, or None if empty.
+
+    The two congruences m = 0 (mod a), a = 3 (main) or N (triple), and
+    m = d (mod r) meet in the residue class of their smallest nonnegative
+    common solution modulo lcm(a, r), if there is one.
+    """
+    a = 3 if role == ROLE_MAIN else params.n_main
+    r = params.r
+    step = math.lcm(a, r)
+    anchor = next((m for m in range(step) if m % a == 0 and (m - params.d) % r == 0), None)
+    if anchor is None:
+        return None
+    lo = -((cutoff + anchor) // step)
+    hi = (cutoff - anchor) // step
+    freqs = [anchor + k * step for k in range(lo, hi + 1)]
+    return [m for m in freqs if -cutoff <= m <= cutoff] or None
+
+
 class TestAllowedFrequencies:
     def test_main_example(self):
         params = SymmetryParams(4, 7, 3, 3, -4)
@@ -118,10 +164,34 @@ class TestAllowedFrequencies:
                     p, role, cutoff
                 )
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_progression_form(self, n):
+        # every r <= 15, d < r, five cutoffs and both roles: 1200 cases per N
+        empty = 0
+        for r in range(1, 16):
+            for d in range(r):
+                params = SymmetryParams(n, r, d, 0, 0)
+                for cutoff in (1, 2, 5, 24, 48):
+                    for role in (ROLE_MAIN, ROLE_TRIPLE):
+                        want = progression_frequencies(params, role, cutoff)
+                        if want is None:
+                            empty += 1
+                            with pytest.raises(ValueError, match="empty basis"):
+                                allowed_frequencies(params, role, cutoff)
+                        else:
+                            assert allowed_frequencies(params, role, cutoff) == want
+        assert 0 < empty < 1200
+
     def test_empty_basis_small_cutoff(self):
         params = SymmetryParams(4, 7, 3, 3, -4)
         with pytest.raises(ValueError, match="empty basis"):
             allowed_frequencies(params, "main", 2)
+
+    def test_empty_basis_names_the_congruences(self):
+        params = SymmetryParams(4, 8, 3, 3, -4)
+        with pytest.raises(ValueError, match=r"empty basis: no frequency \|m\| <= 1000 of role "
+                           r"'triple' satisfies m = 0 \(mod 4\) and m = 3 \(mod 8\)"):
+            allowed_frequencies(params, "triple", 1000)
 
     def test_empty_basis_unsolvable_congruences(self):
         # gcd(N, r) = 4 does not divide d = 3: no triple frequency exists at all

@@ -65,6 +65,16 @@ class TestBuildTestOrbit:
         with pytest.raises(ValueError, match="not admissible"):
             build_test_orbit(params, 0.23, 0.088)
 
+    def test_inadmissible_frequency_names_the_congruences(self):
+        # refused by SystemLoop, the one admissibility check of every loop
+        with pytest.raises(ValueError, match=r"frequency 3 not admissible for role 'main' .*: "
+                           r"requires m = 0 \(mod 3\) and m = 5 \(mod 7\)"):
+            build_test_orbit(SymmetryParams(4, 7, 5, 12, -16), 0.23, 0.088)
+        # r = 5: the main frequency 3 = d passes, the triple one -4 = 1 (mod 5) is named
+        with pytest.raises(ValueError, match=r"frequency -4 not admissible for role 'triple' .*: "
+                           r"requires m = 0 \(mod 4\) and m = 3 \(mod 5\)"):
+            build_test_orbit(SymmetryParams(4, 5, 3, 3, 8), 0.23, 0.088)
+
     def test_positive_radii_required(self):
         with pytest.raises(ValueError, match="positive"):
             build_test_orbit(PARAMS4, 0.0, 0.1)
