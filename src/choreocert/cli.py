@@ -4,8 +4,11 @@ Subcommands: bounds (collision-set lower-bound table), certify (test-orbit
 certificate), minimize (action descent with result/trajectory/log files),
 lemmas (exact collision-grid distinctness scans).
 
-Exit codes: 0 success or certified, 1 checked-and-negative, 2 invalid input
-or an output file that cannot be written, 3 solver failure. Human tables
+Exit codes: 0 success or certified, 1 checked-and-negative (a verdict, never
+a refusal), 2 invalid input or an output file that cannot be written, 3 solver
+failure. A subcommand refuses by raising; ``main`` alone prints the one
+message on stderr and returns the code, and a library ValueError that no
+subcommand anticipates is refused as ``error: ...`` with exit 2. Human tables
 print 4 decimals; files carry 17 significant digits and are written
 atomically. Environment variables are not consulted for run configuration.
 """
@@ -26,6 +29,14 @@ from .testorbits import CertificateReport, build_test_orbit, certify
 
 # The values a config file may give a switch such as --force, in any letter case.
 _SWITCH_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+class _Refusal(Exception):
+    """A refused run: the message ``main`` prints on stderr and the exit code it returns."""
+
+    def __init__(self, message: str, code: int = 2):
+        super().__init__(message)
+        self.code = code
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -124,53 +135,46 @@ def _apply_config(args: argparse.Namespace, command: argparse.ArgumentParser) ->
             setattr(args, action.dest, value)
 
 
-def _params_from_args(args) -> SymmetryParams | None:
+def _params_from_args(args) -> SymmetryParams:
     if args.n is None or args.r is None:
-        print("error: --n and --r are required", file=sys.stderr)
-        return None
+        raise _Refusal("error: --n and --r are required")
     d = 3 if args.d is None else args.d
     k1 = 3 if args.k1 is None else args.k1
     k2 = -args.n if args.k2 is None else args.k2
     return SymmetryParams(n_main=args.n, r=args.r, d=d, k1=k1, k2=k2)
 
 
-def _check_params(params: SymmetryParams) -> bool:
+def _check_params(params: SymmetryParams) -> None:
+    """Refuse a class that ``compatibility_check`` rejects, listing its violations."""
     result = compatibility_check(params)
     if not result.ok:
-        print(f"invalid parameters {params}:", file=sys.stderr)
-        for violation in result.violations:
-            print(f"  {violation}", file=sys.stderr)
-    return result.ok
+        raise _Refusal("\n".join([f"invalid parameters {params}:",
+                                  *(f"  {violation}" for violation in result.violations)]))
 
 
-def _resolve_grid(grid: int | None, params: SymmetryParams) -> int | None:
-    """--grid, or the default grid when it is absent; None after an error."""
+def _resolve_grid(grid: int | None, params: SymmetryParams) -> int:
+    """--grid, or the default grid when it is absent."""
     if grid is None:
         return params.default_grid()
     if not valid_grid(params, grid):
-        print(
-            f"error: --grid must be a positive multiple of lcm(3, N, r) = "
-            f"{params.grid_unit}",
-            file=sys.stderr,
-        )
-        return None
+        raise _Refusal(f"error: --grid must be a positive multiple of lcm(3, N, r) = "
+                       f"{params.grid_unit}")
     return grid
 
 
-def _write(path: str, text: str) -> bool:
-    """Write a file atomically; False, after an error line naming it, if that fails."""
+def _write(path: str, text: str) -> None:
+    """Write a file atomically, refusing with a message naming it if that fails."""
     try:
         atomic_write_text(path, text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-        return False
-    return True
+        raise _Refusal(f"error: cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _emit(text: str, out: str | None) -> bool:
-    """Print a rendering and write it to ``out`` if given; False if that write fails."""
+def _emit(text: str, out: str | None) -> None:
+    """Print a rendering and write it to ``out`` if given."""
     print(text, end="" if text.endswith("\n") else "\n")
-    return not out or _write(out, text if text.endswith("\n") else text + "\n")
+    if out:
+        _write(out, text if text.endswith("\n") else text + "\n")
 
 
 def _lattice_summary(sizes) -> str:
@@ -208,8 +212,7 @@ def _render_bounds_csv(report: ThresholdReport) -> str:
 
 def _cmd_bounds(args) -> int:
     params = _params_from_args(args)
-    if params is None or not _check_params(params):
-        return 2
+    _check_params(params)
     report = collision_threshold(params)
     fmt = args.format or "table"
     if fmt == "json":
@@ -218,7 +221,8 @@ def _cmd_bounds(args) -> int:
         text = _render_bounds_csv(report)
     else:
         text = _render_bounds_table(report)
-    return 0 if _emit(text, args.out) else 2
+    _emit(text, args.out)
+    return 0
 
 
 def _winding_summary(windings: dict) -> str:
@@ -253,29 +257,19 @@ def _render_certificate(report: CertificateReport, m_samples: int) -> str:
 
 def _cmd_certify(args) -> int:
     params = _params_from_args(args)
-    if params is None or not _check_params(params):
-        return 2
+    _check_params(params)
     if args.a is None or args.b is None:
-        print("error: certify requires --a and --b", file=sys.stderr)
-        return 2
+        raise _Refusal("error: certify requires --a and --b")
     m_samples = _resolve_grid(args.grid, params)
-    if m_samples is None:
-        return 2
-    try:
-        report = certify(params, args.a, args.b, m_samples)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = certify(params, args.a, args.b, m_samples)
     if args.format == "json":
         text = json.dumps(report.to_dict(), indent=2) + "\n"
     else:
         text = _render_certificate(report, m_samples)
-    if not _emit(text, args.out):
-        return 2
+    _emit(text, args.out)
     if args.emit_plot:
         traj = sample(build_test_orbit(params, args.a, args.b), m_samples)
-        if not _write(args.emit_plot, trajectory_to_csv(traj)):
-            return 2
+        _write(args.emit_plot, trajectory_to_csv(traj))
     return 0 if report.certified else 1
 
 
@@ -285,62 +279,41 @@ def _cmd_minimize(args) -> int:
             with open(args.loop_in) as handle:
                 start = system_from_dict(json.load(handle))
         except (OSError, ValueError) as exc:
-            print(f"error reading --loop-in: {exc}", file=sys.stderr)
-            return 2
+            raise _Refusal(f"error reading --loop-in: {exc}") from None
         params = start.params
-        if not _check_params(params):
-            return 2
+        _check_params(params)
         for flag, value in params.to_dict().items():  # the keys are the flags
             given = getattr(args, flag)
             if flag == "d" and given is not None:
                 given %= params.r  # SymmetryParams stores d modulo r
             if given is not None and given != value:
-                print(f"error: --{flag} conflicts with --loop-in parameters "
-                      f"({flag}={value})", file=sys.stderr)
-                return 2
+                raise _Refusal(f"error: --{flag} conflicts with --loop-in parameters "
+                               f"({flag}={value})")
     else:
         params = _params_from_args(args)
-        if params is None or not _check_params(params):
-            return 2
+        _check_params(params)
         if args.a is None or args.b is None:
-            print("error: minimize requires --a/--b or --loop-in", file=sys.stderr)
-            return 2
-        try:
-            start = build_test_orbit(params, args.a, args.b)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise _Refusal("error: minimize requires --a/--b or --loop-in")
+        start = build_test_orbit(params, args.a, args.b)
 
     m_samples = _resolve_grid(args.grid, params)
-    if m_samples is None:
-        return 2
     modes = args.modes if args.modes is not None else max(24, params.n_main)
     if modes < params.n_main:
-        print(f"error: --modes must be at least N = {params.n_main}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"error: --modes must be at least N = {params.n_main}")
     needed = max((abs(m) for spec in (start.main, start.triple) for m in spec.freqs), default=0)
     if modes < needed:
-        print(
-            f"error: --modes {modes} is below the loop's largest frequency; "
-            f"use --modes {needed} or more",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        given = {"max_iterations": args.max_iter, "gtol": args.gtol, "eps_sep": args.eps_sep}
-        options = MinimizeOptions(
-            cutoff=modes,
-            m_samples=args.grid,
-            **{name: value for name, value in given.items() if value is not None},
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"error: --modes {modes} is below the loop's largest frequency; "
+                       f"use --modes {needed} or more")
+    given = {"max_iterations": args.max_iter, "gtol": args.gtol, "eps_sep": args.eps_sep}
+    options = MinimizeOptions(
+        cutoff=modes,
+        m_samples=args.grid,
+        **{name: value for name, value in given.items() if value is not None},
+    )
     try:
         result = minimize(start, options)
     except ValueError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+        raise _Refusal(f"solver error: {exc}", 3) from None
 
     print(
         f"action={result.action:.17g} gradnorm={result.gradient_norm:.17g} "
@@ -349,31 +322,23 @@ def _cmd_minimize(args) -> int:
     )
     out = args.out or "result.json"
     stem = out[:-5] if out.endswith(".json") else out
-    if not _write(out, json.dumps(result.to_dict(), indent=2) + "\n"):
-        return 2
+    _write(out, json.dumps(result.to_dict(), indent=2) + "\n")
     traj_csv = trajectory_to_csv(sample(result.system, m_samples))
     files = [(stem + ".traj.csv", traj_csv), (stem + ".iters.csv", result.log_csv())]
     if args.emit_plot:
         files.append((args.emit_plot, traj_csv))
-    if not all(_write(path, text) for path, text in files):
-        return 2
+    for path, text in files:
+        _write(path, text)
     if result.termination != "converged":
-        print(f"solver did not converge: {result.termination}", file=sys.stderr)
-        return 3
+        raise _Refusal(f"solver did not converge: {result.termination}", 3)
     return 0
 
 
 def _cmd_lemmas(args) -> int:
     params = _params_from_args(args)
-    if params is None:
-        return 2
-    try:
-        lattice_modulus(params)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not args.force and not _check_params(params):
-        return 2
+    lattice_modulus(params)  # refuses N < 1 or r < 1 even under --force
+    if not args.force:
+        _check_params(params)
     report = verify_time_lemmas(params)
     for check in report.checks:
         if check.passed:
@@ -387,18 +352,24 @@ def _cmd_lemmas(args) -> int:
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        _apply_config(args, commands[args.command])
-    except (OSError, ValueError) as exc:
-        print(f"error in --config: {exc}", file=sys.stderr)
-        return 2
     handlers = {
         "bounds": _cmd_bounds,
         "certify": _cmd_certify,
         "minimize": _cmd_minimize,
         "lemmas": _cmd_lemmas,
     }
-    return handlers[args.command](args)
+    try:
+        try:
+            _apply_config(args, commands[args.command])
+        except (OSError, ValueError) as exc:
+            raise _Refusal(f"error in --config: {exc}") from None
+        return handlers[args.command](args)
+    except _Refusal as refusal:
+        print(refusal, file=sys.stderr)
+        return refusal.code
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

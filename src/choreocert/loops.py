@@ -52,6 +52,7 @@ from .symmetry import (
     SymmetryParams,
     frequency_allowed,
     frequency_rule,
+    json_number,
     pair_kinds,
 )
 
@@ -84,13 +85,13 @@ class GeneratorSpectrum:
     def from_pairs(cls, role: str, entries) -> "GeneratorSpectrum":
         """Build from [(m, cx, cy), ...] rows.
 
-        A row that is not an integral frequency and two finite numbers raises
-        ValueError naming the role and the row's index.
+        A row that is not an integral frequency and two finite numbers (booleans
+        and strings are neither) raises ValueError naming the role and the row's index.
         """
         freqs, coeffs = [], []
         for index, row in enumerate(entries):
             try:
-                m, x, y = row
+                m, x, y = map(json_number, row)
                 freq, coeff = int(m), complex(float(x), float(y))
                 if freq != float(m) or not cmath.isfinite(coeff):
                     raise ValueError

@@ -28,6 +28,14 @@ ROLE_TRIPLE = "triple"
 ROLE_CROSS = "cross"
 
 
+def json_number(value):
+    """``value`` itself, or TypeError if it is a boolean or a string: a loop
+    file's numbers must be JSON numbers, though int() and float() read both."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{value!r} is not a number")
+    return value
+
+
 @dataclass(frozen=True)
 class SymmetryParams:
     """Integer tuple (N, r, d, k1, k2) describing one symmetric family.
@@ -67,7 +75,7 @@ class SymmetryParams:
         (the test ``loops.GeneratorSpectrum.from_pairs`` applies to frequencies)."""
         keys = ("n", "r", "d", "k1", "k2")
         try:
-            integers = [int(doc[key]) for key in keys]
+            integers = [int(json_number(doc[key])) for key in keys]
             if integers != [float(doc[key]) for key in keys]:
                 raise ValueError({key: doc[key] for key in keys})
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+from choreocert import cli
 from choreocert.cli import _winding_summary, main
 from choreocert.loops import GeneratorSpectrum, SystemLoop, system_to_dict
 from choreocert.solver import MinimizeOptions
@@ -21,6 +23,9 @@ PARAMS4 = ["--n", "4", "--r", "7", "--d", "3", "--k1", "3", "--k2", "-4"]
 RADII4 = ["--a", "0.23", "--b", "0.088"]
 # gcd(N, r) = 2, a class every one of whose loops has coinciding main bodies
 GCD2_CLASS = ["--n", "4", "--r", "2", "--d", "0", "--k1", "6", "--k2", "4"]
+# a minimize run of two iterations on the coarsest grid
+SHORT_MINIMIZE = ("minimize", *PARAMS4, *RADII4, "--modes", "24", "--grid", "84",
+                  "--max-iter", "2")
 
 
 class TestBounds:
@@ -323,6 +328,8 @@ class TestMinimize:
              "'params' must map n, r, d, k1 and k2 to integers"),
             (lambda doc: {**doc, "params": {**doc["params"], "k2": float("inf")}},
              "'params' must map n, r, d, k1 and k2 to integers"),
+            (lambda doc: {**doc, "params": {**doc["params"], "k1": True}},
+             "'params' must map n, r, d, k1 and k2 to integers"),
             (lambda doc: {key: value for key, value in doc.items() if key != "params"},
              "'params' must map n, r, d, k1 and k2 to integers"),
             (lambda doc: [doc], "a loop must be a JSON object, not list"),
@@ -334,7 +341,7 @@ class TestMinimize:
              "'main' must be a list of [m, x, y] rows: row 0 is [3, nan, 0.0]"),
         ],
         ids=["main-number", "main-short-row", "params-list", "params-non-integral",
-             "params-infinite", "params-missing", "top-level-list",
+             "params-infinite", "params-boolean", "params-missing", "top-level-list",
              "main-extra-field", "main-non-numeric", "main-nan-coefficient"],
     )
     def test_malformed_loop_in_exit_2(self, capsys, tmp_path, malform, message):
@@ -484,8 +491,7 @@ class TestUnwritableOutput:
     with a traceback, and leaves no temporary file behind."""
 
     CERTIFY = ("certify", *PARAMS4, "--a", "0.23", "--b", "0.088", "--grid", "84")
-    MINIMIZE = ("minimize", *PARAMS4, "--a", "0.23", "--b", "0.088", "--modes", "24",
-                "--grid", "84", "--max-iter", "2")
+    MINIMIZE = SHORT_MINIMIZE
 
     @pytest.mark.parametrize("argv, path", [
         pytest.param(("bounds", *PARAMS4, "--out"), "missing/b.json", id="bounds-out"),
@@ -571,3 +577,176 @@ class TestConfig:
         conf.write_text(f"force={word}\n")
         argv = ["lemmas", "--n", "4", "--r", "9", "--config", str(conf)]
         assert run_cli(capsys, *argv)[0] == code
+
+
+BOUNDS4_TABLE = """\
+collision-set lower bounds for N=4, r=7, d=3, k1=3, k2=-4
+case      pair      lattices               bound
+1         (1,2)     21x4                144.6243
+3         (1,3)     42x2                138.9614
+4         (1,5)     7x12                170.7513
+5         (5,6)     28x3                139.2223
+threshold: 138.9614   (N even: threshold over cases 1, 2, 3, 4, 5)
+"""
+CERTIFICATE4_M84 = """\
+certificate for N=4, r=7, d=3, k1=3, k2=-4
+test orbit: a=0.2300 b=0.0880  grid M=84
+action     = 135.5151  (kinetic 44.9287 + potential 90.5865)
+threshold  = 138.9614  (case 3, pair (1,3))
+margin     = 3.4462
+windings   : main:3,triple:-4  [ok]
+min separation = 0.1420
+verdict: certified
+"""
+# minimize prints its numbers with 17 digits, whose last bits vary by platform.
+MINIMIZED4 = "action=# gradnorm=# minsep=# windings=main:3,triple:-4\n"
+
+
+def _refusal(case_id, argv, code, err, out=""):
+    return pytest.param(argv, code, out, err, id=case_id)
+
+
+class TestRefusalTable:
+    """Every refusal of the command line, pinned byte for byte: its exit code,
+    its stdout (a rendering printed before an output file failed) and the one
+    message on stderr. Paths are relative to a directory holding the inputs
+    that ``_inputs`` writes."""
+
+    @staticmethod
+    def _inputs(directory):
+        p4 = {"n": 4, "r": 7, "d": 3, "k1": 3, "k2": -4}
+        loops = {
+            "loop.json": (p4, [[3, 0.23, 0.0]], [[-4, 0.088, 0.0]]),
+            "wide.json": (p4, [[3, 0.23, 0.0], [24, 0.001, 0.0]], [[-4, 0.088, 0.0]]),
+            "fraction.json": ({**p4, "n": 4.7}, [[3, 0.23, 0.0]], [[-4, 0.088, 0.0]]),
+            # gcd(N, 3) = 3: a loop file of a class compatibility_check refuses
+            "six.json": ({"n": 6, "r": 7, "d": 3, "k1": 3, "k2": -6}, [[3, 0.23, 0.0]],
+                         [[24, 0.088, 0.0]]),
+        }
+        for name, (params, main_rows, triple_rows) in loops.items():
+            doc = {"params": params, "main": main_rows, "triple": triple_rows}
+            (directory / name).write_text(json.dumps(doc))
+        (directory / "unknown.conf").write_text("nope=1\n")
+        (directory / "value.conf").write_text("n=four\n")
+        for name in ("adir", "t.traj.csv", "i.iters.csv"):
+            (directory / name).mkdir()
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        _refusal("missing-n-r", ["bounds"], 2, "error: --n and --r are required\n"),
+        _refusal("invalid-params",
+                 ["bounds", "--n", "6", "--r", "7", "--d", "3", "--k1", "3", "--k2", "-6"], 2,
+                 "invalid parameters SymmetryParams(n_main=6, r=7, d=3, k1=3, k2=-6):\n"
+                 "  gcd(N,3) != 1\n  k2 != d (mod r)\n"),
+        _refusal("certify-no-radii", ["certify", *PARAMS4], 2,
+                 "error: certify requires --a and --b\n"),
+        _refusal("minimize-no-start", ["minimize", *PARAMS4], 2,
+                 "error: minimize requires --a/--b or --loop-in\n"),
+        _refusal("certify-bad-grid", ["certify", *PARAMS4, *RADII4, "--grid", "85"], 2,
+                 "error: --grid must be a positive multiple of lcm(3, N, r) = 84\n"),
+        _refusal("minimize-bad-grid",
+                 ["minimize", *PARAMS4, *RADII4, "--grid", "85", "--out", "m.json"], 2,
+                 "error: --grid must be a positive multiple of lcm(3, N, r) = 84\n"),
+        _refusal("certify-nan-radius", ["certify", *PARAMS4, "--a", "nan", "--b", "0.088"], 2,
+                 "error: radii must be positive and finite\n"),
+        _refusal("certify-frequency-rule",
+                 ["certify", "--n", "4", "--r", "7", "--d", "5", "--k1", "12", "--k2", "-16",
+                  *RADII4], 2,
+                 "error: frequency 3 not admissible for role 'main' with params "
+                 "SymmetryParams(n_main=4, r=7, d=5, k1=12, k2=-16): "
+                 "requires m = 0 (mod 3) and m = 5 (mod 7)\n"),
+        _refusal("minimize-nan-radius",
+                 ["minimize", *PARAMS4, "--a", "nan", "--b", "0.088", "--out", "m.json"], 2,
+                 "error: radii must be positive and finite\n"),
+        _refusal("loop-in-missing", ["minimize", "--loop-in", "nope.json", "--out", "m.json"], 2,
+                 "error reading --loop-in: [Errno 2] No such file or directory: 'nope.json'\n"),
+        _refusal("loop-in-fraction",
+                 ["minimize", "--loop-in", "fraction.json", "--out", "m.json"], 2,
+                 "error reading --loop-in: 'params' must map n, r, d, k1 and k2 to integers "
+                 "(ValueError({'n': 4.7, 'r': 7, 'd': 3, 'k1': 3, 'k2': -4}))\n"),
+        _refusal("loop-in-invalid-params",
+                 ["minimize", "--loop-in", "six.json", "--out", "m.json"], 2,
+                 "invalid parameters SymmetryParams(n_main=6, r=7, d=3, k1=3, k2=-6):\n"
+                 "  gcd(N,3) != 1\n  k2 != d (mod r)\n"),
+        _refusal("loop-in-conflict",
+                 ["minimize", "--loop-in", "loop.json", "--n", "5", "--out", "m.json"], 2,
+                 "error: --n conflicts with --loop-in parameters (n=4)\n"),
+        _refusal("modes-below-n",
+                 ["minimize", *PARAMS4, *RADII4, "--modes", "3", "--out", "m.json"], 2,
+                 "error: --modes must be at least N = 4\n"),
+        _refusal("modes-below-loop",
+                 ["minimize", "--loop-in", "wide.json", "--modes", "12", "--out", "m.json"], 2,
+                 "error: --modes 12 is below the loop's largest frequency; "
+                 "use --modes 24 or more\n"),
+        _refusal("bad-options",
+                 ["minimize", *PARAMS4, *RADII4, "--gtol", "-1", "--out", "m.json"], 2,
+                 "error: gtol must be positive and finite\n"),
+        _refusal("lemmas-r0", ["lemmas", "--n", "4", "--r", "0"], 2,
+                 "error: collision lattices need N >= 1 and r >= 1, got N=4, r=0\n"),
+        _refusal("lemmas-r0-force", ["lemmas", "--n", "4", "--r", "0", "--force"], 2,
+                 "error: collision lattices need N >= 1 and r >= 1, got N=4, r=0\n"),
+        _refusal("lemmas-invalid-params", ["lemmas", "--n", "4", "--r", "9"], 2,
+                 "invalid parameters SymmetryParams(n_main=4, r=9, d=3, k1=3, k2=-4):\n"
+                 "  gcd(r,3) != 1\n  k2 != d (mod r)\n"),
+        _refusal("bounds-out", ["bounds", *PARAMS4, "--out", "missing/b.json"], 2,
+                 "error: cannot write missing/b.json: No such file or directory\n",
+                 BOUNDS4_TABLE),
+        _refusal("certify-out", ["certify", *PARAMS4, *RADII4, "--grid", "84", "--out", "adir"],
+                 2, "error: cannot write adir: Is a directory\n", CERTIFICATE4_M84),
+        _refusal("certify-emit-plot",
+                 ["certify", *PARAMS4, *RADII4, "--grid", "84", "--emit-plot", "missing/p.csv"],
+                 2, "error: cannot write missing/p.csv: No such file or directory\n",
+                 CERTIFICATE4_M84),
+        _refusal("minimize-out", [*SHORT_MINIMIZE, "--out", "missing/m.json"], 2,
+                 "error: cannot write missing/m.json: No such file or directory\n", MINIMIZED4),
+        _refusal("minimize-traj-csv", [*SHORT_MINIMIZE, "--out", "t.json"], 2,
+                 "error: cannot write t.traj.csv: Is a directory\n", MINIMIZED4),
+        _refusal("minimize-iters-csv", [*SHORT_MINIMIZE, "--out", "i.json"], 2,
+                 "error: cannot write i.iters.csv: Is a directory\n", MINIMIZED4),
+        _refusal("minimize-emit-plot",
+                 [*SHORT_MINIMIZE, "--out", "e.json", "--emit-plot", "adir"], 2,
+                 "error: cannot write adir: Is a directory\n", MINIMIZED4),
+        _refusal("separation-guard",
+                 ["minimize", *PARAMS4, "--a", "0.1", "--b", "0.0995", "--modes", "24",
+                  "--grid", "672", "--out", "g.json"], 3,
+                 "solver error: separation guard hit at start: "
+                 "min separation 5.000e-04 < eps_sep 1.000e-03\n"),
+        _refusal("not-converged",
+                 ["minimize", *PARAMS4, *RADII4, "--modes", "24", "--grid", "84",
+                  "--max-iter", "1", "--out", "c.json"], 3,
+                 "solver did not converge: max_iterations\n", MINIMIZED4),
+        _refusal("config-missing", ["bounds", "--config", "nope.conf"], 2,
+                 "error in --config: [Errno 2] No such file or directory: 'nope.conf'\n"),
+        _refusal("config-unknown-key", ["bounds", "--config", "unknown.conf"], 2,
+                 "error in --config: config key 'nope' does not match any flag a config file "
+                 "may set\n"),
+        _refusal("config-bad-value", ["bounds", *PARAMS4, "--config", "value.conf"], 2,
+                 "error in --config: config key 'n' = 'four' is not a valid int\n"),
+    ])
+    def test_refusal_bytes(self, capsys, tmp_path, monkeypatch, argv, code, out, err):
+        monkeypatch.chdir(tmp_path)
+        self._inputs(tmp_path)
+        got_code, got_out, got_err = run_cli(capsys, *argv)
+        got_out = re.sub(r"\b(action|gradnorm|minsep)=\S+", r"\1=#", got_out)
+        assert (got_code, got_out, got_err) == (code, out, err)
+
+
+class TestNoRefusalExits1:
+    """Exit 1 is a verdict only: a ValueError from the library that no
+    subcommand anticipates still exits 2 with one message, not a traceback."""
+
+    @staticmethod
+    def _boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    @pytest.mark.parametrize("patched, argv", [
+        ("collision_threshold", ["bounds", *PARAMS4]),
+        ("verify_time_lemmas", ["lemmas", *PARAMS4]),
+        ("trajectory_to_csv", ["certify", *PARAMS4, *RADII4, "--grid", "84",
+                               "--emit-plot", "p.csv"]),
+        ("trajectory_to_csv", [*SHORT_MINIMIZE, "--out", "m.json"]),
+    ], ids=["bounds", "lemmas", "certify-emit-plot", "minimize"])
+    def test_library_value_error_exit_2(self, capsys, tmp_path, monkeypatch, patched, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, patched, self._boom)
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (2, "error: boom\n")

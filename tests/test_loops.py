@@ -779,9 +779,11 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "row",
         [[3, 0.2, 0.0, 99], ["x", 0.2, 0.0], [3.5, 0.2, 0.0], [float("inf"), 0.2, 0.0],
-         [3, float("nan"), 0.0], [3, 0.2, float("-inf")]],
+         [3, float("nan"), 0.0], [3, 0.2, float("-inf")],
+         [True, 0.2, 0.0], [3, 0.2, True], ["3", 0.2, 0.0], [3, "0.2", 0.0], "300"],
         ids=["extra-field", "non-numeric", "non-integral", "infinite-frequency",
-             "nan-coefficient", "infinite-coefficient"],
+             "nan-coefficient", "infinite-coefficient", "bool-frequency", "bool-coefficient",
+             "numeric-text-frequency", "numeric-text-coefficient", "numeric-text-row"],
     )
     def test_malformed_row_names_role_and_index(self, row):
         with pytest.raises(ValueError, match=r"'main' must be a list of \[m, x, y\] rows: row 1 is"):

@@ -108,9 +108,12 @@ class TestJsonForm:
             {"n": 4, "r": 7, "d": 3, "k1": 3, "k2": "x"},
             {"n": 4, "r": 7, "d": 3, "k1": 3, "k2": None},
             [4, 7, 3, 3, -4],
+            # int() and float() would read both as numbers
+            {"n": 4, "r": 7, "d": 3, "k1": True, "k2": -4},
+            {"n": 4, "r": "7", "d": 3, "k1": 3, "k2": -4},
         ],
         ids=["fractional", "one-fractional", "infinite", "nan", "missing", "text", "null",
-             "list"],
+             "list", "bool", "numeric-text"],
     )
     def test_json_form_refuses_non_integers(self, doc):
         with pytest.raises(ValueError, match="'params' must map n, r, d, k1 and k2 to integers"):
