@@ -248,9 +248,9 @@ class ActionWorkspace:
         """``loops.domain_min_separation`` of positions(cm, ct), over all pairs and nodes."""
         return domain_min_separation(pos, self.bodies, self._pairs)
 
-    def windings(self, cm: np.ndarray, ct: np.ndarray, pos=None) -> dict[str, list[list[int]]]:
-        """``loops.domain_windings`` of positions(cm, ct), which ``pos`` may pass."""
-        return domain_windings(self.params, self.positions(cm, ct) if pos is None else pos)
+    def windings(self, pos: np.ndarray) -> dict[str, list[list[int]]]:
+        """``loops.domain_windings`` of positions(cm, ct)."""
+        return domain_windings(self.params, pos)
 
     def kinetic(self, cm: np.ndarray, ct: np.ndarray) -> float:
         return float(

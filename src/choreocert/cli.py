@@ -282,13 +282,15 @@ def _cmd_minimize(args) -> int:
             raise _Refusal(f"error reading --loop-in: {exc}") from None
         params = start.params
         _check_params(params)
-        for flag, value in params.to_dict().items():  # the keys are the flags
+        # the keys are the flags; no radius fits, as the stored loop is the start
+        for flag, value in {**params.to_dict(), "a": None, "b": None}.items():
             given = getattr(args, flag)
             if flag == "d" and given is not None:
                 given %= params.r  # SymmetryParams stores d modulo r
             if given is not None and given != value:
-                raise _Refusal(f"error: --{flag} conflicts with --loop-in parameters "
-                               f"({flag}={value})")
+                stored = "(the stored loop is the start)" if value is None else (
+                    f"parameters ({flag}={value})")
+                raise _Refusal(f"error: --{flag} conflicts with --loop-in {stored}")
     else:
         params = _params_from_args(args)
         _check_params(params)

@@ -8,7 +8,7 @@ evaluated action saturates float64 resolution near the minimum, acceptance
 switches from sufficient decrease (Armijo) to strict gradient-norm
 contraction, the flat regime, so the gradient tolerance stays reachable.
 
-Both regimes run one backtracking line search over the steps 1, 1/2, 1/4,
+Each iteration runs one backtracking probe loop over the steps 1, 1/2, 1/4,
 ... down to 1e-18. Each probe is projected onto zero center of mass, sampled
 on one g1 domain and rejected if its minimum pair separation falls below the
 guard. A probe that clears the guard costs one evaluation, its action value,
@@ -17,15 +17,19 @@ f + ARMIJO*step*slope < f resolvable in float64, or in the flat regime an
 action at most f_floor, a few hundred ulps above the current one, and a
 gradient norm at most 0.999 of the current one. The gradient is
 computed only for a probe whose value passes. If a flat search fails along
-the L-BFGS direction, it is retried once along the preconditioned steepest
-descent direction with the history cleared. An accepted probe must keep
-every pair winding number. ``MinimizeResult.evaluations`` counts the start
-plus every probe that clears the guard.
+the L-BFGS direction, the loop goes on along the preconditioned steepest
+descent direction, and a step accepted there clears the history. An accepted
+probe must keep every pair winding number. ``MinimizeResult.evaluations``
+counts the start plus every probe that clears the guard.
 
 No search tries steps longer than 1. In the flat regime, doubled steps 2, 4,
 8, ... after an accepted unit step never paid: on 324 runs (N = 4, 5, 7, 8,
 10 and 11 from perturbed test orbits, K = max(24, N), 48 and 96) they cost
-1509 evaluations with gradients and none was accepted.
+1509 evaluations with gradients and none was accepted. The retry is rare but
+needed: 180 descents from perturbed N = 4, 5 and 7 test orbits at K = 24, 48
+and 96 never ran it, but warm-started from the level below, as ``minimize
+--loop-in`` chains levels, every N = 5 descent at K = 96 converged through it
+and stops at a gradient norm of 7e-4 without it.
 
 The backtracking factor, the Armijo constant and the L-BFGS memory are
 module constants; ``MinimizeOptions`` holds the cutoff, grid, iteration cap,
@@ -46,7 +50,9 @@ from; ``loops.roots_of_unity`` keeps it, so the descent builds it once.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -73,6 +79,7 @@ from .loops import (
 from .symmetry import ROLE_MAIN, ROLE_TRIPLE, allowed_frequencies
 
 SHRINK = 0.5     # line-search backtracking factor
+STEPS = tuple(SHRINK**k for k in range(60))  # 1, 1/2, ..., 2**-59: every step >= 1e-18
 ARMIJO = 1e-4    # sufficient-decrease constant
 MEMORY = 12      # L-BFGS history length
 
@@ -207,7 +214,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
             f"separation guard hit at start: min separation {start_minsep:.3e} "
             f"< eps_sep {options.eps_sep:.3e}"
         )
-    ref_windings = ws.windings(cm, ct, pos)
+    ref_windings = ws.windings(pos)
 
     f, gm, gt = ws.value_and_gradient(cm, ct, pos)
     x = _pack(cm, ct)
@@ -220,40 +227,10 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
         ]
     )
     eps64 = float(np.finfo(float).eps)
-    history: list[tuple[np.ndarray, np.ndarray, float]] = []
+    history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=MEMORY)
     log = [LogRow(0, f, float(np.linalg.norm(g)), start_minsep, 0.0)]
     termination = "max_iterations"
     iterations = 0
-
-    def windings_unchanged(cmn, ctn, pos):
-        try:
-            return ws.windings(cmn, ctn, pos) == ref_windings
-        except ValueError:  # undersampled: treated as a change
-            return False
-
-    def line_search(direction):
-        """First accepted probe of steps 1, 1/2, 1/4, ... down to 1e-18, or None.
-
-        Reads the iteration's x, f, slope, regime, f_floor and gnorm. Returns
-        (x, f, g, minsep, step, (cm, ct, domain positions)).
-        """
-        nonlocal evaluations
-        step = 1.0
-        while step >= 1e-18:
-            cmn, ctn = ws.project(*_unpack(x + step * direction, nm))
-            pos = ws.positions(cmn, ctn)
-            minsep = ws.min_separation(pos).distance
-            if minsep >= options.eps_sep:
-                evaluations += 1
-                fn = ws.value(cmn, ctn, pos)
-                # an Armijo target that rounds to f asks for no decrease at all
-                target = f + ARMIJO * step * slope
-                if (fn <= f_floor) if flat else (fn <= target < f):
-                    gn = _pack(*ws.gradient(cmn, ctn, pos))
-                    if not flat or np.linalg.norm(gn) <= 0.999 * gnorm:
-                        return _pack(cmn, ctn), fn, gn, minsep, step, (cmn, ctn, pos)
-            step *= SHRINK
-        return None
 
     for it in range(1, options.max_iterations + 1):
         gnorm = float(np.linalg.norm(g))
@@ -283,26 +260,42 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
         # pinned to its rounding floor.
         flat = abs(ARMIJO * slope) < 64.0 * eps64 * max(1.0, abs(f))
         f_floor = f + 256.0 * eps64 * max(1.0, abs(f))
-        accepted = line_search(direction)
-        if accepted is None and flat and history:
-            history.clear()
-            accepted = line_search(-g / prec)
-        if accepted is not None and not windings_unchanged(*accepted[5]):
-            accepted = None
-        if accepted is None:
+        # a failed flat search is retried along preconditioned steepest descent
+        directions = (direction, -g / prec) if flat and history else (direction,)
+        for along, step in itertools.product(directions, STEPS):
+            cmn, ctn = ws.project(*_unpack(x + step * along, nm))
+            pos = ws.positions(cmn, ctn)
+            minsep = ws.min_separation(pos).distance
+            if minsep < options.eps_sep:
+                continue
+            evaluations += 1
+            fn = ws.value(cmn, ctn, pos)
+            # an Armijo target that rounds to f asks for no decrease at all
+            target = f + ARMIJO * step * slope
+            if (fn <= f_floor) if flat else (fn <= target < f):
+                gn = _pack(*ws.gradient(cmn, ctn, pos))
+                if not flat or np.linalg.norm(gn) <= 0.999 * gnorm:
+                    break
+        else:
             termination = "no_admissible_step"
             break
+        try:
+            windings_kept = ws.windings(pos) == ref_windings
+        except ValueError:  # undersampled: treated as a change
+            windings_kept = False
+        if not windings_kept:
+            termination = "no_admissible_step"
+            break
+        if along is not direction:  # the retry's step starts a fresh history
+            history.clear()
 
-        xn, fn, gn, minsep, step, _ = accepted
+        xn = _pack(cmn, ctn)
         s_vec, y_vec = xn - x, gn - g
         sy = float(s_vec @ y_vec)
-        meaningful = float(np.linalg.norm(s_vec)) > 1e-13 * (1.0 + float(np.linalg.norm(x)))
-        if meaningful and sy > 1e-12 * float(np.linalg.norm(s_vec)) * float(
-            np.linalg.norm(y_vec)
-        ):
-            history.append((s_vec, y_vec, sy))
-            if len(history) > MEMORY:
-                history.pop(0)
+        s_norm = float(np.linalg.norm(s_vec))
+        meaningful = s_norm > 1e-13 * (1.0 + float(np.linalg.norm(x)))
+        if meaningful and sy > 1e-12 * s_norm * float(np.linalg.norm(y_vec)):
+            history.append((s_vec, y_vec, sy))  # the deque drops the oldest pair
         x, f, g = xn, fn, gn
         iterations = it
         log.append(LogRow(it, f, float(np.linalg.norm(g)), minsep, step))

@@ -118,7 +118,9 @@ def compatibility_check(params: SymmetryParams) -> CompatibilityResult:
     Returns an ok result exactly when all conditions hold; otherwise lists
     every violated condition by name. Invalid input is a reported outcome,
     never an exception. gcd(N, r) = g > 1 makes g divide d and every main
-    frequency, so main bodies i and i + N/g coincide in every loop.
+    frequency, so main bodies i and i + N/g coincide in every loop. d = 0
+    (mod r) admits frequency 0 for both generators, so a cross pair's relative
+    motion may have the non-zero mean that ``bounds.case_lower_bound`` excludes.
     """
     n, r, d, k1, k2 = params.n_main, params.r, params.d, params.k1, params.k2
     violations = []
@@ -142,6 +144,9 @@ def compatibility_check(params: SymmetryParams) -> CompatibilityResult:
     g = math.gcd(n, r)
     if n >= 1 and r >= 2 and g != 1:
         violations.append(f"gcd(N,r) = {g} != 1: main bodies i and i+{n // g} coincide")
+    if r >= 2 and d == 0:
+        violations.append("d = 0 (mod r): frequency 0 is admissible, so the chains' means "
+                          "are free and the zero-mean cross-pair bound does not apply")
     return CompatibilityResult(ok=not violations, violations=tuple(violations))
 
 

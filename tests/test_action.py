@@ -273,7 +273,7 @@ class TestFundamentalDomain:
         sep = kernels.min_separation_scan(ws.positions(cm, ct))[0]
         assert abs(sep - ref_sep) <= 1e-13 * ref_sep
         table = all_pairs_winding_table(direct_trajectory(system, m_samples))
-        assert ws.windings(cm, ct) == table
+        assert ws.windings(ws.positions(cm, ct)) == table
 
     @pytest.mark.parametrize(
         "params", DOMAIN_FAMILIES, ids=lambda p: f"N{p.n_main}r{p.r}"
@@ -293,7 +293,7 @@ class TestFundamentalDomain:
         # offset-1 pairs, so the expansion must place each offset's value
         system = offset_loop(-18)
         ws = ActionWorkspace.for_system(system, 1344)
-        table = ws.windings(*ws.coefficients_of(system))
+        table = ws.windings(ws.positions(*ws.coefficients_of(system)))
         assert table == all_pairs_winding_table(direct_trajectory(system, 1344))
         assert {w for _, _, w in table["main"]} == {-18, 3}
 
@@ -304,7 +304,7 @@ class TestFundamentalDomain:
         for m_samples in (84, 168, 252, 672):
             ws = ActionWorkspace.for_system(system, m_samples)
             cm, ct = ws.coefficients_of(system)
-            table = ws.windings(cm, ct, ws.positions(cm, ct))
+            table = ws.windings(ws.positions(cm, ct))
             assert table == all_pairs_winding_table(direct_trajectory(system, m_samples))
         assert {w for _, _, w in table["main"]} == {-102, 3}
 
@@ -317,7 +317,7 @@ class TestFundamentalDomain:
         with pytest.raises(ValueError, match="undersampled"):
             all_pairs_winding_table(direct_trajectory(system, m_samples))
         with pytest.raises(ValueError, match="undersampled"):
-            ws.windings(*ws.coefficients_of(system))
+            ws.windings(ws.positions(*ws.coefficients_of(system)))
 
     def test_winding_table_matches_all_pairs_oracle(self):
         # the loops above and an N=5 loop whose offsets 1 and 2 differ, sampled

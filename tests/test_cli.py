@@ -637,6 +637,11 @@ class TestRefusalTable:
                  ["bounds", "--n", "6", "--r", "7", "--d", "3", "--k1", "3", "--k2", "-6"], 2,
                  "invalid parameters SymmetryParams(n_main=6, r=7, d=3, k1=3, k2=-6):\n"
                  "  gcd(N,3) != 1\n  k2 != d (mod r)\n"),
+        _refusal("bounds-d-zero-mod-r",
+                 ["bounds", "--n", "5", "--r", "2", "--d", "0", "--k1", "6", "--k2", "10"], 2,
+                 "invalid parameters SymmetryParams(n_main=5, r=2, d=0, k1=6, k2=10):\n"
+                 "  d = 0 (mod r): frequency 0 is admissible, so the chains' means are free "
+                 "and the zero-mean cross-pair bound does not apply\n"),
         _refusal("certify-no-radii", ["certify", *PARAMS4], 2,
                  "error: certify requires --a and --b\n"),
         _refusal("minimize-no-start", ["minimize", *PARAMS4], 2,
@@ -670,6 +675,13 @@ class TestRefusalTable:
         _refusal("loop-in-conflict",
                  ["minimize", "--loop-in", "loop.json", "--n", "5", "--out", "m.json"], 2,
                  "error: --n conflicts with --loop-in parameters (n=4)\n"),
+        _refusal("loop-in-radii",
+                 ["minimize", "--loop-in", "loop.json", "--a", "5", "--b", "0.001",
+                  "--out", "m.json"], 2,
+                 "error: --a conflicts with --loop-in (the stored loop is the start)\n"),
+        _refusal("loop-in-radius-b",
+                 ["minimize", "--loop-in", "loop.json", "--b", "0.088", "--out", "m.json"], 2,
+                 "error: --b conflicts with --loop-in (the stored loop is the start)\n"),
         _refusal("modes-below-n",
                  ["minimize", *PARAMS4, *RADII4, "--modes", "3", "--out", "m.json"], 2,
                  "error: --modes must be at least N = 4\n"),

@@ -190,15 +190,33 @@ class TestMinimize:
                             counted("value", action.ActionWorkspace.value))
         monkeypatch.setattr(action.ActionWorkspace, "min_separation",
                             counted("scan", action.ActionWorkspace.min_separation))
-        system = build_test_orbit(PARAMS4, 0.23, 0.088)
-        for cutoff, multiple in ((24, 1), (48, 2), (96, 4)):
+
+        def counted_run(system, options):
             calls.update(value=0, scan=0)
-            res = minimize(system, MinimizeOptions(cutoff=cutoff, m_samples=multiple * 1344))
-            assert res.termination == "converged"
+            res = minimize(system, options)
             assert res.iterations + 1 <= res.evaluations
             assert res.evaluations == calls["value"]
             assert res.evaluations <= calls["scan"]  # the start's scan and every probe's
-            system = res.system
+            return res
+
+        # chains of levels, each started from the loop of the level below; in
+        # the N=5 chain at K=96 the flat search along the L-BFGS direction
+        # fails at iteration 3, and only the steepest-descent retry converges
+        chains = ((PARAMS4, 0.23, 0.088, 1344),
+                  (SymmetryParams(5, 8, 3, 3, -5), 0.245, 0.076, 240))
+        for params, a, b, grid in chains:
+            system = build_test_orbit(params, a, b)
+            for cutoff, multiple in ((24, 1), (48, 2), (96, 4)):
+                options = MinimizeOptions(cutoff=cutoff, m_samples=multiple * grid)
+                res = counted_run(system, options)
+                assert res.termination == "converged", (params, cutoff)
+                system = res.system
+        # the flat regime's stall: a gtol below the gradient's rounding noise,
+        # where neither the L-BFGS search nor its steepest-descent retry passes
+        orbit = build_test_orbit(PARAMS4, 0.23, 0.088)
+        res = counted_run(orbit, MinimizeOptions(cutoff=24, m_samples=1344, gtol=1e-16))
+        assert res.termination == "no_admissible_step"
+        assert res.certificate is None
 
 
 class TestOdeResidual:

@@ -20,6 +20,10 @@ from choreocert.loops import sample
 from conftest import REFERENCE_CASES, brute_force_frequencies, random_admissible_system
 
 
+MEANS_FREE = ("d = 0 (mod r): frequency 0 is admissible, so the chains' means are free "
+              "and the zero-mean cross-pair bound does not apply")
+
+
 class TestCompatibility:
     def test_reference_sets_are_ok(self):
         for case in REFERENCE_CASES:
@@ -50,8 +54,9 @@ class TestCompatibility:
     @pytest.mark.parametrize("n", [4, 5, 7, 8, 10])
     def test_refused_exactly_when_main_bodies_coincide(self, n):
         # every (r, d) with a k1 and a k2 that satisfy the other conditions:
-        # the class is refused exactly when a seeded random loop has two main
-        # bodies at distance 0 on every node; triple and cross pairs never are
+        # the gcd rule refuses the class exactly when a seeded random loop has
+        # two main bodies at distance 0 on every node (triple and cross pairs
+        # never are), and the d = 0 (mod r) rule refuses every d = 0
         for r in (2, 4, 5, 7, 8, 10):
             for d in range(r):
                 k2 = next((k for k in range(0, n * r, n) if (k - d) % r == 0), None)
@@ -70,11 +75,10 @@ class TestCompatibility:
                 g = math.gcd(n, r)
                 assert bool(forced) == (g != 1), params
                 assert all(i < j < n for i, j in forced)
-                if g == 1:
-                    assert violations == ()
-                else:
-                    assert violations == (
-                        f"gcd(N,r) = {g} != 1: main bodies i and i+{n // g} coincide",)
+                coincide = f"gcd(N,r) = {g} != 1: main bodies i and i+{n // g} coincide"
+                assert violations == ((coincide,) if g != 1 else ()) + (
+                    (MEANS_FREE,) if d == 0 else ())
+                if g != 1:
                     assert (0, n // g) in forced
 
     def test_small_n_reported(self):
