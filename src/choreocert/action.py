@@ -165,9 +165,10 @@ def _chain_phases(freqs: np.ndarray, chain_length: int, rows: int) -> np.ndarray
     return np.exp((TWO_PI / chain_length) * 1j * ticks)
 
 
-def _chain_gradient(fz: np.ndarray, table: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """sum over rows b and nodes k of fz[b, k] conj(phase[b, f] table[f, k]), per f."""
-    return ((fz @ table.conj().T) * phase.conj()).sum(axis=0)
+def _chain_gradient(fz: np.ndarray, table_h: np.ndarray, phase_conj: np.ndarray) -> np.ndarray:
+    """sum over rows b and nodes k of fz[b, k] conj(phase[b, f] table[f, k]), per f,
+    from the conjugate transpose table_h of the table and the conjugated phases."""
+    return ((fz @ table_h) * phase_conj).sum(axis=0)
 
 
 class ActionWorkspace:
@@ -179,7 +180,10 @@ class ActionWorkspace:
     M/r nodes, one fundamental domain of g1 (see the module docstring): the
     value and separation scan over the weighted representative pairs, the
     gradient through the generator phases of the reduced rows, and the
-    winding guard over one domain arc per same-chain representative. All
+    winding guard over one domain arc per same-chain representative, all
+    wound in one stacked pass. Both chains' rows are written into one complex
+    array, and positions are its float64 view, not a copy. The conjugated
+    phase tables of the gradient are built once, with the workspace. All
     evaluations share one discretization, so value_and_gradient returns the
     exact gradient of the value it reports.
     """
@@ -200,6 +204,10 @@ class ActionWorkspace:
         self._et = _phase_table(self.triple_freqs, roots, self.m_domain)
         self._main_phase = _chain_phases(self.main_freqs, n, self._n_main_rows)  # (rows, F)
         self._triple_phase = _chain_phases(self.triple_freqs, 3, 2)
+        # the gradient's conjugated tables, (M/r, F) and (rows, F)
+        self._em_h, self._et_h = self._em.conj().T, self._et.conj().T
+        self._main_phase_conj = self._main_phase.conj()
+        self._triple_phase_conj = self._triple_phase.conj()
         self.kinetic_weights_main = n * (TWO_PI * self.main_freqs.astype(float)) ** 2
         self.kinetic_weights_triple = 3 * (TWO_PI * self.triple_freqs.astype(float)) ** 2
         coupling = 3 * n
@@ -237,12 +245,14 @@ class ActionWorkspace:
 
         The rows are bodies 1..floor(N/2)+1 (the main generator advanced by
         b/N, b = 0..floor(N/2)) and bodies N+1, N+2 (the triple generator
-        advanced by 0 and 1/3), as listed in ``bodies``.
+        advanced by 0 and 1/3), as listed in ``bodies``. Both chains are
+        written into one complex array, returned as its float64 view.
         """
-        zm = (cm * self._main_phase) @ self._em
-        zt = (ct * self._triple_phase) @ self._et
-        z = np.concatenate([zm, zt])
-        return np.stack([z.real, z.imag], axis=-1)
+        rows = self._n_main_rows
+        z = np.empty((rows + 2, self.m_domain), dtype=complex)
+        np.matmul(cm * self._main_phase, self._em, out=z[:rows])
+        np.matmul(ct * self._triple_phase, self._et, out=z[rows:])
+        return z.view(np.float64).reshape(*z.shape, 2)
 
     def min_separation(self, pos: np.ndarray) -> MinSeparation:
         """``loops.domain_min_separation`` of positions(cm, ct), over all pairs and nodes."""
@@ -280,10 +290,10 @@ class ActionWorkspace:
         fz = forces[..., 0] + 1j * forces[..., 1]  # dU/dq of each reduced row
         rows, md = self._n_main_rows, self.m_domain
         gm = self.kinetic_weights_main * cm + (
-            _chain_gradient(fz[:rows], self._em, self._main_phase) / md
+            _chain_gradient(fz[:rows], self._em_h, self._main_phase_conj) / md
         )
         gt = self.kinetic_weights_triple * ct + (
-            _chain_gradient(fz[rows:], self._et, self._triple_phase) / md
+            _chain_gradient(fz[rows:], self._et_h, self._triple_phase_conj) / md
         )
         return self.project(gm, gt)
 

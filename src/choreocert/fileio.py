@@ -3,27 +3,34 @@
 from __future__ import annotations
 
 import os
-import tempfile
+
+# O_EXCL: a name already taken raises FileExistsError, so no file is reused.
+_CREATE = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
 
 
-def _creation_mode() -> int:
-    """0o666 less the process umask: the mode open(path, "w") gives a new file."""
-    umask = os.umask(0)
-    os.umask(umask)
-    return 0o666 & ~umask
+def _create_temp(directory: str) -> tuple[int, str]:
+    """(fd, path) of a new hidden file in ``directory``, open for writing.
+
+    It is created with mode 0o666 and the kernel applies the process umask,
+    the mode open(path, "w") gives a new file; the umask is never read or set.
+    """
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+        try:
+            return os.open(tmp, _CREATE, 0o666), tmp
+        except FileExistsError:
+            continue
 
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file in the same directory plus rename.
 
-    The file gets the mode a plain open(path, "w") would create, not the
-    0o600 of the temp file.
+    The file gets the mode a plain open(path, "w") would create (see
+    ``_create_temp``).
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    fd, tmp = _create_temp(os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "w") as handle:
-            os.chmod(tmp, _creation_mode())
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

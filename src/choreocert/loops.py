@@ -40,6 +40,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,7 +167,11 @@ def _spectral_sums(freqs, coeffs, wave, shape, derivatives) -> list[np.ndarray]:
 
 
 def _complex_to_planar(z: np.ndarray) -> np.ndarray:
-    return np.stack([z.real, z.imag], axis=-1)
+    """(..., 2) float64 view of a contiguous complex array: (real, imag) pairs, no copy.
+
+    The trailing axis of length 1 makes the view legal for a 0-d ``z`` too.
+    """
+    return z[..., None].view(np.float64)
 
 
 def evaluate(
@@ -354,7 +359,11 @@ def max_symmetry_residual(traj: Trajectory) -> float:
     return max(group_action_residual(traj, g) for g in _GENERATORS)
 
 
-def winding_number(points, base, arcs: int = 1, arc_turn: float = 0.0) -> int:
+# A step of this magnitude or more between adjacent samples is undersampled.
+_MAX_STEP = np.pi * (1.0 - 1e-12)
+
+
+def winding_number(points, base, arcs: int = 1, arc_turn: float = 0.0) -> int | list[int]:
     """Signed turns of a closed sampled curve around a base point.
 
     Accumulates the angle of (x - base)/|x - base| step by step; each step must
@@ -365,32 +374,53 @@ def winding_number(points, base, arcs: int = 1, arc_turn: float = 0.0) -> int:
     The points may instead sample the first of ``arcs`` congruent arcs of the
     curve, each the previous one rotated about ``base`` by ``arc_turn``
     radians. The arc then closes at its first point so rotated, and the curve
-    turns ``arcs`` times as often as the arc.
+    turns ``arcs`` times as often as the arc. ``arcs`` must be a positive int
+    and ``arc_turn`` finite.
+
+    ``points`` is one curve, (n, 2), or a stack of P curves, (P, n, 2), wound
+    in one stacked pass; a stack returns one int per curve, each the curve's
+    own call bit for bit (``base`` is then one point or one per curve). A
+    curve that cannot be wound raises ValueError with its own call's message,
+    the first such curve in the stack.
     """
+    if isinstance(arcs, bool) or not isinstance(arcs, numbers.Integral) or arcs < 1:
+        raise ValueError(f"arcs must be a positive int, got {arcs!r}")
+    if not math.isfinite(arc_turn):
+        raise ValueError(f"arc_turn must be finite, got {arc_turn!r}")
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
+    if pts.ndim not in (2, 3) or pts.shape[-1] != 2 or pts.shape[-2] < 3:
         raise ValueError("need at least 3 planar points")
-    rel = pts - np.asarray(base, dtype=float)
-    if np.any((rel[:, 0] == 0.0) & (rel[:, 1] == 0.0)):
-        raise ValueError("base point lies on the curve")
-    end = rel[:1]
-    if arc_turn:
-        c, s = math.cos(arc_turn), math.sin(arc_turn)
-        end = np.array([[c * end[0, 0] - s * end[0, 1], s * end[0, 0] + c * end[0, 1]]])
-    nxt = np.concatenate([rel[1:], end])
+    # the curves' coordinates relative to base, as contiguous (P, n) arrays
+    stack, base = pts.reshape(-1, *pts.shape[-2:]), np.asarray(base, dtype=float)
+    x, y = stack[..., 0] - base[..., :1], stack[..., 1] - base[..., 1:]
+    on_curve = ((x == 0.0) & (y == 0.0)).any(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        cross = rel[:, 0] * nxt[:, 1] - rel[:, 1] * nxt[:, 0]
-        dot = rel[:, 0] * nxt[:, 0] + rel[:, 1] * nxt[:, 1]
+        end_x, end_y = x[:, :1], y[:, :1]
+        if arc_turn:
+            c, s = math.cos(arc_turn), math.sin(arc_turn)
+            end_x, end_y = c * end_x - s * end_y, s * end_x + c * end_y
+        next_x = np.concatenate([x[:, 1:], end_x], axis=1)
+        next_y = np.concatenate([y[:, 1:], end_y], axis=1)
+        cross = x * next_y - y * next_x
+        dot = x * next_x + y * next_y
         steps = np.arctan2(cross, dot)
-    if not np.isfinite(steps).all():
-        raise ValueError("non-finite angle steps: a point is not finite or a product overflows")
-    if np.any(np.abs(steps) >= np.pi * (1.0 - 1e-12)):
-        raise ValueError("undersampled: angular step >= pi between adjacent samples")
-    total = arcs * steps.sum() / TWO_PI
-    n = round(total)
-    if abs(total - n) > 1e-6:
-        raise ValueError(f"accumulated angle {total!r} turns is not an integer")
-    return int(n)
+        total = arcs * steps.sum(axis=1) / TWO_PI
+        turns = np.rint(total)
+        # a NaN step or turn compares False, so it fails here too
+        failing = (on_curve | ~(np.abs(steps) < _MAX_STEP).all(axis=1)
+                   | ~(np.abs(total - turns) <= 1e-6))
+    if failing.any():
+        k = int(np.argmax(failing))  # the first curve that fails, checked as on its own
+        if on_curve[k]:
+            raise ValueError("base point lies on the curve")
+        if not np.isfinite(steps[k]).all():
+            raise ValueError(
+                "non-finite angle steps: a point is not finite or a product overflows")
+        if (np.abs(steps[k]) >= _MAX_STEP).any():
+            raise ValueError("undersampled: angular step >= pi between adjacent samples")
+        raise ValueError(f"accumulated angle {total[k]!r} turns is not an integer")
+    winds = [int(n) for n in turns.tolist()]
+    return winds if pts.ndim == 3 else winds[0]
 
 
 @dataclass(frozen=True)
@@ -400,14 +430,35 @@ class MinSeparation:
     distance: float
 
 
+@functools.lru_cache(maxsize=16)
 def representative_rows(params: SymmetryParams) -> tuple[tuple[int, ...], np.ndarray]:
     """(bodies, pairs): the bodies of the ``pair_kinds`` representatives, ascending
     (1..floor(N/2)+1, N+1 and N+2), and the (P, 2) rows in ``bodies`` of each
-    representative, in ``pair_kinds`` order."""
+    representative, in ``pair_kinds`` order. Built once per class; ``pairs``
+    is read-only."""
     kinds = pair_kinds(params)
     bodies = tuple(sorted({body for kind in kinds for body in kind.pair}))
-    pairs = [[bodies.index(i), bodies.index(j)] for i, j in (kind.pair for kind in kinds)]
-    return bodies, np.array(pairs, dtype=np.int64)
+    pairs = np.array([[bodies.index(i), bodies.index(j)] for i, j in (kind.pair for kind in kinds)],
+                     dtype=np.int64)
+    pairs.setflags(write=False)
+    return bodies, pairs
+
+
+@functools.lru_cache(maxsize=16)
+def _winding_rows(params: SymmetryParams) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(a, b, main): the same-chain representatives of ``pair_kinds``, main offsets
+    ascending then the triple pair, as rows a - b of ``representative_rows``;
+    and (i, j, index) for every main pair i < j, lexicographic, 1-based, with
+    the index of its representative in (a, b). Built once per class."""
+    n = params.n_main
+    _, pairs = representative_rows(params)
+    same = pairs[[k for k, kind in enumerate(pair_kinds(params)) if kind.kind != ROLE_CROSS]]
+    same.setflags(write=False)
+    a, b = same.T
+    # main pair (i, j) winds as offset min(s, N-s), the entry min(s, N-s) - 1
+    main = tuple((i + 1, j + 1, min(j - i, n - (j - i)) - 1)
+                 for i in range(n) for j in range(i + 1, n))
+    return a, b, main
 
 
 def _domain_positions(traj: Trajectory) -> np.ndarray:
@@ -432,27 +483,20 @@ def domain_min_separation(pos: np.ndarray, bodies, pairs) -> MinSeparation:
 def domain_windings(params: SymmetryParams, pos: np.ndarray) -> dict[str, list[list[int]]]:
     """deg(q_i - q_j) of every main-main and triple-triple pair, from one g1 domain.
 
-    Each same-chain representative is wound as r arcs, each the previous one
-    rotated by 2*pi*d/r. Main pair (i, j), s = j - i, is pair (1, 1+s) and
-    minus pair (1, 1+N-s), both advanced in time, so it winds as offset
-    min(s, N-s); every triple pair winds as (N+1, N+2). Rows are [i, j, w],
-    i < j, lexicographic, under "main" and "triple". A representative that
-    cannot be wound raises ValueError.
+    The floor(N/2) + 1 same-chain representatives are wound in one stacked
+    pass of ``winding_number``, each as r arcs, each the previous one rotated
+    by 2*pi*d/r. Main pair (i, j), s = j - i, is pair (1, 1+s) and minus pair
+    (1, 1+N-s), both advanced in time, so it winds as offset min(s, N-s);
+    every triple pair winds as (N+1, N+2). Rows are [i, j, w], i < j,
+    lexicographic, under "main" and "triple". A representative that cannot be
+    wound raises ValueError.
     """
     n, r, turn = params.n_main, params.r, TWO_PI * params.d / params.r
-    _, pairs = representative_rows(params)
-    winds = {
-        (k.kind, k.offset): winding_number(pos[a] - pos[b], (0.0, 0.0), arcs=r, arc_turn=turn)
-        for k, (a, b) in zip(pair_kinds(params), pairs)
-        if k.kind != ROLE_CROSS
-    }
-    triple = winds[ROLE_TRIPLE, 0]
+    a, b, main = _winding_rows(params)
+    winds = winding_number(pos[a] - pos[b], (0.0, 0.0), arcs=r, arc_turn=turn)
+    triple = winds[-1]
     return {
-        "main": [
-            [i + 1, j + 1, winds[ROLE_MAIN, min(j - i, n - (j - i))]]
-            for i in range(n)
-            for j in range(i + 1, n)
-        ],
+        "main": [[i, j, winds[k]] for i, j, k in main],
         "triple": [[i + 1, j + 1, triple] for i in range(n, n + 3) for j in range(i + 1, n + 3)],
     }
 

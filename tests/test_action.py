@@ -250,6 +250,41 @@ class TestPhaseTables:
                 assert np.array_equal(table, direct_phase_table(freqs, roots, ws.m_domain))
 
 
+class TestPlanarPositions:
+    """positions is a float64 view of one complex array; the gradient reads
+    conjugated tables built with the workspace. Both against the forms they
+    replace, bit for bit."""
+
+    @pytest.mark.parametrize("m_multiple", [1, 16])
+    def test_positions_match_concatenated_stack(self, reference_case, m_multiple):
+        params = reference_case["params"]
+        orbit = build_test_orbit(params, reference_case["a"], reference_case["b"])
+        for system in (orbit, random_admissible_system(params, 48, seed=9 * params.n_main)):
+            ws = ActionWorkspace.for_system(system, m_multiple * params.grid_unit)
+            cm, ct = ws.coefficients_of(system)
+            z = np.concatenate([(cm * ws._main_phase) @ ws._em, (ct * ws._triple_phase) @ ws._et])
+            want = np.stack([z.real, z.imag], axis=-1)
+            got = ws.positions(cm, ct)
+            assert got.shape == (len(ws.bodies), ws.m_domain, 2) and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_gradient_matches_conjugating_per_call(self, reference_case):
+        params = reference_case["params"]
+        system = random_admissible_system(params, 48, seed=11 * params.n_main)
+        ws = ActionWorkspace.for_system(system, params.default_grid())
+        cm, ct = ws.coefficients_of(system)
+        pos = ws.positions(cm, ct)
+        forces = kernels.pair_forces(pos, ws._pairs, ws._weights)
+        fz = forces[..., 0] + 1j * forces[..., 1]
+        rows, md = ws._n_main_rows, ws.m_domain
+        gm = ws.kinetic_weights_main * cm + (
+            ((fz[:rows] @ ws._em.conj().T) * ws._main_phase.conj()).sum(axis=0) / md)
+        gt = ws.kinetic_weights_triple * ct + (
+            ((fz[rows:] @ ws._et.conj().T) * ws._triple_phase.conj()).sum(axis=0) / md)
+        for got, want in zip(ws.gradient(cm, ct, pos), ws.project(gm, gt)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestFundamentalDomain:
     """ActionWorkspace on M/r nodes against the full-grid reference in conftest."""
 

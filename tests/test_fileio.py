@@ -54,3 +54,27 @@ def test_minimize_files_get_umask_mode(tmp_path, restore_umask, capsys):
     assert sorted(os.listdir(tmp_path)) == sorted(names)
     assert {name: mode_of(tmp_path / name) for name in names} == dict.fromkeys(names, 0o644)
     assert (tmp_path / "plot.csv").read_bytes() == (tmp_path / "res.traj.csv").read_bytes()
+
+
+def test_umask_is_never_set(tmp_path, monkeypatch):
+    # a host program's other threads create files while this one writes: the
+    # umask stays as it is, and the kernel applies it to the temp file
+    def refuse(*args):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    path = tmp_path / "out.txt"
+    atomic_write_text(str(path), "text\n")
+    assert path.read_text() == "text\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_taken_temp_name_is_skipped(tmp_path, monkeypatch):
+    taken = tmp_path / ".tmp-aa~"
+    taken.write_text("someone else's\n")
+    names = iter([b"\xaa", b"\xbb"])
+    monkeypatch.setattr(os, "urandom", lambda size: next(names))
+    atomic_write_text(str(tmp_path / "out.txt"), "text\n")
+    assert taken.read_text() == "someone else's\n"
+    assert sorted(os.listdir(tmp_path)) == [".tmp-aa~", "out.txt"]
+    assert (tmp_path / "out.txt").read_text() == "text\n"

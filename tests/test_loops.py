@@ -83,6 +83,42 @@ class TestEvaluate:
         assert np.allclose(evaluate(orbit4, 6, ts), evaluate(orbit4, 5, ts + 1 / 3))
 
 
+def _stacked_evaluate(system, body, t, order):
+    """evaluate's sum of one order copied out with np.stack([re, im], -1), the
+    form it had before it returned a view of the complex sum."""
+    spec = system.generator_for(body)
+    u = np.asarray(t, dtype=float) + system.body_shift(body)
+    z = np.zeros(u.shape, dtype=complex)
+    for m, c in zip(spec.freqs, spec.coeffs):
+        z += c * (2.0 * np.pi * 1j * m) ** order * np.exp((2.0 * np.pi * m) * 1j * u)
+    return np.stack([z.real, z.imag], axis=-1)
+
+
+class TestPlanarView:
+    @pytest.mark.parametrize(
+        "t", [0.3, np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 24).reshape(4, 6)],
+        ids=["0d", "1d", "2d"],
+    )
+    def test_evaluate_matches_stacked_copy_bitwise(self, t):
+        system = random_admissible_system(PARAMS4, 30, seed=12)
+        for body in (1, 2, 5, 6):
+            want = [_stacked_evaluate(system, body, t, order) for order in (0, 1, 2)]
+            got = evaluate(system, body, t, derivative=(0, 1, 2))
+            for values, ref in zip((*got, evaluate(system, body, t, derivative=1)),
+                                   (*want, want[1])):
+                assert values.shape == np.shape(t) + (2,)
+                assert values.dtype == np.float64 and values.flags.c_contiguous
+                assert np.array_equal(values.view(np.uint64), ref.view(np.uint64))
+
+    def test_planar_view_shares_the_complex_array(self):
+        z = np.array([[1.5 - 0.0j, -2.0 + 3.0j]])
+        planar = loops._complex_to_planar(z)
+        assert planar.shape == (1, 2, 2) and np.shares_memory(planar, z)
+        assert np.array_equal(planar.view(np.uint64),
+                              np.stack([z.real, z.imag], axis=-1).view(np.uint64))
+        assert loops._complex_to_planar(np.array(1.0 - 2.0j)).tolist() == [1.0, -2.0]
+
+
 class TestSample:
     def test_circular_speed(self, orbit4):
         traj = sample(orbit4, 1344)
@@ -322,6 +358,115 @@ class TestWinding:
         with pytest.raises(ValueError, match="non-finite angle steps"):
             winding_number(np.full((8, 2), np.nan), (0.0, 0.0))
         assert winding_number(pts / scale * 1e150, (0.0, 0.0)) == 1
+
+
+def _circle_stack(turns, nodes=96):
+    """(len(turns), nodes, 2) closed curves winding turns[p] times around 0."""
+    t = np.arange(nodes) / nodes
+    z = np.array([np.exp(2j * np.pi * k * t) + 0.3 * np.exp(-2j * np.pi * t) for k in turns])
+    return np.stack([z.real, z.imag], axis=-1)
+
+
+class TestWindingArguments:
+    @pytest.mark.parametrize("arcs", [0, -3, True, False, 1.5, "2", None])
+    def test_arcs_must_be_a_positive_int(self, arcs):
+        with pytest.raises(ValueError, match="arcs must be a positive int"):
+            winding_number(_circle_stack([1])[0], (0.0, 0.0), arcs=arcs)
+
+    def test_integer_arcs_accepted(self):
+        pts = _circle_stack([1])[0]
+        assert winding_number(pts, (0.0, 0.0), arcs=np.int64(3)) == 3
+        assert winding_number(pts, (0.0, 0.0), arcs=3) == 3
+
+    @pytest.mark.parametrize("arc_turn", [np.nan, np.inf, -np.inf])
+    def test_arc_turn_must_be_finite(self, arc_turn):
+        with pytest.raises(ValueError, match="arc_turn must be finite"):
+            winding_number(_circle_stack([1])[0], (0.0, 0.0), arcs=2, arc_turn=arc_turn)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 2), (5, 3), (2, 4, 3), (1, 2, 5, 2)])
+    def test_shape_must_be_planar_curves(self, shape):
+        with pytest.raises(ValueError, match="need at least 3 planar points"):
+            winding_number(np.ones(shape), (0.0, 0.0))
+
+
+class TestStackedWinding:
+    def test_equals_per_curve_calls(self):
+        stack = _circle_stack([1, -2, 0, 5])
+        got = winding_number(stack, (0.0, 0.0))
+        assert got == [1, -2, 0, 5] == [winding_number(c, (0.0, 0.0)) for c in stack]
+        assert all(type(w) is int for w in got)
+        assert type(winding_number(stack[0], (0.0, 0.0))) is int
+        assert winding_number(stack[:0], (0.0, 0.0)) == []
+
+    def test_base_per_curve(self):
+        stack = _circle_stack([1, -2, 3])
+        bases = np.array([[0.5, -1.0], [2.0, 3.0], [-4.0, 0.25]])
+        shifted = stack + bases[:, None, :]
+        assert winding_number(shifted, bases) == [1, -2, 3]
+        # one point for the whole stack: the far ones do not wind around it
+        assert winding_number(shifted, bases[0]) == [1, 0, 0]
+
+    @pytest.mark.parametrize("params", SHIFT_FAMILIES, ids=lambda p: f"N{p.n_main}r{p.r}")
+    def test_domain_arcs_equal_per_curve_calls(self, params):
+        # the same-chain representatives on one g1 domain, each r rotated arcs
+        system = random_admissible_system(params, 48, seed=300 * params.n_main)
+        ws = ActionWorkspace.for_system(system, params.default_grid())
+        pos = ws.positions(*ws.coefficients_of(system))
+        same = [k for k, kind in enumerate(pair_kinds(params)) if kind.kind != "cross"]
+        a, b = ws._pairs[same].T
+        stack, turn = pos[a] - pos[b], 2.0 * np.pi * params.d / params.r
+        got = winding_number(stack, (0.0, 0.0), arcs=params.r, arc_turn=turn)
+        want = [winding_number(c, (0.0, 0.0), arcs=params.r, arc_turn=turn) for c in stack]
+        assert got == want == [params.k1] * (len(same) - 1) + [params.k2]
+
+    @pytest.mark.parametrize("params", SHIFT_FAMILIES, ids=lambda p: f"N{p.n_main}r{p.r}")
+    def test_all_pairs_in_one_stack_match_oracle(self, params):
+        system = random_admissible_system(params, 24, seed=400 * params.n_main)
+        traj = direct_trajectory(system, params.default_grid())
+        table = all_pairs_winding_table(traj)
+        pos = traj.positions
+        for key in ("main", "triple"):
+            rows = table[key]
+            stack = np.stack([pos[i - 1] - pos[j - 1] for i, j, _ in rows])
+            assert winding_number(stack, (0.0, 0.0)) == [w for _, _, w in rows]
+
+    def test_failing_curve_raises_its_own_message(self):
+        good = _circle_stack([2])[0]
+        through_base = good.copy()
+        through_base[7] = 0.0
+        nan_curve = good.copy()
+        nan_curve[3, 1] = np.nan
+        t = np.arange(96) / 96
+        # 48 turns on 96 samples: every step is a half turn
+        undersampled = np.stack([np.cos(96 * np.pi * t), np.sin(96 * np.pi * t)], axis=1)
+        for bad, message in ((through_base, "base point lies on the curve"),
+                             (nan_curve, "non-finite angle steps"),
+                             (undersampled, "undersampled")):
+            with pytest.raises(ValueError, match=message):
+                winding_number(bad, (0.0, 0.0))
+            with pytest.raises(ValueError, match=message):
+                winding_number(np.stack([good, good, bad]), (0.0, 0.0))
+
+    def test_first_failing_curve_decides(self):
+        # curve 0 is undersampled and curve 1 passes through the base point
+        t = np.arange(6) / 6
+        undersampled = np.stack([np.cos(6 * np.pi * t), np.sin(6 * np.pi * t)], axis=1)
+        through_base = undersampled.copy()
+        through_base[2] = 0.0
+        with pytest.raises(ValueError, match="undersampled"):
+            winding_number(np.stack([undersampled, through_base]), (0.0, 0.0))
+        with pytest.raises(ValueError, match="base point"):
+            winding_number(np.stack([through_base, undersampled]), (0.0, 0.0))
+
+    def test_fractional_turns_name_the_first_curve(self):
+        # a third of a circle and a whole one, each closed by a third of a
+        # turn and taken as 2 arcs: 2/3 and 8/3 turns
+        t = np.arange(32) / 96
+        arc = np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=1)
+        circle = _circle_stack([1], nodes=32)[0]
+        for stack, turns in (([arc, circle], r"0\.666"), ([circle, arc], r"2\.666")):
+            with pytest.raises(ValueError, match=rf"accumulated angle .*{turns}.* not an integer"):
+                winding_number(np.stack(stack), (0.0, 0.0), arcs=2, arc_turn=2 * np.pi / 3)
 
 
 class TestMinSeparation:
