@@ -32,6 +32,15 @@ cross pairs). Summing over all pairs and dividing by the body count N+3
 action of any loop exhibiting the seed collision. Since every colliding pair
 has L/gap equal gaps, its term is one segment summed L/gap times, the same
 for every colliding pair of the case.
+
+Both sums are folds left to right, as a ``+=`` loop adds them: the repeated
+segment, and then the pair terms in lexicographic pair order. The segment is
+folded with ``functools.reduce`` over ``itertools.repeat``, once per
+distinct lattice size. The pair terms of all the cases of a threshold are
+rows of one table, folded with ``np.add.accumulate``, which adds along each
+row strictly in order. ``np.sum`` and ``np.add.reduce`` add pairwise, and
+the builtin ``sum`` of floats is compensated from Python 3.12 on, so either
+would give other bits, the latter depending on the interpreter.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -131,8 +141,26 @@ class TimeLattice:
         return isinstance(ts, range) and (len(ts) == 1 or self.modulus == ts.step * len(ts))
 
 
-def _canonical(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
+def _seed_pair(params: SymmetryParams, seed: tuple[int, int]) -> tuple[int, int]:
+    """The seed as (i, j), i < j, Python ints; ValueError unless two distinct bodies.
+
+    Bodies are the ints 1..N+3: a bool, a float (integral or not) or a
+    value out of range names no body.
+    """
+    bodies = params.n_main + 3
+    try:
+        i, j = seed
+    except (TypeError, ValueError):
+        raise ValueError(f"seed pair {seed!r} invalid for {bodies} bodies: not a pair") from None
+    if type(i) is not int or type(j) is not int:
+        if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in (i, j)):
+            raise ValueError(f"seed pair {seed!r} invalid for {bodies} bodies: bodies are ints")
+        i, j = int(i), int(j)
+    if j < i:
+        i, j = j, i
+    if i < 1 or j > bodies or i == j:
+        raise ValueError(f"seed pair {seed!r} invalid for {bodies} bodies")
+    return i, j
 
 
 def lattice_modulus(params: SymmetryParams) -> int:
@@ -161,7 +189,9 @@ def collision_closure(
       cross:           succ on the main index with t -> t - L/N,
                        succ on the triple index with t -> t - L/3
     where succ is the cyclic successor on its chain. Returns every reachable
-    pair with its full tick lattice, pairs in ascending order.
+    pair with its full tick lattice, pairs in ascending order. The seed must
+    be two distinct bodies, ints in 1..N+3 (not bools, not floats), in
+    either order; anything else raises ValueError naming the seed.
 
     The three rules of a pair kind are commuting maps: relabelling does not
     depend on t and every time shift is additive. Each has finite order (r
@@ -180,42 +210,31 @@ def collision_closure(
     """
     n, r = params.n_main, params.r
     L = lattice_modulus(params)
-    B = n + 3
-    i0, j0 = seed
-    if not (1 <= i0 <= B and 1 <= j0 <= B) or i0 == j0:
-        raise ValueError(f"seed pair {seed} invalid for {B} bodies")
+    i0, j0 = _seed_pair(params, seed)
     rot, third, enth = L // r, L // 3, L // n
 
-    def main(i, c):
-        return (i - 1 + c) % n + 1
-
-    def triple(i, e):
-        return n + 1 + (i - n - 1 + e) % 3
-
-    # Each relabelling power gives a pair and a base tick; gap generates the
-    # subgroup of free shifts.
-    i0, j0 = _canonical(i0, j0)
-    if j0 <= n:
-        powers = [(main(i0, c), main(j0, c), -c * enth) for c in range(n)]
-        gap = math.gcd(L, rot, third)
-    elif i0 > n:
-        powers = [(triple(i0, e), triple(j0, e), -e * third) for e in range(3)]
-        gap = math.gcd(L, rot, enth)
-    else:
-        powers = [
-            (main(i0, c), triple(j0, e), -c * enth - e * third)
-            for c in range(n)
-            for e in range(3)
-        ]
-        gap = rot
-
+    # Each relabelling power (c on the main chain, e on the triple chain)
+    # gives a pair and a base tick; gap generates the subgroup of free shifts.
     bases: dict[tuple[int, int], int] = {}
-    for i, j, base in powers:
-        pair = _canonical(i, j)
-        if pair in bases:
-            gap = math.gcd(gap, base - bases[pair])
-        else:
-            bases[pair] = base
+    if j0 <= n:
+        gap = math.gcd(L, rot, third)
+        for c in range(n):
+            i, j = (i0 - 1 + c) % n + 1, (j0 - 1 + c) % n + 1
+            base = -c * enth
+            first = bases.setdefault((i, j) if i < j else (j, i), base)
+            if first != base:  # the antipodal seed: power c + N/2 reaches power c's pair
+                gap = math.gcd(gap, base - first)
+    elif i0 > n:
+        gap = math.gcd(L, rot, enth)
+        for e in range(3):
+            i, j = n + 1 + (i0 - n - 1 + e) % 3, n + 1 + (j0 - n - 1 + e) % 3
+            bases[(i, j) if i < j else (j, i)] = -e * third
+    else:
+        gap = rot
+        for c in range(n):
+            i = (i0 - 1 + c) % n + 1
+            for e in range(3):
+                bases[(i, n + 1 + (j0 - n - 1 + e) % 3)] = -c * enth - e * third
     return {
         pair: TimeLattice(L, range(base % gap, L, gap))
         for pair, base in sorted(bases.items())
@@ -240,6 +259,96 @@ class CaseBound:
         }
 
 
+@functools.lru_cache(maxsize=32)
+def _periodic_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair's periodic term in lexicographic pair order, and where each pair sits.
+
+    Pair (i, j), i < j, of the B = N+3 bodies sits at (i-1)*B - (i-1)*i/2 +
+    (j-i-1), which is starts[i] + j. The relative periods are 1/3 for
+    main-main, 1 for cross and 1/N for triple-triple pairs. Kept per N, both
+    arrays read-only.
+    """
+    B = n + 3
+    strength = float(B)
+    main_term, cross_term, triple_term = (
+        gordon_periodic(strength, p) / p for p in (1.0 / 3.0, 1.0, 1.0 / n)
+    )
+    pairs = itertools.combinations(range(1, B + 1), 2)  # lexicographic
+    row = np.array(
+        [main_term if j <= n else cross_term if i <= n else triple_term for i, j in pairs]
+    )
+    starts = np.array([(i - 1) * B - (i - 1) * i // 2 - i - 1 for i in range(B + 1)])
+    row.flags.writeable = starts.flags.writeable = False
+    return row, starts
+
+
+# Entries of one table of case rows: at large N the cases are folded a few
+# rows at a time, so the tables stay near one row's size, not N/2 rows'.
+_TABLE_ENTRIES = 1 << 16
+
+
+def _case_bounds(
+    params: SymmetryParams, seeds: list[tuple[str | None, tuple[int, int]]]
+) -> tuple[CaseBound, ...]:
+    """The CaseBound of every (label, seed), one row of a table per case.
+
+    One ``collision_closure`` call per seed. Every colliding pair's lattice
+    is a coset of the seed lattice, so its intervals are all L/size ticks
+    long and its term is one Gordon segment added size times: one sum per
+    distinct size. Each case's row is the periodic row with its colliding
+    pairs' terms overwritten by that sum. The rows are folded left to right,
+    in tables of at most _TABLE_ENTRIES entries, and divided by N+3.
+    """
+    L = lattice_modulus(params)
+    n = params.n_main
+    B = n + 3
+    row, starts = _periodic_terms(n)
+    pairs, sizes, closures = [], [], []
+    for _, seed in seeds:
+        pair = _seed_pair(params, seed)
+        closure = collision_closure(params, pair)
+        pairs.append(pair)
+        sizes.append(closure[pair].size)
+        closures.append(closure)
+    counts = [len(closure) for closure in closures]
+    colliding = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain.from_iterable(closures)),
+        dtype=np.intp,
+        count=2 * sum(counts),
+    )
+    # each colliding pair's entry in the flattened table of all cases
+    cells = np.arange(0, len(seeds) * row.size, row.size).repeat(counts)
+    cells += starts[colliding[0::2]] + colliding[1::2]
+
+    # one Gordon segment per interval, added left to right from 0.0 as += adds it
+    seed_sums = {
+        size: functools.reduce(
+            operator.add, itertools.repeat(gordon_segment(float(B), (L // size) / L), size), 0.0
+        )
+        for size in set(sizes)
+    }
+    terms = np.array([seed_sums[size] for size in sizes]).repeat(counts)
+    ends = [0, *itertools.accumulate(counts)]
+    per_table = max(1, _TABLE_ENTRIES // row.size)
+    bounds: list[float] = []
+    for first in range(0, len(seeds), per_table):
+        last = min(first + per_table, len(seeds))
+        table = row[None, :].repeat(last - first, axis=0)
+        block = slice(ends[first], ends[last])
+        table.ravel()[cells[block] - first * row.size] = terms[block]
+        # adds along each row in order; np.sum would add pairwise
+        bounds += (np.add.accumulate(table, axis=1)[:, -1] / B).tolist()
+    return tuple(
+        CaseBound(
+            label=label if label is not None else f"seed {seed}",
+            pair=pair,
+            lattice_sizes=(size,) * count,
+            bound=bound,
+        )
+        for (label, seed), pair, size, count, bound in zip(seeds, pairs, sizes, counts, bounds)
+    )
+
+
 def case_lower_bound(
     params: SymmetryParams, seed: tuple[int, int], label: str | None = None
 ) -> CaseBound:
@@ -256,37 +365,12 @@ def case_lower_bound(
     summing one segment per interval of each lattice with +=. The pair terms
     are then listed in lexicographic pair order, each colliding pair's
     periodic term overwritten by that sum, and folded left to right the same
-    way. Both folds are explicit, since the builtin sum of floats is
-    compensated from Python 3.12 on and would make the bits depend on the
-    interpreter.
+    way, as a row of ``np.add.accumulate``, which adds strictly left to
+    right. ``np.sum`` adds pairwise, and the builtin sum of floats is
+    compensated from Python 3.12 on, so either would change the bits.
+    ``collision_threshold`` folds all its cases through the same code.
     """
-    closure = collision_closure(params, seed)
-    n = params.n_main
-    B = n + 3
-    strength = float(B)
-    # relative periods: 1/3 for main-main, 1 for cross, 1/N for triple-triple
-    main_term, cross_term, triple_term = (
-        gordon_periodic(strength, p) / p for p in (1.0 / 3.0, 1.0, 1.0 / n)
-    )
-    seed_lattice = closure[_canonical(*seed)]
-    L, size = seed_lattice.modulus, seed_lattice.size
-    segment = gordon_segment(strength, (L // size) / L)
-    seed_sum = functools.reduce(operator.add, itertools.repeat(segment, size), 0.0)
-    # pair (i, j), i < j, sits at (i-1)*B - (i-1)*i/2 + (j-i-1) in this list
-    terms = []
-    for i in range(1, n + 1):
-        terms += [main_term] * (n - i)
-        terms += [cross_term] * 3
-    terms += [triple_term] * 3
-    for i, j in closure:
-        terms[(i - 1) * B - (i - 1) * i // 2 + j - i - 1] = seed_sum
-    total = functools.reduce(operator.add, terms, 0.0)
-    return CaseBound(
-        label=label if label is not None else f"seed {seed}",
-        pair=_canonical(*seed),
-        lattice_sizes=(size,) * len(closure),
-        bound=total / B,
-    )
+    return _case_bounds(params, [(label, seed)])[0]
 
 
 @dataclass(frozen=True)
@@ -313,7 +397,7 @@ def representative_seeds(params: SymmetryParams) -> list[tuple[str, tuple[int, i
 
 def collision_threshold(params: SymmetryParams) -> ThresholdReport:
     """Minimum of the case bounds over every collision case, one per pair orbit."""
-    cases = tuple(case_lower_bound(params, k.pair, k.label) for k in pair_kinds(params))
+    cases = _case_bounds(params, representative_seeds(params))
     parity = (
         "N even: threshold over cases 1, 2, 3, 4, 5"
         if params.n_main % 2 == 0

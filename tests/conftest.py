@@ -393,16 +393,19 @@ def bfs_closure(params: SymmetryParams, seed: tuple[int, int]) -> dict:
     return {pair: TimeLattice(L, tuple(sorted(ticks))) for pair, ticks in sorted(by_pair.items())}
 
 
-# One case bound from the BFS closure: pairs walked in lexicographic order, a
-# colliding pair adding its own lattice's gordon_segment per inter-collision
-# duration, every other pair its periodic term. Each sum is an explicit +=
-# loop from 0.0, the reference order for case_lower_bound; the builtin sum of
-# floats is compensated from Python 3.12 on.
-def oracle_case_bound(params: SymmetryParams, seed: tuple[int, int], label: str) -> CaseBound:
+# One case bound from a closure (the BFS one by default): pairs walked in
+# lexicographic order, a colliding pair adding its own lattice's
+# gordon_segment per inter-collision duration, every other pair its periodic
+# term. Each sum is an explicit += loop from 0.0, the reference order for
+# case_lower_bound; the builtin sum of floats is compensated from Python 3.12
+# on, and np.sum adds pairwise.
+def oracle_case_bound(
+    params: SymmetryParams, seed: tuple[int, int], label: str, closure_of=bfs_closure
+) -> CaseBound:
     n = params.n_main
     B = n + 3
     strength = float(B)
-    closure = bfs_closure(params, seed)
+    closure = closure_of(params, seed)
     total = 0.0
     for i in range(1, B + 1):
         for j in range(i + 1, B + 1):
@@ -420,9 +423,10 @@ def oracle_case_bound(params: SymmetryParams, seed: tuple[int, int], label: str)
 
 
 # The case bounds and their minimum: the reference for collision_threshold.
-def oracle_threshold(params: SymmetryParams) -> ThresholdReport:
+def oracle_threshold(params: SymmetryParams, closure_of=bfs_closure) -> ThresholdReport:
     cases = tuple(
-        oracle_case_bound(params, seed, label) for label, seed in representative_seeds(params)
+        oracle_case_bound(params, seed, label, closure_of)
+        for label, seed in representative_seeds(params)
     )
     parity = (
         "N even: threshold over cases 1, 2, 3, 4, 5"

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -35,6 +36,13 @@ ADMISSIBLE_FAMILIES = [SymmetryParams(n, n + 3, 3, 3, -n) for n in range(4, 39) 
 # Those families plus every N, r <= 15, with 3 | N, 3 | r and r = 1 included.
 LATTICE_GRID = ADMISSIBLE_FAMILIES + [
     SymmetryParams(n, r, 3, 3, -n) for n in range(1, 16) for r in range(1, 16)
+]
+# A seeded sample of N = 1..60 and r = 1..40, each value of both at least
+# once, and the N = 101 class the console-script check runs.
+_fold_rng = np.random.default_rng(2028)
+_fold_r = _fold_rng.permutation(np.r_[1:41, _fold_rng.integers(1, 41, 20)])
+FOLD_GRID = [SymmetryParams(n, int(r), 3, 3, -n) for n, r in zip(range(1, 61), _fold_r)] + [
+    SymmetryParams(101, 104, 3, 3, -101)
 ]
 
 
@@ -211,10 +219,27 @@ class TestClosure:
             verify_time_lemmas(params)
 
     def test_invalid_seed(self):
-        with pytest.raises(ValueError):
-            collision_closure(SymmetryParams(4, 7, 3, 3, -4), (1, 1))
-        with pytest.raises(ValueError):
-            collision_closure(SymmetryParams(4, 7, 3, 3, -4), (0, 3))
+        # Bodies are the ints 1..N+3: no float names one, even an integral
+        # float, and no bool does.
+        params = SymmetryParams(4, 7, 3, 3, -4)
+        seeds = [
+            (1, 1), (0, 3), (1, 8), (-1, 2), (1, 2.5), (1.0, 2), (2, 3.0), (True, 2),
+            (2, False), (np.float64(1.0), 2), (1, 2, 3), (1,), None, "12",
+        ]
+        for seed in seeds:
+            for refuse in (collision_closure, case_lower_bound):
+                with pytest.raises(ValueError, match=re.escape(f"seed pair {seed!r} invalid")):
+                    refuse(params, seed)
+
+    def test_numpy_int_seed_names_its_bodies(self):
+        params = SymmetryParams(4, 7, 3, 3, -4)
+        seed = (np.int64(2), np.int32(1))
+        closure = collision_closure(params, seed)
+        assert closure == collision_closure(params, (1, 2))
+        assert all(type(i) is int and type(j) is int for i, j in closure)
+        case = case_lower_bound(params, seed, "1")
+        assert case == case_lower_bound(params, (1, 2), "1")
+        assert all(type(i) is int for i in case.pair)
 
 
 class TestTimeLattice:
@@ -364,6 +389,39 @@ class TestCaseBounds:
     )
     def test_threshold_matches_oracle_bitwise(self, params):
         assert collision_threshold(params).to_dict() == oracle_threshold(params).to_dict()
+
+    @pytest.mark.parametrize("params", FOLD_GRID, ids=repr)
+    def test_threshold_matches_closure_oracle_bitwise(self, params):
+        # The += oracle on collision_closure's lattices: the BFS closure is
+        # too slow at N = 101, and test_orbit_matches_bfs ties the two.
+        want = oracle_threshold(params, collision_closure)
+        assert collision_threshold(params).to_dict() == want.to_dict()
+
+    def test_accumulate_adds_left_to_right(self):
+        # The premise of the bounds' bits, checked on every numpy that CI
+        # installs: the case rows are folded with np.add.accumulate, which
+        # must add along a row in order, as += does, where np.sum adds
+        # pairwise. Each 1e-16 is lost against 1.0 one at a time, but not
+        # when the small terms meet first.
+        terms = [1.0] + [1e-16] * 1000
+        table = np.array([terms, terms[::-1]])
+        want = []
+        for row in table.tolist():
+            total = 0.0
+            for term in row:
+                total += term
+            want.append(total)
+        assert want[0] == 1.0 and want[1] > 1.0
+        assert float(np.sum(table[0])) != want[0]
+        assert np.add.accumulate(table, axis=1)[:, -1].tolist() == want
+
+    @pytest.mark.parametrize("entries", [1, 7, 60, 1000])
+    def test_table_blocks_change_no_bit(self, monkeypatch, entries):
+        # Tables of at most `entries` numbers: one case per table, or a few.
+        params_list = [SymmetryParams(n, n + 3, 3, 3, -n) for n in (1, 2, 4, 7, 11, 20)]
+        want = [collision_threshold(params) for params in params_list]
+        monkeypatch.setattr(bounds, "_TABLE_ENTRIES", entries)
+        assert [collision_threshold(params) for params in params_list] == want
 
     @pytest.mark.parametrize("params", LATTICE_GRID, ids=repr)
     def test_case_bound_matches_walk_oracle_bitwise(self, params):
