@@ -50,6 +50,7 @@ the ones loops.sample and solver.ode_residual read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,12 +113,12 @@ def kinetic_action(system: SystemLoop) -> float:
 
 
 def _require_separated(sep: MinSeparation) -> MinSeparation:
-    """``sep``, or ValueError on a near-collision sample naming its bodies and node."""
-    if sep.distance < DISTANCE_FLOOR:
+    """``sep``, or ValueError naming its bodies and node on a near-collision
+    sample or a NaN separation."""
+    if not sep.distance >= DISTANCE_FLOOR:
         (i, j), k = sep.pair, sep.time_index
-        raise ValueError(
-            f"near-collision sample: bodies {i} and {j} at node {k} are {sep.distance:.3e} apart"
-        )
+        what = "NaN separation" if math.isnan(sep.distance) else "near-collision sample"
+        raise ValueError(f"{what}: bodies {i} and {j} at node {k} are {sep.distance:.3e} apart")
     return sep
 
 
@@ -145,10 +146,10 @@ def total_action(
     kin = kinetic_action(system)
     pot = float(inv_d.sum())
     n_bodies = system.params.n_bodies
-    pair_ids = kernels.pair_index_table(n_bodies)
+    terms = (0.5 * rel_v2 + n_bodies * inv_d).tolist()
     pairs = tuple(
-        ((int(i) + 1, int(j) + 1), float(0.5 * v2 + n_bodies * invd))
-        for (i, j), v2, invd in zip(pair_ids, rel_v2, inv_d)
+        ((i + 1, j + 1), term)
+        for (i, j), term in zip(kernels.pair_index_table(n_bodies).tolist(), terms)
     )
     return ActionBreakdown(kinetic=kin, potential=pot, total=kin + pot, pairs=pairs)
 

@@ -209,7 +209,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
 
     pos = ws.positions(cm, ct)
     start_minsep = ws.min_separation(pos).distance
-    if start_minsep < options.eps_sep:
+    if not start_minsep >= options.eps_sep:
         raise ValueError(
             f"separation guard hit at start: min separation {start_minsep:.3e} "
             f"< eps_sep {options.eps_sep:.3e}"
@@ -266,7 +266,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
             cmn, ctn = ws.project(*_unpack(x + step * along, nm))
             pos = ws.positions(cmn, ctn)
             minsep = ws.min_separation(pos).distance
-            if minsep < options.eps_sep:
+            if not minsep >= options.eps_sep:
                 continue
             evaluations += 1
             fn = ws.value(cmn, ctn, pos)

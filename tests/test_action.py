@@ -128,6 +128,21 @@ class TestTotalAction:
         breakdown = total_action(system, 1344)
         assert abs(breakdown.total - breakdown.pairwise_total) > 1e-3
 
+    def test_pair_terms_equal_per_scalar_formula(self, reference_case):
+        p = reference_case["params"]
+        system = build_test_orbit(p, reference_case["a"], reference_case["b"])
+        traj = sample(system, p.default_grid())
+        inv_d = kernels.pair_mean_inverse_distance(traj.positions)
+        rel_v2 = kernels.pair_mean_square_relative_velocity(traj.velocities)
+        n = p.n_bodies
+        want = tuple(
+            ((int(i) + 1, int(j) + 1), float(0.5 * v2 + n * invd))
+            for (i, j), v2, invd in zip(kernels.pair_index_table(n), rel_v2, inv_d)
+        )
+        got = total_action(system, p.default_grid(), traj).pairs
+        assert got == want
+        assert all(type(v) is float and type(i) is int for (i, _), v in got)
+
     def test_json_dict_shape(self):
         system = build_test_orbit(PARAMS4, 0.23, 0.088)
         doc = total_action(system, 1344).to_dict()
@@ -385,6 +400,16 @@ class TestFundamentalDomain:
         i, j = (int(b) for b in re.search(r"bodies (\d+) and (\d+)", str(err.value)).groups())
         assert 1 <= i <= 4 < j <= 7
         assert ws.min_separation(ws.positions(cm, ct)).pair == (i, j)
+
+    def test_nan_coefficient_raises(self):
+        system = build_test_orbit(PARAMS4, 0.23, 0.088)
+        ws = ActionWorkspace.for_system(system, 168)
+        cm, ct = ws.coefficients_of(system)
+        cm[0] = np.nan
+        with pytest.raises(ValueError, match=r"NaN separation: bodies \d+ and \d+ at node \d+"):
+            ws.value(cm, ct)
+        with pytest.raises(ValueError, match="NaN separation"):
+            ws.value_and_gradient(cm, ct)
 
 
 def _moved(body: int, n: int, c: int, e: int) -> int:

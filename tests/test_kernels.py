@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -266,3 +268,95 @@ def test_repeated_calls_bit_identical(random_positions):
 def test_shape_validation():
     with pytest.raises(ValueError, match="bodies, samples, 2"):
         kernels.pair_forces(np.zeros((3, 7)))
+
+
+def assert_scans_match_one_gather(pos):
+    """All three full-pair scan kernels equal the one-gather formulas bit for
+    bit; a NaN minimum must come back as the same (nan, i, j, k)."""
+    full = kernels.pair_index_table(len(pos))
+    want_means, want_min = one_gather_scan(pos, full)
+    assert np.array_equal(kernels.pair_mean_inverse_distance(pos), want_means, equal_nan=True)
+    assert np.array_equal(np.array(kernels.min_separation_scan(pos)), np.array(want_min),
+                          equal_nan=True)
+    want_v2 = one_gather_square_distances(pos, full).mean(axis=1)
+    assert np.array_equal(kernels.pair_mean_square_relative_velocity(pos), want_v2,
+                          equal_nan=True)
+
+
+def test_min_scan_tie_across_body_groups_matches_one_gather(random_positions):
+    # pairs (1, 3) at node 10 and (4, 6) at node 2, in body groups 1 and 4,
+    # are both exactly 2^-10 apart; the lexicographically first pair wins
+    pos = random_positions.copy()
+    pos[1, 10], pos[3, 10] = (0.5, 0.25), (0.5, 0.25 + 2.0**-10)
+    pos[4, 2], pos[6, 2] = (7.0, 1.0), (7.0, 1.0 + 2.0**-10)
+    assert kernels.min_separation_scan(pos) == (2.0**-10, 1, 3, 10)
+    assert_scans_match_one_gather(pos)
+
+
+def test_min_scan_nan_in_later_body_group_matches_one_gather(random_positions):
+    # bodies 5 and 6 both at x = +inf at node 7: pair (5, 6), the last body
+    # group, is inf - inf = NaN there, every other pair with them is inf, and
+    # pair (0, 1) in the first group is closer than any other pair
+    pos = random_positions.copy()
+    pos[5, 7, 0] = pos[6, 7, 0] = np.inf
+    pos[1, 3] = pos[0, 3] + 1e-6
+    with np.errstate(invalid="ignore"):
+        d, i, j, k = kernels.min_separation_scan(pos)
+        assert np.isnan(d) and (i, j, k) == (5, 6, 7)
+        assert_scans_match_one_gather(pos)
+
+
+def test_min_scan_first_nan_of_the_table(random_positions):
+    # a NaN coordinate of body 2 makes every pair with it NaN at node 5; the
+    # first of them in the table is (0, 2)
+    pos = random_positions.copy()
+    pos[2, 5, 1] = np.nan
+    d, i, j, k = kernels.min_separation_scan(pos)
+    assert np.isnan(d) and (i, j, k) == (0, 2, 5)
+    assert_scans_match_one_gather(pos)
+
+
+def test_any_float_layout_gives_contiguous_float64_bits(random_positions):
+    pos = random_positions
+    strided = np.repeat(pos, 2, axis=1)[:, ::2]
+    single = pos.astype(np.float32)
+    for given, same in [(np.asfortranarray(pos), pos), (strided, pos),
+                        (single, single.astype(np.float64))]:
+        assert not given.flags.c_contiguous or given.dtype != np.float64
+        for pairs in (None, TABLE):
+            assert np.array_equal(kernels.pair_mean_inverse_distance(given, pairs),
+                                  kernels.pair_mean_inverse_distance(same, pairs))
+            assert kernels.min_separation_scan(given, pairs) == kernels.min_separation_scan(
+                same, pairs)
+            assert np.array_equal(kernels.pair_forces(given, pairs),
+                                  kernels.pair_forces(same, pairs))
+        assert np.array_equal(kernels.pair_mean_square_relative_velocity(given),
+                              kernels.pair_mean_square_relative_velocity(same))
+
+
+@pytest.mark.parametrize("n_bodies", [2, 3])
+def test_few_bodies_match_one_gather(random_positions, n_bodies):
+    assert_scans_match_one_gather(random_positions[:n_bodies])
+
+
+def test_pair_index_table_cached_read_only():
+    assert kernels.pair_index_table(5) is kernels.pair_index_table(5)
+    assert not kernels.pair_index_table(5).flags.writeable
+    for n in (0, 1):
+        assert kernels.pair_index_table(n).shape == (0, 2)
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 2), (0, 8, 2), (3, 0, 2)])
+def test_kernels_refuse_fewer_than_two_bodies_or_no_samples(shape):
+    pos = np.zeros(shape)
+    kernels_and_args = [
+        (kernels.pair_mean_inverse_distance, ()),
+        (kernels.pair_mean_square_relative_velocity, ()),
+        (kernels.min_separation_scan, ()),
+        (kernels.pair_forces, ()),
+        (kernels.pair_mean_inverse_distance, ([[0, 1]],)),
+        (kernels.min_separation_scan, ([[0, 1]],)),
+    ]
+    for kernel, args in kernels_and_args:
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            kernel(pos, *args)

@@ -299,6 +299,9 @@ class TestOdeResidual:
             ValueError, match="near-collision sample: bodies 2 and 3 at node 5 are 0.000e[+]00 apart"
         ):
             acceleration_residual_rms(pos, acc)
+        pos[2, 5] = np.nan
+        with pytest.raises(ValueError, match="NaN separation: bodies 1 and 3 at node 5"):
+            acceleration_residual_rms(pos, acc)
 
     def test_converged_minimizer_near_solution(self):
         orbit = build_test_orbit(PARAMS4, 0.23, 0.088)
