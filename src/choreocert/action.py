@@ -91,7 +91,8 @@ class ActionBreakdown:
     @property
     def pairwise_total(self) -> float:
         n_bodies = max(j for (_, j), _ in self.pairs)
-        return sum(v for _, v in self.pairs) / n_bodies
+        # math.fsum rounds once on every Python; the builtin sum is compensated from 3.12 on only.
+        return math.fsum(v for _, v in self.pairs) / n_bodies
 
     def to_dict(self) -> dict:
         return {

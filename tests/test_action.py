@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from choreocert.action import (
+    ActionBreakdown,
     ActionWorkspace,
     kinetic_action,
     total_action,
@@ -117,6 +118,13 @@ class TestTotalAction:
             system = random_admissible_system(p, 40, seed=seed)
             breakdown = total_action(system, 8 * p.grid_unit)
             assert abs(breakdown.total - breakdown.pairwise_total) <= 1e-6
+
+    def test_pairwise_total_is_exact_sum(self):
+        # The builtin sum of these gives 0.0 up to Python 3.11 and 2.0 from 3.12.
+        values = [1.0, 1e100, 1.0, -1e100]
+        pairs = tuple(zip([(1, 2), (1, 3), (2, 3), (3, 4)], values))
+        breakdown = ActionBreakdown(kinetic=0.0, potential=0.0, total=0.0, pairs=pairs)
+        assert breakdown.pairwise_total == 2.0 / 4
 
     def test_identity_needs_zero_center_of_mass(self):
         # un-projected coupled coefficients break the pairwise identity

@@ -200,6 +200,18 @@ class TestMinimize:
         assert (tmp_path / "a.traj.csv").read_bytes() == (tmp_path / "b.traj.csv").read_bytes()
         assert (tmp_path / "a.iters.csv").read_bytes() == (tmp_path / "b.iters.csv").read_bytes()
 
+    def test_emit_plot_may_name_the_trajectory_csv(self, capsys, tmp_path, monkeypatch):
+        # the one other output whose bytes --emit-plot would write anyway
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, *SHORT_MINIMIZE, "--out", "a.json")
+        assert code == 3 and err == "solver did not converge: max_iterations\n"
+        traj = (tmp_path / "a.traj.csv").read_bytes()
+        code, _, err = run_cli(capsys, *SHORT_MINIMIZE, "--out", "b.json",
+                               "--emit-plot", str(tmp_path / "b.traj.csv"))
+        assert code == 3 and err == "solver did not converge: max_iterations\n"
+        assert (tmp_path / "b.traj.csv").read_bytes() == traj
+        assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+
     def test_resume_from_result(self, capsys, tmp_path):
         first = tmp_path / "first.json"
         run_cli(
@@ -579,6 +591,42 @@ class TestConfig:
         assert run_cli(capsys, *argv)[0] == code
 
 
+class TestParserReuse:
+    """One parser serves every main call of a process: a call leaves nothing
+    behind that changes the next one."""
+
+    @staticmethod
+    def _fresh(capsys, *argv):
+        """The result of ``argv`` in a fresh process, whose first call builds the parser."""
+        cli._build_parser.cache_clear()
+        return run_cli(capsys, *argv)
+
+    def test_parser_built_once(self):
+        first = cli._build_parser()
+        assert cli._build_parser() is first
+        assert all(a is b for a, b in zip(first[1].values(), cli._build_parser()[1].values()))
+
+    def test_config_does_not_carry_over(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("d=3\nk1=3\nk2=-4\nformat=json\nout=" + str(tmp_path / "b.json") + "\n")
+        argv = ["bounds", *PARAMS4[:4]]
+        expected = self._fresh(capsys, *argv)
+        assert expected == (0, BOUNDS4_TABLE, "")
+        assert run_cli(capsys, *argv, "--config", str(conf))[0] == 0
+        assert (tmp_path / "b.json").exists()
+        assert run_cli(capsys, *argv) == expected
+
+    def test_usage_error_does_not_carry_over(self, capsys):
+        argv = ["certify", *PARAMS4, *RADII4, "--grid", "84"]
+        expected = self._fresh(capsys, *argv)
+        assert expected == (0, CERTIFICATE4_M84, "")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["certify", *PARAMS4, "--grid", "eighty", "--format", "json"])
+        assert exit_info.value.code == 2
+        assert "invalid int value: 'eighty'" in capsys.readouterr().err
+        assert run_cli(capsys, *argv) == expected
+
+
 BOUNDS4_TABLE = """\
 collision-set lower bounds for N=4, r=7, d=3, k1=3, k2=-4
 case      pair      lattices               bound
@@ -717,6 +765,25 @@ class TestRefusalTable:
         _refusal("minimize-emit-plot",
                  [*SHORT_MINIMIZE, "--out", "e.json", "--emit-plot", "adir"], 2,
                  "error: cannot write adir: Is a directory\n", MINIMIZED4),
+        _refusal("minimize-emit-plot-is-out",
+                 [*SHORT_MINIMIZE, "--out", "m.json", "--emit-plot", "m.json"], 2,
+                 "error: --emit-plot m.json would overwrite the --out file m.json\n"),
+        _refusal("minimize-emit-plot-is-default-out",
+                 [*SHORT_MINIMIZE, "--emit-plot", "./result.json"], 2,
+                 "error: --emit-plot ./result.json would overwrite the --out file "
+                 "result.json\n"),
+        _refusal("minimize-emit-plot-is-iters",
+                 [*SHORT_MINIMIZE, "--out", "m.json", "--emit-plot", "m.iters.csv"], 2,
+                 "error: --emit-plot m.iters.csv would overwrite the iteration log written "
+                 "beside --out m.json\n"),
+        _refusal("loop-in-emit-plot-is-out",
+                 ["minimize", "--loop-in", "nope.json", "--out", "m.json",
+                  "--emit-plot", "m.json"], 2,
+                 "error: --emit-plot m.json would overwrite the --out file m.json\n"),
+        _refusal("certify-emit-plot-is-out",
+                 ["certify", *PARAMS4, *RADII4, "--format", "json", "--out", "c.json",
+                  "--emit-plot", "sub/../c.json"], 2,
+                 "error: --emit-plot sub/../c.json would overwrite the --out file c.json\n"),
         _refusal("separation-guard",
                  ["minimize", *PARAMS4, "--a", "0.1", "--b", "0.0995", "--modes", "24",
                   "--grid", "672", "--out", "g.json"], 3,

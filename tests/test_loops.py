@@ -57,6 +57,24 @@ def orbit4():
     return build_test_orbit(PARAMS4, 0.23, 0.088)
 
 
+class TestCoefficientReach:
+    def test_reach_is_summed_exactly(self):
+        # R = sum of the coefficient moduli, refused when 8 R^3 overflows. At
+        # the largest R0 with 8 R0^3 finite, two moduli of 0.3 ulp(R0) added
+        # to R0 one at a time round back to R0, but their exact sum rounds up.
+        r0 = (np.finfo(float).max / 8.0) ** (1.0 / 3.0)
+        while math.isfinite(8.0 * r0 * r0 * r0):
+            r0 = math.nextafter(r0, math.inf)
+        while not math.isfinite(8.0 * r0 * r0 * r0):
+            r0 = math.nextafter(r0, 0.0)
+        tiny = 0.3 * math.ulp(r0)
+        assert r0 + tiny + tiny == r0 and math.fsum([r0, tiny, tiny]) > r0
+        main = GeneratorSpectrum("main", (3, 24), np.array([r0, tiny], dtype=complex))
+        with pytest.raises(ValueError, match="pair forces cube"):
+            SystemLoop(PARAMS4, main, GeneratorSpectrum("triple", (-4,), np.array([tiny + 0j])))
+        SystemLoop(PARAMS4, main, GeneratorSpectrum("triple", (-4,), np.array([0j])))
+
+
 class TestEvaluate:
     def test_body_one_at_zero(self, orbit4):
         assert np.allclose(evaluate(orbit4, 1, 0.0), (0.23, 0.0), atol=1e-15)
@@ -766,12 +784,20 @@ class TestSerialization:
         traj = sample(orbit, 2 * ref["params"].grid_unit)
         assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
 
+    @staticmethod
+    def _grid_past_block(params, minimum):
+        """The smallest valid grid above ``minimum`` nodes, at least two blocks of
+        loops._CSV_BLOCK_NODES nodes and not a whole number of them."""
+        block = loops._CSV_BLOCK_NODES
+        m_samples = (max(minimum, block) // params.grid_unit + 1) * params.grid_unit
+        while m_samples % block == 0:
+            m_samples += params.grid_unit
+        assert m_samples > block and m_samples % block != 0
+        return m_samples
+
     def test_trajectory_csv_partial_last_block(self):
-        params = SymmetryParams(8, 11, 3, 3, -8)
-        m_samples = 2 * params.grid_unit
-        assert m_samples > loops._CSV_BLOCK_NODES
-        assert m_samples % loops._CSV_BLOCK_NODES != 0
-        traj = sample(random_admissible_system(params, 30, seed=3), m_samples)
+        m_samples = self._grid_past_block(PARAMS8, 0)
+        traj = sample(random_admissible_system(PARAMS8, 30, seed=3), m_samples)
         assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
 
     def test_trajectory_csv_special_values(self):
@@ -794,11 +820,25 @@ class TestSerialization:
         return Trajectory(PARAMS4, m_samples, np.arange(m_samples) / m_samples,
                           planar[..., :2].copy(), planar[..., 2:].copy())
 
-    def test_trajectory_csv_signed_zero_rows_kept_apart(self):
-        # Rows equal as values but not as bits: each must keep its own sign.
+    @classmethod
+    def _signed_zero_trajectory(cls):
+        """Rows equal as values but not as bits: each must keep its own sign."""
         rows = np.tile([0.5, 0.0, -1.25, 3.0], (3, 7, 1))
         rows[:, 1::2, 1] = -0.0
-        traj = self._rows_trajectory(rows)
+        return cls._rows_trajectory(rows)
+
+    @classmethod
+    def _nan_trajectory(cls):
+        """Rows of NaNs whose sign bits differ, and one row of mixed NaNs."""
+        negative_nan = np.copysign(np.nan, -1.0)
+        assert np.signbit(negative_nan)
+        rows = np.tile([np.nan, 1.0, np.nan, -2.0], (4, 7, 1))
+        rows[::2, :, 0] = negative_nan
+        rows[1, 3] = [negative_nan, negative_nan, np.nan, np.nan]
+        return cls._rows_trajectory(rows)
+
+    def test_trajectory_csv_signed_zero_rows_kept_apart(self):
+        traj = self._signed_zero_trajectory()
         text = trajectory_to_csv(traj)
         assert text == reference_trajectory_csv(traj)
         lines = text.splitlines()
@@ -806,12 +846,7 @@ class TestSerialization:
         assert lines[2] == "0,2,0.5,-0,-1.25,3"
 
     def test_trajectory_csv_repeated_nan_rows(self):
-        negative_nan = np.copysign(np.nan, -1.0)
-        assert np.signbit(negative_nan)
-        rows = np.tile([np.nan, 1.0, np.nan, -2.0], (4, 7, 1))
-        rows[::2, :, 0] = negative_nan
-        rows[1, 3] = [negative_nan, negative_nan, np.nan, np.nan]
-        traj = self._rows_trajectory(rows)
+        traj = self._nan_trajectory()
         text = trajectory_to_csv(traj)
         assert text == reference_trajectory_csv(traj)
         assert "-nan" not in text
@@ -832,15 +867,32 @@ class TestSerialization:
         assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
 
     def test_trajectory_csv_repeats_across_blocks(self):
-        m_samples = 2 * PARAMS7.grid_unit
-        assert m_samples > loops._CSV_BLOCK_NODES
-        traj = sample(random_admissible_system(PARAMS7, 30, seed=4), m_samples)
         # Body 3 at node k is the generator at node k + 2M/N: a repeat that
-        # crosses from the first block of nodes into the second.
+        # crosses from the first block of nodes into the second. For the last
+        # node of the first block, k + 2M/7 < M needs M > 7/5 (block - 1).
+        m_samples = self._grid_past_block(PARAMS7, 7 * loops._CSV_BLOCK_NODES // 5)
+        traj = sample(random_admissible_system(PARAMS7, 30, seed=4), m_samples)
         k, shift = loops._CSV_BLOCK_NODES - 1, 2 * m_samples // 7
+        assert loops._CSV_BLOCK_NODES <= k + shift < m_samples
         assert np.array_equal(traj.positions[2, k], traj.positions[0, k + shift])
         assert np.array_equal(traj.velocities[2, k], traj.velocities[0, k + shift])
         assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
+
+    @pytest.mark.parametrize("case", ["sampled", "signed-zero", "nan"])
+    def test_trajectory_csv_any_block_size(self, monkeypatch, case):
+        if case == "sampled":
+            traj = sample(random_admissible_system(PARAMS7, 30, seed=4), 2 * PARAMS7.grid_unit)
+        else:
+            traj = (self._signed_zero_trajectory if case == "signed-zero"
+                    else self._nan_trajectory)()
+        expected = reference_trajectory_csv(traj)
+        m_samples = traj.m_samples
+        wrong = []
+        for block in (1, 7, m_samples - 1, m_samples, m_samples + 1):
+            monkeypatch.setattr(loops, "_CSV_BLOCK_NODES", block)
+            if trajectory_to_csv(traj) != expected:
+                wrong.append(block)
+        assert wrong == []
 
     @pytest.fixture(scope="class")
     def grid_traj7(self):
