@@ -704,8 +704,10 @@ def _csv_text(values) -> str:
 # and Python calls whatever its size. Writing the three CSVs of the README
 # chain (3360, 6720 and 13440 nodes, N = 7) in one process took a median
 # 89.6, 85.2, 76.6, 73.2 and 74.9 ms with blocks of 256, 512, 1024, 2048 and
-# 4096 nodes, at a peak RSS of 63.7, 64.4, 65.1, 67.2 and 70.5 MB.
-_CSV_BLOCK_NODES = 2048
+# 4096 nodes, at a peak RSS of 63.7, 64.4, 65.1, 67.2 and 70.5 MB. Blocks of
+# 2048 nodes raised the median peak RSS of cli_pipeline runs by 3.1%, and by
+# 7% in four runs of ten.
+_CSV_BLOCK_NODES = 1024
 
 
 def _csv_candidates(traj: Trajectory, start: int, stop: int) -> np.ndarray:
