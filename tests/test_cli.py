@@ -602,9 +602,7 @@ class TestParserReuse:
         return run_cli(capsys, *argv)
 
     def test_parser_built_once(self):
-        first = cli._build_parser()
-        assert cli._build_parser() is first
-        assert all(a is b for a, b in zip(first[1].values(), cli._build_parser()[1].values()))
+        assert cli._build_parser() is cli._build_parser()
 
     def test_config_does_not_carry_over(self, capsys, tmp_path):
         conf = tmp_path / "run.conf"
