@@ -701,12 +701,11 @@ def _csv_text(values) -> str:
 
 # Grid nodes whose rows trajectory_to_csv compares, formats and assembles at a
 # time; every temporary is one block's. Each block costs about a hundred numpy
-# and Python calls whatever its size. Writing the three CSVs of the README
-# chain (3360, 6720 and 13440 nodes, N = 7) in one process took a median
-# 89.6, 85.2, 76.6, 73.2 and 74.9 ms with blocks of 256, 512, 1024, 2048 and
-# 4096 nodes, at a peak RSS of 63.7, 64.4, 65.1, 67.2 and 70.5 MB. Blocks of
-# 2048 nodes raised the median peak RSS of cli_pipeline runs by 3.1%, and by
-# 7% in four runs of ten.
+# and Python calls whatever its size, so larger blocks are faster until their
+# temporaries raise the peak RSS. For the README chain's three N = 7 CSVs
+# (3360, 6720 and 13440 nodes) on a 2-vCPU Xeon VM, blocks of 256, 1024 and
+# 2048 nodes took a median 89.6, 76.6 and 73.2 ms; against 256, 2048 raised
+# cli_pipeline's median peak RSS by 3.1% and 1024 by 0.9%.
 _CSV_BLOCK_NODES = 1024
 
 
