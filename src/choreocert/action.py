@@ -46,6 +46,36 @@ The phase tables hold e^(2 pi i m k/M) for the domain nodes k. Each entry is
 read from loops.roots_of_unity(M) at m*k mod M, so the workspace computes M
 complex exponentials, not one per frequency and node, and its phases are
 the ones loops.sample and solver.ode_residual read.
+
+ActionWorkspace.hessian is the exact Hessian of the value in the
+interleaved (Re c_j, Im c_j) coordinates of solver._pack, the main
+coefficients then the triple ones, j = 1..F. It is assembled by discrete
+Fourier transforms, not by (coefficient x node) Jacobians. For a
+representative pair p = (a, b) of weight w_p, let D_k = q_a - q_b at domain
+node k < M/r, and g_pj = phi_aj - phi_bj the difference of the rows' phases
+of coefficient j (zero off a row's chain), so that
+D_k = sum_j g_pj c_j e^(2 pi i m_j k/M). With the node weights
+
+    alpha_k = w_p / (2 (M/r) |D_k|^3),
+    beta_k = 3 w_p conj(D_k)^2 / (2 (M/r) |D_k|^5),
+
+the potential's part of dx^T H dx, dx the packed form of a coefficient
+change dc, is sum_jl A_jl dc_j conj(dc_l) + Re sum_jl B_jl dc_j dc_l, where A_jl sums alpha_k g_pj conj(g_pl)
+e^(2 pi i (m_j - m_l) k/M) and B_jl sums beta_k g_pj g_pl
+e^(2 pi i (m_j + m_l) k/M) over pairs and nodes. Every frequency is d
+(mod r), so m_j - m_l and m_j + m_l - 2d are multiples of r, and each node
+sum is one DFT coefficient over the M/r domain nodes:
+
+    A_jl = sum_p g_pj conj(g_pl) Ahat_p[(m_j - m_l)/r],
+    B_jl = sum_p g_pj g_pl Bhat_p[(m_j + m_l - 2d)/r],
+
+indices mod M/r, where Ahat_p[q] = sum_k alpha_k e^(2 pi i q k/(M/r)) and
+Bhat_p the same transform of beta_k e^(4 pi i d k/M): one inverse FFT per
+pair for each. In real coordinates H_uu = Re A + Re B, H_vv = Re A - Re B
+and H_uv = Im A - Im B, H_vu its transpose. The kinetic weights go on the
+diagonal, and the result is P H P with P the matrix of project. The
+workspace builds the products of g, the two (F x F) index tables and the
+twist e^(4 pi i d k/M), read from loops.roots_of_unity(M), once.
 """
 
 from __future__ import annotations
@@ -218,6 +248,37 @@ class ActionWorkspace:
             for im, m in enumerate(self.main_freqs)
             if m % coupling == 0 and m in set(self.triple_freqs.tolist())
         ]
+        self._init_hessian(roots)
+
+    def _init_hessian(self, roots: np.ndarray) -> None:
+        """The tables of ``hessian`` (see the module docstring): the pair phase
+        differences g, their products, the two frequency index tables, the
+        twist and the packed projector."""
+        r, d, md = self.params.r, self.params.d, self.m_domain
+        nm, rows = len(self.main_freqs), self._n_main_rows
+        freqs = np.concatenate([self.main_freqs, self.triple_freqs])
+        phases = np.zeros((rows + 2, len(freqs)), dtype=complex)
+        phases[:rows, :nm] = self._main_phase
+        phases[rows:, nm:] = self._triple_phase
+        ii, jj = self._pairs.T
+        g = phases[ii] - phases[jj]                             # (P, F)
+        self._gg_conj = g[:, :, None] * g.conj()[:, None, :]    # g_j conj(g_l)
+        self._gg = g[:, :, None] * g[:, None, :]                # g_j g_l
+        # every frequency is d (mod r): both differences are whole multiples of r
+        self._index_minus = (freqs[:, None] - freqs[None, :]) // r % md
+        self._index_plus = (freqs[:, None] + freqs[None, :] - 2 * d) // r % md
+        self._twist = roots.take(2 * d * np.arange(md) % self.m_samples)
+        self._kinetic_diag = np.repeat(
+            np.concatenate([self.kinetic_weights_main, self.kinetic_weights_triple]), 2)
+        # project() as a matrix on _pack's (Re, Im) coordinates
+        size = 2 * len(freqs)
+        self._projector = np.eye(size)
+        n = self.params.n_main
+        for im, it in self._coupled:
+            for part in (0, 1):
+                e = np.zeros(size)
+                e[2 * im + part], e[2 * (nm + it) + part] = n, 3.0
+                self._projector -= np.outer(e, e) / (n * n + 9.0)
 
     @classmethod
     def for_system(cls, system: SystemLoop, m_samples: int) -> "ActionWorkspace":
@@ -298,6 +359,30 @@ class ActionWorkspace:
             _chain_gradient(fz[rows:], self._et_h, self._triple_phase_conj) / md
         )
         return self.project(gm, gt)
+
+    def hessian(self, cm, ct, pos) -> np.ndarray:
+        """Exact Hessian (projected) of the value at positions(cm, ct), in the
+        interleaved (Re c, Im c) coordinates of ``solver._pack``, main
+        coefficients first; assembled by DFTs of per-pair node weights (see
+        the module docstring)."""
+        z = np.ascontiguousarray(pos).view(complex)[..., 0]
+        ii, jj = self._pairs.T
+        diff = z[ii] - z[jj]                                    # D_k, (P, M/r)
+        inv2 = 1.0 / (diff.real**2 + diff.imag**2)
+        alpha = (0.5 * self._weights)[:, None] * inv2 * np.sqrt(inv2)
+        beta = 3.0 * alpha * inv2 * diff.conj() ** 2 * self._twist
+        # the node average's 1/(M/r) cancels the one of the inverse DFT
+        a_hat, b_hat = np.fft.ifft(alpha, axis=1), np.fft.ifft(beta, axis=1)
+        a = (self._gg_conj * a_hat[:, self._index_minus]).sum(axis=0)
+        b = (self._gg * b_hat[:, self._index_plus]).sum(axis=0)
+        f = len(a)
+        h = np.empty((2 * f, 2 * f))
+        h[0::2, 0::2] = a.real + b.real
+        h[1::2, 1::2] = a.real - b.real
+        h[0::2, 1::2] = a.imag - b.imag
+        h[1::2, 0::2] = h[0::2, 1::2].T
+        h[np.diag_indices(2 * f)] += self._kinetic_diag
+        return self._projector @ h @ self._projector
 
     def value_and_gradient(self, cm, ct, pos=None) -> tuple[float, np.ndarray, np.ndarray]:
         """Discretized action and its exact coefficient gradient; ``pos`` as in value."""

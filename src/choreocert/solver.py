@@ -1,9 +1,15 @@
 """Action minimization over the symmetry-reduced coefficient space.
 
 The descent runs on the packed real coefficient vector of the two generator
-spectra after center-of-mass projection. Directions come from an L-BFGS
-two-loop recursion seeded with the inverse kinetic Hessian (a diagonal, which
-removes the (2 pi m)^2 scale disparity between frequencies). Once the
+spectra after center-of-mass projection. Each iteration takes a Newton step
+on the exact Hessian of the discretized action,
+``ActionWorkspace.hessian``: it diagonalizes the Hessian with ``eigh``,
+replaces every eigenvalue by its modulus, floored at EIGEN_FLOOR times the
+largest, and solves. The modified Hessian is positive definite, so the
+direction descends wherever the gradient is nonzero; near a minimizer it
+is the Newton step, and the floor keeps saddle and near-flat directions
+from taking huge steps. The rotation, time-shift and center-of-mass
+directions get no step: the projected gradient is zero along them. Once the
 evaluated action saturates float64 resolution near the minimum, acceptance
 switches from sufficient decrease (Armijo) to strict gradient-norm
 contraction, the flat regime, so the gradient tolerance stays reachable.
@@ -16,22 +22,20 @@ and is accepted by the regime's test: the Armijo condition with a decrease
 f + ARMIJO*step*slope < f resolvable in float64, or in the flat regime an
 action at most f_floor, a few hundred ulps above the current one, and a
 gradient norm at most 0.999 of the current one. The gradient is
-computed only for a probe whose value passes. If a flat search fails along
-the L-BFGS direction, the loop goes on along the preconditioned steepest
-descent direction, and a step accepted there clears the history. An accepted
-probe must keep every pair winding number. ``MinimizeResult.evaluations``
-counts the start plus every probe that clears the guard.
+computed only for a probe whose value passes, and the Hessian only at the
+start of an iteration. An accepted probe must keep every pair winding
+number. ``MinimizeResult.evaluations`` counts the start plus every probe
+that clears the guard.
 
-No search tries steps longer than 1. In the flat regime, doubled steps 2, 4,
-8, ... after an accepted unit step never paid: on 324 runs (N = 4, 5, 7, 8,
-10 and 11 from perturbed test orbits, K = max(24, N), 48 and 96) they cost
-1509 evaluations with gradients and none was accepted. The retry is rare but
-needed: 180 descents from perturbed N = 4, 5 and 7 test orbits at K = 24, 48
-and 96 never ran it, but warm-started from the level below, as ``minimize
---loop-in`` chains levels, every N = 5 descent at K = 96 converged through it
-and stops at a gradient norm of 7e-4 without it.
+No search tries steps longer than 1, the Newton step of the quadratic
+model, and there is no second direction. The L-BFGS descent this replaced
+needed a steepest-descent retry of a failed flat search: warm-started from
+the level below, as ``minimize --loop-in`` chains levels, every N = 5
+descent at K = 96 converged only through it. Newton steps converge on the
+README's chains, that one included, in one to four unit steps per level,
+and no flat search fails there before the gradient norm reaches gtol.
 
-The backtracking factor, the Armijo constant and the L-BFGS memory are
+The backtracking factor, the Armijo constant and the eigenvalue floor are
 module constants; ``MinimizeOptions`` holds the cutoff, grid, iteration cap,
 gradient tolerance and separation guard. A run is a pure function of
 (start, options): repeated runs are identical bit for bit.
@@ -50,9 +54,7 @@ from; ``loops.roots_of_unity`` keeps it, so the descent builds it once.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -81,7 +83,7 @@ from .symmetry import ROLE_MAIN, ROLE_TRIPLE, allowed_frequencies
 SHRINK = 0.5     # line-search backtracking factor
 STEPS = tuple(SHRINK**k for k in range(60))  # 1, 1/2, ..., 2**-59: every step >= 1e-18
 ARMIJO = 1e-4    # sufficient-decrease constant
-MEMORY = 12      # L-BFGS history length
+EIGEN_FLOOR = 1e-3  # smallest Newton eigenvalue modulus, relative to the largest
 
 
 @dataclass(frozen=True)
@@ -220,14 +222,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
     x = _pack(cm, ct)
     g = _pack(gm, gt)
     evaluations = 1
-    prec = np.concatenate(
-        [
-            np.repeat(np.maximum(ws.kinetic_weights_main, 1.0), 2),
-            np.repeat(np.maximum(ws.kinetic_weights_triple, 1.0), 2),
-        ]
-    )
     eps64 = float(np.finfo(float).eps)
-    history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=MEMORY)
     log = [LogRow(0, f, float(np.linalg.norm(g)), start_minsep, 0.0)]
     termination = "max_iterations"
     iterations = 0
@@ -238,32 +233,21 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
             termination = "converged"
             break
 
-        # L-BFGS two-loop recursion with the inverse kinetic diagonal as seed
-        q = g.copy()
-        alphas = []
-        for s, y, sy in reversed(history):
-            a = float(s @ q) / sy
-            alphas.append(a)
-            q -= a * y
-        q /= prec
-        for (s, y, sy), a in zip(history, reversed(alphas)):
-            q += (a - float(y @ q) / sy) * s
-        direction = -q
+        # Newton on the Hessian at x (pos holds its positions), each
+        # eigenvalue replaced by its modulus, floored relative to the largest
+        lam, vecs = np.linalg.eigh(ws.hessian(*_unpack(x, nm), pos))
+        lam = np.abs(lam)
+        lam = np.maximum(lam, EIGEN_FLOOR * lam.max())
+        direction = -(vecs @ ((vecs.T @ g) / lam))
         slope = float(g @ direction)
-        if slope >= 0.0:
-            history.clear()
-            direction = -g / prec
-            slope = float(g @ direction)
 
         # When the Armijo margin is below the resolution of f, value
         # comparisons are meaningless: switch to gradient contraction, with f
         # pinned to its rounding floor.
         flat = abs(ARMIJO * slope) < 64.0 * eps64 * max(1.0, abs(f))
         f_floor = f + 256.0 * eps64 * max(1.0, abs(f))
-        # a failed flat search is retried along preconditioned steepest descent
-        directions = (direction, -g / prec) if flat and history else (direction,)
-        for along, step in itertools.product(directions, STEPS):
-            cmn, ctn = ws.project(*_unpack(x + step * along, nm))
+        for step in STEPS:
+            cmn, ctn = ws.project(*_unpack(x + step * direction, nm))
             pos = ws.positions(cmn, ctn)
             minsep = ws.min_separation(pos).distance
             if not minsep >= options.eps_sep:
@@ -286,17 +270,8 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
         if not windings_kept:
             termination = "no_admissible_step"
             break
-        if along is not direction:  # the retry's step starts a fresh history
-            history.clear()
 
-        xn = _pack(cmn, ctn)
-        s_vec, y_vec = xn - x, gn - g
-        sy = float(s_vec @ y_vec)
-        s_norm = float(np.linalg.norm(s_vec))
-        meaningful = s_norm > 1e-13 * (1.0 + float(np.linalg.norm(x)))
-        if meaningful and sy > 1e-12 * s_norm * float(np.linalg.norm(y_vec)):
-            history.append((s_vec, y_vec, sy))  # the deque drops the oldest pair
-        x, f, g = xn, fn, gn
+        x, f, g = _pack(cmn, ctn), fn, gn
         iterations = it
         log.append(LogRow(it, f, float(np.linalg.norm(g)), minsep, step))
 

@@ -170,6 +170,23 @@ def reference_trajectory_csv(traj) -> str:
     return "\n".join(lines) + "\n"
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """Fail unless got == want, naming the first line that differs.
+
+    The CSVs run to a megabyte, where pytest's own diff of two strings takes
+    minutes; this reports one line pair instead. Lines keep their endings, so
+    equal lines and equal line counts mean equal strings.
+    """
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for number, (line, expected) in enumerate(zip(got_lines, want_lines), start=1):
+        if line != expected:
+            pytest.fail(f"line {number} differs: {line!r} != {expected!r}", pytrace=False)
+    pytest.fail(f"{len(got_lines)} lines where {len(want_lines)} are expected, "
+                f"the first {min(len(got_lines), len(want_lines))} equal", pytrace=False)
+
+
 def direct_trajectory(system: SystemLoop, m_samples: int) -> Trajectory:
     """Reference for loops.sample: every body evaluated at its own times."""
     times = np.arange(m_samples) / m_samples

@@ -17,6 +17,7 @@ from choreocert.loops import (
     sample,
     winding_table,
 )
+from choreocert.solver import MinimizeOptions, _pack, _unpack, minimize
 from choreocert.symmetry import SymmetryParams, pair_kinds
 from choreocert.testorbits import build_test_orbit
 
@@ -250,6 +251,83 @@ class TestGradient:
         c = gm[list(ws.main_freqs).index(24)]
         b = gt[list(ws.triple_freqs).index(24)]
         assert abs(4 * c + 3 * b) <= 1e-12 * max(1.0, abs(c))
+
+
+HESSIAN_CUTOFFS = {4: 24, 5: 48, 7: 96}
+
+
+class TestHessian:
+    """ActionWorkspace.hessian in solver._pack's (Re c, Im c) coordinates."""
+
+    @staticmethod
+    def _workspace(params, seed):
+        system = random_admissible_system(params, HESSIAN_CUTOFFS[params.n_main], seed=seed)
+        ws = ActionWorkspace.for_system(system, params.default_grid())
+        return ws, ws.project(*ws.coefficients_of(system))
+
+    @staticmethod
+    def _gradient_jacobian(ws, cm, ct, h=1e-6):
+        """Central differences of the projected gradient, one packed coordinate a column."""
+        x, nm = _pack(cm, ct), len(cm)
+
+        def gradient(vec):
+            c, t = _unpack(vec, nm)
+            return _pack(*ws.gradient(c, t, ws.positions(c, t)))
+
+        columns = []
+        for idx in range(len(x)):
+            step = np.zeros_like(x)
+            step[idx] = h
+            columns.append((gradient(x + step) - gradient(x - step)) / (2 * h))
+        return np.stack(columns, axis=1)
+
+    @staticmethod
+    def _projector(ws, nm):
+        """ActionWorkspace.project applied to every packed unit vector, as a matrix."""
+        size = 2 * (nm + len(ws.triple_freqs))
+        return np.stack([_pack(*ws.project(*_unpack(unit, nm))) for unit in np.eye(size)],
+                        axis=1)
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES, ids=["N4K24", "N5K48", "N7K96"])
+    def test_matches_central_differences_of_the_gradient(self, case):
+        params = case["params"]
+        for seed in (41, 42):
+            ws, (cm, ct) = self._workspace(params, seed)
+            hess = ws.hessian(cm, ct, ws.positions(cm, ct))
+            # the gradient is projected, so its Jacobian is P H: P H P is it times P
+            numeric = self._gradient_jacobian(ws, cm, ct) @ self._projector(ws, len(cm))
+            assert np.abs(hess - numeric).max() <= 1e-6 * np.abs(hess).max()
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES, ids=["N4", "N5", "N7"])
+    def test_symmetric(self, case):
+        ws, (cm, ct) = self._workspace(case["params"], 43)
+        hess = ws.hessian(cm, ct, ws.positions(cm, ct))
+        assert np.abs(hess - hess.T).max() <= 1e-13 * np.abs(hess).max()
+
+    def test_rotation_and_time_shift_are_null_at_a_descended_loop(self):
+        res = minimize(build_test_orbit(PARAMS4, 0.23, 0.088),
+                       MinimizeOptions(cutoff=24, m_samples=1344))
+        assert res.termination == "converged"
+        ws = ActionWorkspace.for_system(res.system, 1344)
+        cm, ct = ws.coefficients_of(res.system)
+        hess = ws.hessian(cm, ct, ws.positions(cm, ct))
+        scale = np.abs(np.linalg.eigvalsh(hess)).max()
+        shift_m = 2j * np.pi * ws.main_freqs
+        shift_t = 2j * np.pi * ws.triple_freqs
+        for tangent in (_pack(1j * cm, 1j * ct), _pack(shift_m * cm, shift_t * ct)):
+            assert np.linalg.norm(hess @ tangent) <= 1e-8 * scale * np.linalg.norm(tangent)
+
+    def test_center_of_mass_direction_maps_to_zero(self):
+        ws, (cm, ct) = self._workspace(PARAMS4, 44)
+        assert ws._coupled  # frequency 24 is in both bases
+        hess = ws.hessian(cm, ct, ws.positions(cm, ct))
+        scale = np.abs(hess).max()
+        nm = len(cm)
+        for im, it in ws._coupled:
+            for part in (0, 1):  # the real and the imaginary part of N c_m + 3 b_m
+                breaking = np.zeros(len(hess))
+                breaking[2 * im + part], breaking[2 * (nm + it) + part] = 4.0, 3.0
+                assert np.abs(hess @ breaking).max() <= 1e-12 * scale
 
 
 # The reference families, N=5 with r=2 (half-grid domain), and two larger

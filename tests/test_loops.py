@@ -33,6 +33,7 @@ from conftest import (
     REFERENCE_CASES,
     all_pairs_min_separation,
     all_pairs_winding_table,
+    assert_same_text,
     direct_trajectory,
     longdouble_generator,
     random_admissible_system,
@@ -747,7 +748,7 @@ class TestFormat17g:
         magnitude = np.abs(values)
         assert sum(seen) == ((magnitude < 1e-4) | (magnitude >= 1e15)).sum()
         seen.clear()
-        assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
+        assert_same_text(trajectory_to_csv(traj), reference_trajectory_csv(traj))
         assert 0 < sum(seen) < 0.01 * values.size
 
 
@@ -782,7 +783,7 @@ class TestSerialization:
         ref = REFERENCE_CASES[case]
         orbit = build_test_orbit(ref["params"], ref["a"], ref["b"])
         traj = sample(orbit, 2 * ref["params"].grid_unit)
-        assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
+        assert_same_text(trajectory_to_csv(traj), reference_trajectory_csv(traj))
 
     @staticmethod
     def _grid_past_block(params, minimum):
@@ -798,7 +799,7 @@ class TestSerialization:
     def test_trajectory_csv_partial_last_block(self):
         m_samples = self._grid_past_block(PARAMS8, 0)
         traj = sample(random_admissible_system(PARAMS8, 30, seed=3), m_samples)
-        assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
+        assert_same_text(trajectory_to_csv(traj), reference_trajectory_csv(traj))
 
     def test_trajectory_csv_special_values(self):
         special = np.array([-0.0, 0.0, 5e-324, 2.0e-310, 1e300, -1e300, np.inf, np.nan])
@@ -806,7 +807,7 @@ class TestSerialization:
         traj = Trajectory(PARAMS4, 4, np.array([0.0, -0.0, 5e-324, 1e300]),
                           positions, positions[::-1] * 3.0)
         text = trajectory_to_csv(traj)
-        assert text == reference_trajectory_csv(traj)
+        assert_same_text(text, reference_trajectory_csv(traj))
         assert text.splitlines()[1] == "0,1,-0,0,nan,-inf"
         fields = set(text.replace("\n", ",").split(","))
         assert {"-0", "0", "4.9406564584124654e-324", "1.0000000000000001e+300", "inf"} <= fields
@@ -840,7 +841,7 @@ class TestSerialization:
     def test_trajectory_csv_signed_zero_rows_kept_apart(self):
         traj = self._signed_zero_trajectory()
         text = trajectory_to_csv(traj)
-        assert text == reference_trajectory_csv(traj)
+        assert_same_text(text, reference_trajectory_csv(traj))
         lines = text.splitlines()
         assert lines[1] == "0,1,0.5,0,-1.25,3"
         assert lines[2] == "0,2,0.5,-0,-1.25,3"
@@ -848,14 +849,14 @@ class TestSerialization:
     def test_trajectory_csv_repeated_nan_rows(self):
         traj = self._nan_trajectory()
         text = trajectory_to_csv(traj)
-        assert text == reference_trajectory_csv(traj)
+        assert_same_text(text, reference_trajectory_csv(traj))
         assert "-nan" not in text
         assert text.splitlines()[1 + 7 + 3] == "0.25,4,nan,nan,nan,nan"
 
     def test_trajectory_csv_all_rows_identical(self):
         traj = self._rows_trajectory(np.full((300, 7, 4), 0.1))
         text = trajectory_to_csv(traj)
-        assert text == reference_trajectory_csv(traj)
+        assert_same_text(text, reference_trajectory_csv(traj))
         assert {line.split(",", 2)[2] for line in text.splitlines()[1:]} == {
             ",".join(["0.10000000000000001"] * 4)
         }
@@ -864,7 +865,7 @@ class TestSerialization:
         rows = np.random.default_rng(5).normal(size=(300, 7, 4))
         assert len(np.unique(rows.reshape(-1, 4), axis=0)) == 300 * 7
         traj = self._rows_trajectory(rows)
-        assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
+        assert_same_text(trajectory_to_csv(traj), reference_trajectory_csv(traj))
 
     def test_trajectory_csv_repeats_across_blocks(self):
         # Body 3 at node k is the generator at node k + 2M/N: a repeat that
@@ -876,7 +877,7 @@ class TestSerialization:
         assert loops._CSV_BLOCK_NODES <= k + shift < m_samples
         assert np.array_equal(traj.positions[2, k], traj.positions[0, k + shift])
         assert np.array_equal(traj.velocities[2, k], traj.velocities[0, k + shift])
-        assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
+        assert_same_text(trajectory_to_csv(traj), reference_trajectory_csv(traj))
 
     @pytest.mark.parametrize("case", ["sampled", "signed-zero", "nan"])
     def test_trajectory_csv_any_block_size(self, monkeypatch, case):
@@ -936,7 +937,7 @@ class TestSerialization:
         assert np.array_equal(traj.positions[body, k], traj.positions[first, node])
         traj.positions[body, k, 1] = np.nextafter(traj.positions[body, k, 1], np.inf)
         text = trajectory_to_csv(traj)
-        assert text == reference_trajectory_csv(traj)
+        assert_same_text(text, reference_trajectory_csv(traj))
         lines = text.splitlines()
         assert lines[1 + k * traj.n_bodies + body].split(",")[2:] != (
             lines[1 + node * traj.n_bodies + first].split(",")[2:]
@@ -950,7 +951,7 @@ class TestSerialization:
             traj.positions[body, k] = traj.positions[first, node]
             traj.velocities[body, k] = traj.velocities[first, node]
             text = trajectory_to_csv(traj)
-            assert text == reference_trajectory_csv(traj)
+            assert_same_text(text, reference_trajectory_csv(traj))
             lines = text.splitlines()
             assert lines[1 + k * n_bodies + body].split(",")[2:] == (
                 lines[1 + node * n_bodies + first].split(",")[2:]
@@ -963,7 +964,7 @@ class TestSerialization:
         traj.velocities[first, node, 0] = 0.0
         traj.velocities[body, k, 0] = -0.0
         text = trajectory_to_csv(traj)
-        assert text == reference_trajectory_csv(traj)
+        assert_same_text(text, reference_trajectory_csv(traj))
         assert text.splitlines()[1 + k * traj.n_bodies + body].split(",")[4] == "-0"
 
     def test_trajectory_csv_random_rows_on_grid(self):
@@ -971,7 +972,7 @@ class TestSerialization:
         assert loops.valid_grid(PARAMS4, m_samples)
         rows = np.random.default_rng(6).normal(size=(m_samples, PARAMS4.n_bodies, 4))
         traj = self._rows_trajectory(rows)
-        assert trajectory_to_csv(traj) == reference_trajectory_csv(traj)
+        assert_same_text(trajectory_to_csv(traj), reference_trajectory_csv(traj))
 
     @pytest.mark.parametrize(
         "row",

@@ -168,10 +168,12 @@ class TestMinimize:
         # The start's separation a - b = 0.2 equals the guard. Only steps too
         # short to change the action keep it, and their Armijo targets round
         # to f, so none is accepted instead of creeping to max_iterations.
+        # Along the Newton direction 8 probes clear the guard: 9 evaluations
+        # with the start's.
         start = build_test_orbit(PARAMS4, 0.5, 0.3)
         res = minimize(start, MinimizeOptions(cutoff=24, eps_sep=0.2))
         assert res.termination == "no_admissible_step"
-        assert (res.iterations, res.evaluations, len(res.log)) == (0, 8, 1)
+        assert (res.iterations, res.evaluations, len(res.log)) == (0, 9, 1)
         assert res.action == res.log[0].action
         assert res.certificate is None
 
@@ -199,9 +201,9 @@ class TestMinimize:
             assert res.evaluations <= calls["scan"]  # the start's scan and every probe's
             return res
 
-        # chains of levels, each started from the loop of the level below; in
-        # the N=5 chain at K=96 the flat search along the L-BFGS direction
-        # fails at iteration 3, and only the steepest-descent retry converges
+        # chains of levels, each started from the loop of the level below; the
+        # N=5 chain at K=96 is the warm start that a quasi-Newton direction
+        # could not finish in the flat regime, and Newton steps finish it
         chains = ((PARAMS4, 0.23, 0.088, 1344),
                   (SymmetryParams(5, 8, 3, 3, -5), 0.245, 0.076, 240))
         for params, a, b, grid in chains:
@@ -212,11 +214,41 @@ class TestMinimize:
                 assert res.termination == "converged", (params, cutoff)
                 system = res.system
         # the flat regime's stall: a gtol below the gradient's rounding noise,
-        # where neither the L-BFGS search nor its steepest-descent retry passes
+        # where no step along the Newton direction contracts the gradient
         orbit = build_test_orbit(PARAMS4, 0.23, 0.088)
         res = counted_run(orbit, MinimizeOptions(cutoff=24, m_samples=1344, gtol=1e-16))
         assert res.termination == "no_admissible_step"
         assert res.certificate is None
+
+
+# Chains of levels K = 24, 48, 96, each started from the loop of the level
+# below, with the actions an L-BFGS descent reached on them. Newton steps on
+# the exact Hessian reach the same minimizers in a few iterations.
+NEWTON_CHAINS = {
+    # the README's chains: the grid doubles from the default at each level
+    "N4": (PARAMS4, 0.23, 0.088, (1344, 2688, 5376),
+           (135.50076394999695, 135.50075489736105, 135.50075355729416)),
+    "N5": (SymmetryParams(5, 8, 3, 3, -5), 0.245, 0.076, (1920, 3840, 7680),
+           (175.2560077628005, 175.25393101318463, 175.25392984377532)),
+    "N7": (SymmetryParams(7, 10, 3, 3, -7), 0.25, 0.064, (3360, 6720, 13440),
+           (266.6273396083749, 266.6270380111099, 266.6270378719745)),
+    # the README's N=5 chain through coarse grids, whose K=96 warm start an
+    # L-BFGS descent converged only through a steepest-descent retry
+    "N5-coarse": (SymmetryParams(5, 8, 3, 3, -5), 0.245, 0.076, (1920, 480, 960),
+                  (175.2560077628005, 175.25393101318463, 175.25392984377532)),
+}
+
+
+@pytest.mark.parametrize("chain", NEWTON_CHAINS.values(), ids=NEWTON_CHAINS.keys())
+def test_chained_levels_converge_in_few_newton_iterations(chain):
+    params, a, b, grids, actions = chain
+    system = build_test_orbit(params, a, b)
+    for cutoff, grid, want in zip((24, 48, 96), grids, actions):
+        res = minimize(system, MinimizeOptions(cutoff=cutoff, m_samples=grid))
+        assert res.termination == "converged", cutoff
+        assert res.iterations <= 5, cutoff
+        assert abs(res.action - want) <= 1e-12 * want, cutoff
+        system = res.system
 
 
 class TestOdeResidual:
