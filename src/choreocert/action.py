@@ -270,15 +270,10 @@ class ActionWorkspace:
         self._twist = roots.take(2 * d * np.arange(md) % self.m_samples)
         self._kinetic_diag = np.repeat(
             np.concatenate([self.kinetic_weights_main, self.kinetic_weights_triple]), 2)
-        # project() as a matrix on _pack's (Re, Im) coordinates
-        size = 2 * len(freqs)
-        self._projector = np.eye(size)
-        n = self.params.n_main
-        for im, it in self._coupled:
-            for part in (0, 1):
-                e = np.zeros(size)
-                e[2 * im + part], e[2 * (nm + it) + part] = n, 3.0
-                self._projector -= np.outer(e, e) / (n * n + 9.0)
+        # project() of every unit coefficient vector at once, a real matrix,
+        # acting alike on the real and imaginary parts of _pack's coordinates
+        unit = np.eye(len(freqs))
+        self._projector = np.kron(np.concatenate(self.project(unit[:nm], unit[nm:])), np.eye(2))
 
     @classmethod
     def for_system(cls, system: SystemLoop, m_samples: int) -> "ActionWorkspace":
