@@ -36,11 +36,12 @@ for every colliding pair of the case.
 Both sums are folds left to right, as a ``+=`` loop adds them: the repeated
 segment, and then the pair terms in lexicographic pair order. The segment is
 folded with ``functools.reduce`` over ``itertools.repeat``, once per
-distinct lattice size. The pair terms of all the cases of a threshold are
-rows of one table, folded with ``np.add.accumulate``, which adds along each
-row strictly in order. ``np.sum`` and ``np.add.reduce`` add pairwise, and
-the builtin ``sum`` of floats is compensated from Python 3.12 on, so either
-would give other bits, the latter depending on the interpreter.
+distinct lattice size. Each case's pair terms are one row, a copy of the
+periodic row with the colliding pairs' entries overwritten, folded with
+``np.add.accumulate``, which adds strictly in order. ``np.sum`` and
+``np.add.reduce`` add pairwise, and the builtin ``sum`` of floats is
+compensated from Python 3.12 on, so either would give other bits, the
+latter depending on the interpreter.
 """
 
 from __future__ import annotations
@@ -260,13 +261,13 @@ class CaseBound:
 
 
 @functools.lru_cache(maxsize=32)
-def _periodic_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _periodic_terms(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Every pair's periodic term in lexicographic pair order, and where each pair sits.
 
     Pair (i, j), i < j, of the B = N+3 bodies sits at (i-1)*B - (i-1)*i/2 +
     (j-i-1), which is starts[i] + j. The relative periods are 1/3 for
-    main-main, 1 for cross and 1/N for triple-triple pairs. Kept per N, both
-    arrays read-only.
+    main-main, 1 for cross and 1/N for triple-triple pairs. Kept per N: the
+    row read-only, the starts a tuple of Python ints.
     """
     B = n + 3
     strength = float(B)
@@ -277,76 +278,47 @@ def _periodic_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
     row = np.array(
         [main_term if j <= n else cross_term if i <= n else triple_term for i, j in pairs]
     )
-    starts = np.array([(i - 1) * B - (i - 1) * i // 2 - i - 1 for i in range(B + 1)])
-    row.flags.writeable = starts.flags.writeable = False
-    return row, starts
-
-
-# Entries of one table of case rows: at large N the cases are folded a few
-# rows at a time, so the tables stay near one row's size, not N/2 rows'.
-_TABLE_ENTRIES = 1 << 16
+    row.flags.writeable = False
+    return row, tuple((i - 1) * B - (i - 1) * i // 2 - i - 1 for i in range(B + 1))
 
 
 def _case_bounds(
     params: SymmetryParams, seeds: list[tuple[str | None, tuple[int, int]]]
 ) -> tuple[CaseBound, ...]:
-    """The CaseBound of every (label, seed), one row of a table per case.
+    """The CaseBound of every (label, seed), one row of pair terms per case.
 
     One ``collision_closure`` call per seed. Every colliding pair's lattice
     is a coset of the seed lattice, so its intervals are all L/size ticks
-    long and its term is one Gordon segment added size times: one sum per
-    distinct size. Each case's row is the periodic row with its colliding
-    pairs' terms overwritten by that sum. The rows are folded left to right,
-    in tables of at most _TABLE_ENTRIES entries, and divided by N+3.
+    long and its term is one Gordon segment added size times, summed once
+    per distinct size. Each case's row is a copy of the periodic row with
+    its colliding pairs' terms overwritten by that sum, folded left to right
+    and divided by N+3.
     """
     L = lattice_modulus(params)
-    n = params.n_main
-    B = n + 3
-    row, starts = _periodic_terms(n)
-    pairs, sizes, closures = [], [], []
-    for _, seed in seeds:
+    B = params.n_main + 3
+    row, starts = _periodic_terms(params.n_main)
+    seed_sums: dict[int, float] = {}
+    cases = []
+    for label, seed in seeds:
         pair = _seed_pair(params, seed)
         closure = collision_closure(params, pair)
-        pairs.append(pair)
-        sizes.append(closure[pair].size)
-        closures.append(closure)
-    counts = [len(closure) for closure in closures]
-    colliding = np.fromiter(
-        itertools.chain.from_iterable(itertools.chain.from_iterable(closures)),
-        dtype=np.intp,
-        count=2 * sum(counts),
-    )
-    # each colliding pair's entry in the flattened table of all cases
-    cells = np.arange(0, len(seeds) * row.size, row.size).repeat(counts)
-    cells += starts[colliding[0::2]] + colliding[1::2]
-
-    # one Gordon segment per interval, added left to right from 0.0 as += adds it
-    seed_sums = {
-        size: functools.reduce(
-            operator.add, itertools.repeat(gordon_segment(float(B), (L // size) / L), size), 0.0
+        size = closure[pair].size
+        if size not in seed_sums:
+            # one Gordon segment per interval, added left to right from 0.0 as += adds it
+            segment = gordon_segment(float(B), (L // size) / L)
+            seed_sums[size] = functools.reduce(operator.add, itertools.repeat(segment, size), 0.0)
+        terms = row.copy()
+        terms[[starts[i] + j for i, j in closure]] = seed_sums[size]
+        cases.append(
+            CaseBound(
+                label=label if label is not None else f"seed {seed}",
+                pair=pair,
+                lattice_sizes=(size,) * len(closure),
+                # adds along the row in order; np.sum would add pairwise
+                bound=float(np.add.accumulate(terms)[-1] / B),
+            )
         )
-        for size in set(sizes)
-    }
-    terms = np.array([seed_sums[size] for size in sizes]).repeat(counts)
-    ends = [0, *itertools.accumulate(counts)]
-    per_table = max(1, _TABLE_ENTRIES // row.size)
-    bounds: list[float] = []
-    for first in range(0, len(seeds), per_table):
-        last = min(first + per_table, len(seeds))
-        table = row[None, :].repeat(last - first, axis=0)
-        block = slice(ends[first], ends[last])
-        table.ravel()[cells[block] - first * row.size] = terms[block]
-        # adds along each row in order; np.sum would add pairwise
-        bounds += (np.add.accumulate(table, axis=1)[:, -1] / B).tolist()
-    return tuple(
-        CaseBound(
-            label=label if label is not None else f"seed {seed}",
-            pair=pair,
-            lattice_sizes=(size,) * count,
-            bound=bound,
-        )
-        for (label, seed), pair, size, count, bound in zip(seeds, pairs, sizes, counts, bounds)
-    )
+    return tuple(cases)
 
 
 def case_lower_bound(
@@ -356,19 +328,9 @@ def case_lower_bound(
 
     Colliding pairs contribute the fixed-end bound summed over their
     inter-collision intervals; all other pairs contribute the periodic bound
-    on their relative period, repeated 1/period times to cover [0, 1).
-
-    Every colliding pair's lattice is a coset of the seed lattice (see
-    collision_closure), so its intervals are all L/size ticks long: one
-    Gordon segment, added size times left to right from 0.0, is the term of
-    each colliding pair. That adds the same floats in the same order as
-    summing one segment per interval of each lattice with +=. The pair terms
-    are then listed in lexicographic pair order, each colliding pair's
-    periodic term overwritten by that sum, and folded left to right the same
-    way, as a row of ``np.add.accumulate``, which adds strictly left to
-    right. ``np.sum`` adds pairwise, and the builtin sum of floats is
-    compensated from Python 3.12 on, so either would change the bits.
-    ``collision_threshold`` folds all its cases through the same code.
+    on their relative period, repeated 1/period times to cover [0, 1). The
+    sums are folded as the module docstring describes, through the code
+    ``collision_threshold`` runs for every case.
     """
     return _case_bounds(params, [(label, seed)])[0]
 

@@ -17,15 +17,14 @@ contraction, the flat regime, so the gradient tolerance stays reachable.
 Each iteration runs one backtracking probe loop over the steps 1, 1/2, 1/4,
 ... down to 1e-18. Each probe is projected onto zero center of mass, sampled
 on one g1 domain and rejected if its minimum pair separation falls below the
-guard. A probe that clears the guard costs one evaluation, its action value,
-and is accepted by the regime's test: the Armijo condition with a decrease
-f + ARMIJO*step*slope < f resolvable in float64, or in the flat regime an
-action at most f_floor, a few hundred ulps above the current one, and a
-gradient norm at most 0.999 of the current one. The gradient is
-computed only for a probe whose value passes, and the Hessian only at the
-start of an iteration. An accepted probe must keep every pair winding
-number. ``MinimizeResult.evaluations`` counts the start plus every probe
-that clears the guard.
+guard. A probe that clears the guard costs one evaluation, its action value
+and gradient, and is accepted by the regime's test: the Armijo condition
+with a decrease f + ARMIJO*step*slope < f resolvable in float64, or in the
+flat regime an action at most f_floor, a few hundred ulps above the current
+one, and a gradient norm at most 0.999 of the current one. The Hessian is
+computed only at the start of an iteration. An accepted probe must keep
+every pair winding number. ``MinimizeResult.evaluations`` counts the start
+plus every probe that clears the guard.
 
 No search tries steps longer than 1, the Newton step of the quadratic
 model, and there is no second direction. The L-BFGS descent this replaced
@@ -189,7 +188,9 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
 
     Terminates when the projected gradient norm falls below gtol, on the
     iteration cap, or when the line search accepts no step that keeps the
-    windings (see the module docstring). The recorded action sequence across
+    windings (see the module docstring). The iterate the cap stops at is
+    tested against gtol too, so a run that converges on its last allowed
+    iteration reports ``converged``. The recorded action sequence across
     accepted steps decreases strictly while decreases are resolvable in
     float64; near the minimum, where the evaluated action is constant to
     rounding, acceptance switches to strict gradient-norm contraction (with
@@ -224,13 +225,15 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
     evaluations = 1
     eps64 = float(np.finfo(float).eps)
     log = [LogRow(0, f, float(np.linalg.norm(g)), start_minsep, 0.0)]
-    termination = "max_iterations"
     iterations = 0
 
-    for it in range(1, options.max_iterations + 1):
+    while True:
         gnorm = float(np.linalg.norm(g))
         if gnorm <= options.gtol:
             termination = "converged"
+            break
+        if iterations == options.max_iterations:
+            termination = "max_iterations"
             break
 
         # Newton on the Hessian at x (pos holds its positions), each
@@ -253,13 +256,13 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
             if not minsep >= options.eps_sep:
                 continue
             evaluations += 1
-            fn = ws.value(cmn, ctn, pos)
+            fn, gmn, gtn = ws.value_and_gradient(cmn, ctn, pos)
+            gn = _pack(gmn, gtn)
             # an Armijo target that rounds to f asks for no decrease at all
             target = f + ARMIJO * step * slope
-            if (fn <= f_floor) if flat else (fn <= target < f):
-                gn = _pack(*ws.gradient(cmn, ctn, pos))
-                if not flat or np.linalg.norm(gn) <= 0.999 * gnorm:
-                    break
+            contracts = np.linalg.norm(gn) <= 0.999 * gnorm
+            if (fn <= f_floor and contracts) if flat else (fn <= target < f):
+                break
         else:
             termination = "no_admissible_step"
             break
@@ -272,8 +275,8 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
             break
 
         x, f, g = _pack(cmn, ctn), fn, gn
-        iterations = it
-        log.append(LogRow(it, f, float(np.linalg.norm(g)), minsep, step))
+        iterations += 1
+        log.append(LogRow(iterations, f, float(np.linalg.norm(g)), minsep, step))
 
     cm, ct = _unpack(x, nm)
     final = SystemLoop(

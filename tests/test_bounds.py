@@ -399,29 +399,20 @@ class TestCaseBounds:
 
     def test_accumulate_adds_left_to_right(self):
         # The premise of the bounds' bits, checked on every numpy that CI
-        # installs: the case rows are folded with np.add.accumulate, which
-        # must add along a row in order, as += does, where np.sum adds
-        # pairwise. Each 1e-16 is lost against 1.0 one at a time, but not
-        # when the small terms meet first.
+        # installs: each case row is folded with np.add.accumulate, which
+        # must add in order, as += does, where np.sum adds pairwise. Each
+        # 1e-16 is lost against 1.0 one at a time, but not when the small
+        # terms meet first.
         terms = [1.0] + [1e-16] * 1000
-        table = np.array([terms, terms[::-1]])
-        want = []
-        for row in table.tolist():
-            total = 0.0
+        wants = []
+        for row in (terms, terms[::-1]):
+            want = 0.0
             for term in row:
-                total += term
-            want.append(total)
-        assert want[0] == 1.0 and want[1] > 1.0
-        assert float(np.sum(table[0])) != want[0]
-        assert np.add.accumulate(table, axis=1)[:, -1].tolist() == want
-
-    @pytest.mark.parametrize("entries", [1, 7, 60, 1000])
-    def test_table_blocks_change_no_bit(self, monkeypatch, entries):
-        # Tables of at most `entries` numbers: one case per table, or a few.
-        params_list = [SymmetryParams(n, n + 3, 3, 3, -n) for n in (1, 2, 4, 7, 11, 20)]
-        want = [collision_threshold(params) for params in params_list]
-        monkeypatch.setattr(bounds, "_TABLE_ENTRIES", entries)
-        assert [collision_threshold(params) for params in params_list] == want
+                want += term
+            assert float(np.add.accumulate(np.array(row))[-1]) == want
+            wants.append(want)
+        assert wants[0] == 1.0 and wants[1] > 1.0
+        assert float(np.sum(np.array(terms))) != wants[0]
 
     @pytest.mark.parametrize("params", LATTICE_GRID, ids=repr)
     def test_case_bound_matches_walk_oracle_bitwise(self, params):

@@ -231,6 +231,18 @@ class TestMinimize:
         assert doc2["iterations"] <= 2
         assert abs(doc2["action"] - doc1["action"]) <= 1e-10
 
+    def test_converged_loop_in_with_no_iteration_exits_0(self, capsys, tmp_path):
+        # the start is tested against gtol even when the cap allows no step
+        first = tmp_path / "first.json"
+        args = ["--modes", "24", "--grid", "1344"]
+        assert run_cli(capsys, "minimize", *PARAMS4, *RADII4, *args, "--out", str(first))[0] == 0
+        again = tmp_path / "again.json"
+        code, _, err = run_cli(capsys, "minimize", "--loop-in", str(first), *args,
+                               "--max-iter", "0", "--out", str(again))
+        assert (code, err) == (0, "")
+        doc = json.loads(again.read_text())
+        assert (doc["termination"], doc["iterations"], doc["evaluations"]) == ("converged", 0, 1)
+
     def test_solver_failure_exit_3(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

@@ -164,6 +164,27 @@ class TestMinimize:
         assert res.termination == "max_iterations"
         assert (res.iterations, res.evaluations, len(res.log)) == (0, 1, 1)
 
+    def test_converging_on_the_last_allowed_iteration_converges(self, converged4):
+        # the iterate the cap stops at is tested against gtol like any other
+        options = MinimizeOptions(cutoff=24, m_samples=1344,
+                                  max_iterations=converged4.iterations)
+        res = minimize(build_test_orbit(PARAMS4, 0.23, 0.088), options)
+        assert res.termination == "converged"
+        assert res.certificate == "collision-free certified by threshold"
+        assert (res.action, res.gradient_norm) == (converged4.action, converged4.gradient_norm)
+        assert res.log_csv() == converged4.log_csv()
+        capped = dataclasses.replace(options, max_iterations=converged4.iterations - 1)
+        res = minimize(build_test_orbit(PARAMS4, 0.23, 0.088), capped)
+        assert res.termination == "max_iterations"
+
+    def test_converged_start_with_no_iteration_converges(self, converged4):
+        options = MinimizeOptions(cutoff=24, m_samples=1344, max_iterations=0)
+        res = minimize(converged4.system, options)
+        assert res.termination == "converged"
+        assert (res.iterations, res.evaluations, len(res.log)) == (0, 1, 1)
+        assert res.gradient_norm <= options.gtol
+        assert res.certificate == "collision-free certified by threshold"
+
     def test_guard_tight_start_stops_at_once(self):
         # The start's separation a - b = 0.2 equals the guard. Only steps too
         # short to change the action keep it, and their Armijo targets round
@@ -178,9 +199,9 @@ class TestMinimize:
         assert res.certificate is None
 
     def test_evaluations_count_the_start_and_every_guarded_probe(self, monkeypatch):
-        # one action value per evaluation: the start's, and one per probe
-        # that clears the separation guard, accepted or not
-        calls = {"value": 0, "scan": 0}
+        # one value_and_gradient call per evaluation: the start's, and one
+        # per probe that clears the separation guard, accepted or not
+        calls = {"value": 0, "value_and_gradient": 0, "scan": 0}
 
         def counted(name, method):
             def wrapper(*args, **kwargs):
@@ -190,14 +211,17 @@ class TestMinimize:
 
         monkeypatch.setattr(action.ActionWorkspace, "value",
                             counted("value", action.ActionWorkspace.value))
+        monkeypatch.setattr(action.ActionWorkspace, "value_and_gradient",
+                            counted("value_and_gradient",
+                                    action.ActionWorkspace.value_and_gradient))
         monkeypatch.setattr(action.ActionWorkspace, "min_separation",
                             counted("scan", action.ActionWorkspace.min_separation))
 
         def counted_run(system, options):
-            calls.update(value=0, scan=0)
+            calls.update(value=0, value_and_gradient=0, scan=0)
             res = minimize(system, options)
             assert res.iterations + 1 <= res.evaluations
-            assert res.evaluations == calls["value"]
+            assert res.evaluations == calls["value"] == calls["value_and_gradient"]
             assert res.evaluations <= calls["scan"]  # the start's scan and every probe's
             return res
 
