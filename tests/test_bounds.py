@@ -414,6 +414,22 @@ class TestCaseBounds:
         assert wants[0] == 1.0 and wants[1] > 1.0
         assert float(np.sum(np.array(terms))) != wants[0]
 
+    @pytest.mark.parametrize("entries", [1, 7, 60, 1000])
+    def test_table_blocks_change_no_bit(self, entries):
+        # The cases split over _case_bounds calls whose rows hold at most
+        # `entries` numbers together, and at least one case: neither the seed
+        # sums memoized within one call nor the periodic row cached across
+        # calls may change a bit of what one call for all cases gives.
+        for n in (1, 2, 4, 7, 11, 20):
+            params = SymmetryParams(n, n + 3, 3, 3, -n)
+            seeds = representative_seeds(params)
+            per_call = max(1, entries // ((n + 3) * (n + 2) // 2))
+            got = []
+            for start in range(0, len(seeds), per_call):
+                got.extend(bounds._case_bounds(params, seeds[start : start + per_call]))
+            want = collision_threshold(params).to_dict()["cases"]
+            assert [case.to_dict() for case in got] == want
+
     @pytest.mark.parametrize("params", LATTICE_GRID, ids=repr)
     def test_case_bound_matches_walk_oracle_bitwise(self, params):
         for label, seed in representative_seeds(params):
