@@ -48,23 +48,24 @@ complex exponentials, not one per frequency and node, and its phases are
 the ones loops.sample and solver.ode_residual read.
 
 ActionWorkspace.hessian is the exact Hessian of the value in the
-interleaved (Re c_j, Im c_j) coordinates of solver._pack, the main
-coefficients then the triple ones, j = 1..F. It is assembled by discrete
-Fourier transforms, not by (coefficient x node) Jacobians. For a
-representative pair p = (a, b) of weight w_p, let D_k = q_a - q_b at domain
-node k < M/r, and g_pj = phi_aj - phi_bj the difference of the rows' phases
-of coefficient j (zero off a row's chain), so that
-D_k = sum_j g_pj c_j e^(2 pi i m_j k/M). With the node weights
+interleaved (Re c_j, Im c_j) coordinates of c.view(float), c the
+workspace's coefficient vector: the main coefficients then the triple ones,
+j = 1..F. It is assembled by discrete Fourier transforms, not by
+(coefficient x node) Jacobians. For a representative pair p = (a, b) of
+weight w_p, let D_k = q_a - q_b at domain node k < M/r, and
+g_pj = phi_aj - phi_bj the difference of the rows' phases of coefficient j
+(zero off a row's chain), so that D_k = sum_j g_pj c_j e^(2 pi i m_j k/M).
+With the node weights
 
     alpha_k = w_p / (2 (M/r) |D_k|^3),
     beta_k = 3 w_p conj(D_k)^2 / (2 (M/r) |D_k|^5),
 
-the potential's part of dx^T H dx, dx the packed form of a coefficient
-change dc, is sum_jl A_jl dc_j conj(dc_l) + Re sum_jl B_jl dc_j dc_l, where A_jl sums alpha_k g_pj conj(g_pl)
-e^(2 pi i (m_j - m_l) k/M) and B_jl sums beta_k g_pj g_pl
-e^(2 pi i (m_j + m_l) k/M) over pairs and nodes. Every frequency is d
-(mod r), so m_j - m_l and m_j + m_l - 2d are multiples of r, and each node
-sum is one DFT coefficient over the M/r domain nodes:
+the potential's part of dx^T H dx, dx = dc.view(float) for a coefficient
+change dc, is sum_jl A_jl dc_j conj(dc_l) + Re sum_jl B_jl dc_j dc_l, where
+A_jl sums alpha_k g_pj conj(g_pl) e^(2 pi i (m_j - m_l) k/M) and B_jl sums
+beta_k g_pj g_pl e^(2 pi i (m_j + m_l) k/M) over pairs and nodes. Every
+frequency is d (mod r), so m_j - m_l and m_j + m_l - 2d are multiples of r,
+and each node sum is one DFT coefficient over the M/r domain nodes:
 
     A_jl = sum_p g_pj conj(g_pl) Ahat_p[(m_j - m_l)/r],
     B_jl = sum_p g_pj g_pl Bhat_p[(m_j + m_l - 2d)/r],
@@ -197,83 +198,69 @@ def _chain_phases(freqs: np.ndarray, chain_length: int, rows: int) -> np.ndarray
     return np.exp((TWO_PI / chain_length) * 1j * ticks)
 
 
-def _chain_gradient(fz: np.ndarray, table_h: np.ndarray, phase_conj: np.ndarray) -> np.ndarray:
-    """sum over rows b and nodes k of fz[b, k] conj(phase[b, f] table[f, k]), per f,
-    from the conjugate transpose table_h of the table and the conjugated phases."""
-    return ((fz @ table_h) * phase_conj).sum(axis=0)
-
-
 class ActionWorkspace:
     """Phase tables for repeated evaluation on a fixed frequency basis and grid.
 
-    Coefficients are passed as two complex arrays (cm, ct) aligned with
-    main_freqs and triple_freqs. Everything runs on the reduced body set, the
-    bodies of the ``symmetry.pair_kinds`` representatives, and on the first
-    M/r nodes, one fundamental domain of g1 (see the module docstring): the
-    value and separation scan over the weighted representative pairs, the
-    gradient through the generator phases of the reduced rows, and the
-    winding guard over one domain arc per same-chain representative, all
-    wound in one stacked pass. Both chains' rows are written into one complex
-    array, and positions are its float64 view, not a copy. The conjugated
-    phase tables of the gradient are built once, with the workspace. All
-    evaluations share one discretization, so value_and_gradient returns the
-    exact gradient of the value it reports.
+    Coefficients are one complex vector c aligned with ``freqs``: the main
+    generator's coefficients at main_freqs, then the triple generator's at
+    triple_freqs, so c.view(float) is the solver's real coordinate vector.
+    Everything runs on the reduced body set, the bodies of the
+    ``symmetry.pair_kinds`` representatives, and on the first M/r nodes, one
+    fundamental domain of g1 (see the module docstring): the value and
+    separation scan over the weighted representative pairs, the gradient
+    through the generator phases of the reduced rows, and the winding guard
+    over one domain arc per same-chain representative, all wound in one
+    stacked pass. One phase table serves both chains: each reduced row's
+    phases are zero on the other chain's coefficients. Positions are the
+    float64 view of one complex product, not a copy. The conjugated tables of
+    the gradient are built once, with the workspace. All evaluations share
+    one discretization, so value_and_gradient returns the exact gradient of
+    the value it reports.
     """
 
     def __init__(self, params: SymmetryParams, main_freqs, triple_freqs, m_samples: int):
         require_grid(params, m_samples)
         self.params = params
         self.m_samples = m_samples
-        self.m_domain = m_samples // params.r
-        self.main_freqs = np.array(sorted(int(m) for m in main_freqs), dtype=np.int64)
-        self.triple_freqs = np.array(sorted(int(m) for m in triple_freqs), dtype=np.int64)
-        n = params.n_main
+        self.m_domain = md = m_samples // params.r
+        main = sorted(int(m) for m in main_freqs)
+        nm = len(main)
+        self.freqs = np.array(main + sorted(int(m) for m in triple_freqs), dtype=np.int64)
+        self.main_freqs, self.triple_freqs = self.freqs[:nm], self.freqs[nm:]
+        n, r, d = params.n_main, params.r, params.d
         self.bodies, self._pairs = representative_rows(params)
         self._weights = np.array([kind.multiplicity for kind in pair_kinds(params)], dtype=float)
-        self._n_main_rows = n // 2 + 1
         roots = roots_of_unity(m_samples)
-        self._em = _phase_table(self.main_freqs, roots, self.m_domain)   # (F, M/r)
-        self._et = _phase_table(self.triple_freqs, roots, self.m_domain)
-        self._main_phase = _chain_phases(self.main_freqs, n, self._n_main_rows)  # (rows, F)
-        self._triple_phase = _chain_phases(self.triple_freqs, 3, 2)
-        # the gradient's conjugated tables, (M/r, F) and (rows, F)
-        self._em_h, self._et_h = self._em.conj().T, self._et.conj().T
-        self._main_phase_conj = self._main_phase.conj()
-        self._triple_phase_conj = self._triple_phase.conj()
-        self.kinetic_weights_main = n * (TWO_PI * self.main_freqs.astype(float)) ** 2
-        self.kinetic_weights_triple = 3 * (TWO_PI * self.triple_freqs.astype(float)) ** 2
-        coupling = 3 * n
+        self._table = _phase_table(self.freqs, roots, md)             # (F, M/r)
+        self._table_h = self._table.conj().T
+        rows = n // 2 + 1
+        self._phases = np.zeros((rows + 2, len(self.freqs)), dtype=complex)  # (rows + 2, F)
+        self._phases[:rows, :nm] = _chain_phases(self.main_freqs, n, rows)
+        self._phases[rows:, nm:] = _chain_phases(self.triple_freqs, 3, 2)
+        self._phases_conj = self._phases.conj()
+        chain_length = np.where(np.arange(len(self.freqs)) < nm, n, 3)
+        self.kinetic_weights = chain_length * (TWO_PI * self.freqs.astype(float)) ** 2
+        triple_index = {int(m): nm + it for it, m in enumerate(self.triple_freqs)}
         self._coupled = [
-            (im, int(np.where(self.triple_freqs == m)[0][0]))
-            for im, m in enumerate(self.main_freqs)
-            if m % coupling == 0 and m in set(self.triple_freqs.tolist())
+            (im, triple_index[m])
+            for im, m in enumerate(main)
+            if m % (3 * n) == 0 and m in triple_index
         ]
-        self._init_hessian(roots)
-
-    def _init_hessian(self, roots: np.ndarray) -> None:
-        """The tables of ``hessian`` (see the module docstring): the pair phase
-        differences g, their products, the two frequency index tables, the
-        twist and the packed projector."""
-        r, d, md = self.params.r, self.params.d, self.m_domain
-        nm, rows = len(self.main_freqs), self._n_main_rows
-        freqs = np.concatenate([self.main_freqs, self.triple_freqs])
-        phases = np.zeros((rows + 2, len(freqs)), dtype=complex)
-        phases[:rows, :nm] = self._main_phase
-        phases[rows:, nm:] = self._triple_phase
+        # the tables of hessian (see the module docstring): the pair phase
+        # differences g, their products, the two frequency index tables, the
+        # twist and the projector
         ii, jj = self._pairs.T
-        g = phases[ii] - phases[jj]                             # (P, F)
+        g = self._phases[ii] - self._phases[jj]                 # (P, F)
         self._gg_conj = g[:, :, None] * g.conj()[:, None, :]    # g_j conj(g_l)
         self._gg = g[:, :, None] * g[:, None, :]                # g_j g_l
         # every frequency is d (mod r): both differences are whole multiples of r
-        self._index_minus = (freqs[:, None] - freqs[None, :]) // r % md
-        self._index_plus = (freqs[:, None] + freqs[None, :] - 2 * d) // r % md
-        self._twist = roots.take(2 * d * np.arange(md) % self.m_samples)
-        self._kinetic_diag = np.repeat(
-            np.concatenate([self.kinetic_weights_main, self.kinetic_weights_triple]), 2)
+        self._index_minus = (self.freqs[:, None] - self.freqs[None, :]) // r % md
+        self._index_plus = (self.freqs[:, None] + self.freqs[None, :] - 2 * d) // r % md
+        self._twist = roots.take(2 * d * np.arange(md) % m_samples)
+        self._kinetic_diag = np.repeat(self.kinetic_weights, 2)
         # project() of every unit coefficient vector at once, a real matrix,
-        # acting alike on the real and imaginary parts of _pack's coordinates
-        unit = np.eye(len(freqs))
-        self._projector = np.kron(np.concatenate(self.project(unit[:nm], unit[nm:])), np.eye(2))
+        # acting alike on the real and imaginary parts of c.view(float)
+        self._projector = np.kron(self.project(np.eye(len(self.freqs))), np.eye(2))
 
     @classmethod
     def for_system(cls, system: SystemLoop, m_samples: int) -> "ActionWorkspace":
@@ -281,85 +268,74 @@ class ActionWorkspace:
 
     # -- coefficient-space helpers --
 
-    def project(self, cm: np.ndarray, ct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def project(self, c: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto zero center of mass (see the module docstring).
 
         At each frequency m divisible by 3N that is in both bases, the
         least-squares update enforces N*c_m + 3*b_m = 0. A coupled frequency
         in one basis only is left as it is, like every other coefficient;
         bases drawn at one cutoff hold each coupled frequency in both.
-        Idempotent.
+        Acts on the first axis, so project(np.eye(F)) is the projector's
+        matrix. Idempotent.
         """
-        cm, ct = cm.copy(), ct.copy()
+        c = c.copy()
         n = self.params.n_main
         for im, it in self._coupled:
-            lam = (n * cm[im] + 3.0 * ct[it]) / (n * n + 9.0)
-            cm[im] -= n * lam
-            ct[it] -= 3.0 * lam
-        return cm, ct
+            lam = (n * c[im] + 3.0 * c[it]) / (n * n + 9.0)
+            c[im] -= n * lam
+            c[it] -= 3.0 * lam
+        return c
 
-    def positions(self, cm: np.ndarray, ct: np.ndarray) -> np.ndarray:
+    def positions(self, c: np.ndarray) -> np.ndarray:
         """(floor(N/2)+3, M/r, 2) positions of the reduced rows on the domain.
 
         The rows are bodies 1..floor(N/2)+1 (the main generator advanced by
         b/N, b = 0..floor(N/2)) and bodies N+1, N+2 (the triple generator
-        advanced by 0 and 1/3), as listed in ``bodies``. Both chains are
-        written into one complex array, returned as its float64 view.
+        advanced by 0 and 1/3), as listed in ``bodies``. All rows are one
+        complex product, returned as its float64 view.
         """
-        rows = self._n_main_rows
-        z = np.empty((rows + 2, self.m_domain), dtype=complex)
-        np.matmul(cm * self._main_phase, self._em, out=z[:rows])
-        np.matmul(ct * self._triple_phase, self._et, out=z[rows:])
+        z = (c * self._phases) @ self._table
         return z.view(np.float64).reshape(*z.shape, 2)
 
     def min_separation(self, pos: np.ndarray) -> MinSeparation:
-        """``loops.domain_min_separation`` of positions(cm, ct), over all pairs and nodes."""
+        """``loops.domain_min_separation`` of positions(c), over all pairs and nodes."""
         return domain_min_separation(pos, self.bodies, self._pairs)
 
     def windings(self, pos: np.ndarray) -> dict[str, list[list[int]]]:
-        """``loops.domain_windings`` of positions(cm, ct)."""
+        """``loops.domain_windings`` of positions(c)."""
         return domain_windings(self.params, pos)
 
-    def kinetic(self, cm: np.ndarray, ct: np.ndarray) -> float:
-        return float(
-            0.5 * np.sum(self.kinetic_weights_main * np.abs(cm) ** 2)
-            + 0.5 * np.sum(self.kinetic_weights_triple * np.abs(ct) ** 2)
-        )
+    def kinetic(self, c: np.ndarray) -> float:
+        return float(0.5 * np.sum(self.kinetic_weights * np.abs(c) ** 2))
 
-    def _checked_positions(self, cm, ct) -> np.ndarray:
-        pos = self.positions(cm, ct)
+    def _checked_positions(self, c: np.ndarray) -> np.ndarray:
+        pos = self.positions(c)
         _require_separated(self.min_separation(pos))
         return pos
 
-    def value(self, cm: np.ndarray, ct: np.ndarray, pos=None) -> float:
+    def value(self, c: np.ndarray, pos=None) -> float:
         """Discretized action.
 
-        ``pos`` may pass positions(cm, ct) whose separation the caller has
-        already checked; otherwise they are computed and checked here.
+        ``pos`` may pass positions(c) whose separation the caller has already
+        checked; otherwise they are computed and checked here.
         """
         if pos is None:
-            pos = self._checked_positions(cm, ct)
+            pos = self._checked_positions(c)
         potential = self._weights @ kernels.pair_mean_inverse_distance(pos, self._pairs)
-        return self.kinetic(cm, ct) + float(potential)
+        return self.kinetic(c) + float(potential)
 
-    def gradient(self, cm, ct, pos) -> tuple[np.ndarray, np.ndarray]:
-        """Exact coefficient gradient (projected) of the value at positions(cm, ct)."""
+    def gradient(self, c: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Exact coefficient gradient (projected) of the value at positions(c)."""
         forces = kernels.pair_forces(pos, self._pairs, self._weights)
         fz = forces[..., 0] + 1j * forces[..., 1]  # dU/dq of each reduced row
-        rows, md = self._n_main_rows, self.m_domain
-        gm = self.kinetic_weights_main * cm + (
-            _chain_gradient(fz[:rows], self._em_h, self._main_phase_conj) / md
-        )
-        gt = self.kinetic_weights_triple * ct + (
-            _chain_gradient(fz[rows:], self._et_h, self._triple_phase_conj) / md
-        )
-        return self.project(gm, gt)
+        # sum over rows b and nodes k of fz[b, k] conj(phase[b, j] table[j, k])
+        potential = ((fz @ self._table_h) * self._phases_conj).sum(axis=0)
+        return self.project(self.kinetic_weights * c + potential / self.m_domain)
 
-    def hessian(self, cm, ct, pos) -> np.ndarray:
-        """Exact Hessian (projected) of the value at positions(cm, ct), in the
-        interleaved (Re c, Im c) coordinates of ``solver._pack``, main
-        coefficients first; assembled by DFTs of per-pair node weights (see
-        the module docstring)."""
+    def hessian(self, pos: np.ndarray) -> np.ndarray:
+        """Exact Hessian (projected) of the value at positions ``pos``, in the
+        interleaved (Re c, Im c) coordinates of c.view(float); assembled by
+        DFTs of per-pair node weights (see the module docstring)."""
         z = np.ascontiguousarray(pos).view(complex)[..., 0]
         ii, jj = self._pairs.T
         diff = z[ii] - z[jj]                                    # D_k, (P, M/r)
@@ -379,24 +355,24 @@ class ActionWorkspace:
         h[np.diag_indices(2 * f)] += self._kinetic_diag
         return self._projector @ h @ self._projector
 
-    def value_and_gradient(self, cm, ct, pos=None) -> tuple[float, np.ndarray, np.ndarray]:
+    def value_and_gradient(self, c: np.ndarray, pos=None) -> tuple[float, np.ndarray]:
         """Discretized action and its exact coefficient gradient; ``pos`` as in value."""
         if pos is None:
-            pos = self._checked_positions(cm, ct)
-        return (self.value(cm, ct, pos), *self.gradient(cm, ct, pos))
+            pos = self._checked_positions(c)
+        return self.value(c, pos), self.gradient(c, pos)
 
-    def coefficients_of(self, system: SystemLoop) -> tuple[np.ndarray, np.ndarray]:
-        """Embed a system's spectra into this workspace's frequency basis."""
-        cm = np.zeros(len(self.main_freqs), dtype=complex)
-        ct = np.zeros(len(self.triple_freqs), dtype=complex)
-        for m, c in zip(system.main.freqs, system.main.coeffs):
-            hits = np.where(self.main_freqs == m)[0]
-            if not len(hits):
-                raise ValueError(f"main frequency {m} outside workspace basis")
-            cm[hits[0]] = c
-        for m, c in zip(system.triple.freqs, system.triple.coeffs):
-            hits = np.where(self.triple_freqs == m)[0]
-            if not len(hits):
-                raise ValueError(f"triple frequency {m} outside workspace basis")
-            ct[hits[0]] = c
-        return cm, ct
+    def coefficients_of(self, system: SystemLoop) -> np.ndarray:
+        """Embed a system's spectra into this workspace's coefficient vector.
+
+        Each role is looked up in its own slice: a coupled frequency is in both.
+        """
+        c = np.zeros(len(self.freqs), dtype=complex)
+        offset = 0
+        for spectrum, basis in ((system.main, self.main_freqs), (system.triple, self.triple_freqs)):
+            for m, coeff in zip(spectrum.freqs, spectrum.coeffs):
+                hits = np.flatnonzero(basis == m)
+                if not len(hits):
+                    raise ValueError(f"{spectrum.role} frequency {m} outside workspace basis")
+                c[offset + hits[0]] = coeff
+            offset += len(basis)
+        return c

@@ -275,8 +275,11 @@ def _periodic_terms(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
         gordon_periodic(strength, p) / p for p in (1.0 / 3.0, 1.0, 1.0 / n)
     )
     pairs = itertools.combinations(range(1, B + 1), 2)  # lexicographic
-    row = np.array(
-        [main_term if j <= n else cross_term if i <= n else triple_term for i, j in pairs]
+    # allocated whole before it is filled: a row too large for memory fails at once
+    row = np.fromiter(
+        (main_term if j <= n else cross_term if i <= n else triple_term for i, j in pairs),
+        dtype=float,
+        count=B * (B - 1) // 2,
     )
     row.flags.writeable = False
     return row, tuple((i - 1) * B - (i - 1) * i // 2 - i - 1 for i in range(B + 1))

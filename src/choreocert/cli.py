@@ -8,7 +8,8 @@ Exit codes: 0 success or certified, 1 checked-and-negative (a verdict, never
 a refusal), 2 invalid input or an output file that cannot be written, 3 solver
 failure. A subcommand refuses by raising; ``main`` alone prints the one
 message on stderr and returns the code, and a library ValueError that no
-subcommand anticipates is refused as ``error: ...`` with exit 2. Human tables
+subcommand anticipates is refused as ``error: ...`` with exit 2. Input too
+large for memory exits 2 too, as ``error: out of memory: ...``. Human tables
 print 4 decimals; files carry 17 significant digits and are written
 atomically. Environment variables are not consulted for run configuration.
 The argument parser is built once per process, on the first ``main`` call,
@@ -395,6 +396,9 @@ def main(argv=None) -> int:
         return refusal.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

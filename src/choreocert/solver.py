@@ -1,8 +1,8 @@
 """Action minimization over the symmetry-reduced coefficient space.
 
-The descent runs on the packed real coefficient vector of the two generator
-spectra after center-of-mass projection. Each iteration takes a Newton step
-on the exact Hessian of the discretized action,
+The descent runs on c.view(float), the real coordinates of the workspace's
+coefficient vector c, after center-of-mass projection. Each iteration takes
+a Newton step on the exact Hessian of the discretized action,
 ``ActionWorkspace.hessian``: it diagonalizes the Hessian with ``eigh``,
 replaces every eigenvalue by its modulus, floored at EIGEN_FLOOR times the
 largest, and solves. The modified Hessian is positive definite, so the
@@ -171,18 +171,6 @@ class MinimizeResult:
         return "\n".join(lines) + "\n"
 
 
-def _pack(cm: np.ndarray, ct: np.ndarray) -> np.ndarray:
-    return np.concatenate([cm.view(float), ct.view(float)])
-
-
-def _unpack(x: np.ndarray, n_main_coeffs: int) -> tuple[np.ndarray, np.ndarray]:
-    k = 2 * n_main_coeffs
-    return (
-        np.ascontiguousarray(x[:k]).view(complex),
-        np.ascontiguousarray(x[k:]).view(complex),
-    )
-
-
 def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
     """Descend the discretized action from a starting loop.
 
@@ -207,10 +195,9 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
         allowed_frequencies(params, ROLE_TRIPLE, options.cutoff),
         m_samples,
     )
-    nm = len(ws.main_freqs)
-    cm, ct = ws.project(*ws.coefficients_of(start))
+    c = ws.project(ws.coefficients_of(start))
 
-    pos = ws.positions(cm, ct)
+    pos = ws.positions(c)
     start_minsep = ws.min_separation(pos).distance
     if not start_minsep >= options.eps_sep:
         raise ValueError(
@@ -219,9 +206,8 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
         )
     ref_windings = ws.windings(pos)
 
-    f, gm, gt = ws.value_and_gradient(cm, ct, pos)
-    x = _pack(cm, ct)
-    g = _pack(gm, gt)
+    f, g = ws.value_and_gradient(c, pos)
+    g = g.view(float)  # c.view(float)'s coordinates, the Hessian's
     evaluations = 1
     eps64 = float(np.finfo(float).eps)
     log = [LogRow(0, f, float(np.linalg.norm(g)), start_minsep, 0.0)]
@@ -236,9 +222,9 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
             termination = "max_iterations"
             break
 
-        # Newton on the Hessian at x (pos holds its positions), each
+        # Newton on the Hessian at c (pos holds its positions), each
         # eigenvalue replaced by its modulus, floored relative to the largest
-        lam, vecs = np.linalg.eigh(ws.hessian(*_unpack(x, nm), pos))
+        lam, vecs = np.linalg.eigh(ws.hessian(pos))
         lam = np.abs(lam)
         lam = np.maximum(lam, EIGEN_FLOOR * lam.max())
         direction = -(vecs @ ((vecs.T @ g) / lam))
@@ -250,14 +236,14 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
         flat = abs(ARMIJO * slope) < 64.0 * eps64 * max(1.0, abs(f))
         f_floor = f + 256.0 * eps64 * max(1.0, abs(f))
         for step in STEPS:
-            cmn, ctn = ws.project(*_unpack(x + step * direction, nm))
-            pos = ws.positions(cmn, ctn)
+            cn = ws.project((c.view(float) + step * direction).view(complex))
+            pos = ws.positions(cn)
             minsep = ws.min_separation(pos).distance
             if not minsep >= options.eps_sep:
                 continue
             evaluations += 1
-            fn, gmn, gtn = ws.value_and_gradient(cmn, ctn, pos)
-            gn = _pack(gmn, gtn)
+            fn, gn = ws.value_and_gradient(cn, pos)
+            gn = gn.view(float)
             # an Armijo target that rounds to f asks for no decrease at all
             target = f + ARMIJO * step * slope
             contracts = np.linalg.norm(gn) <= 0.999 * gnorm
@@ -274,15 +260,15 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
             termination = "no_admissible_step"
             break
 
-        x, f, g = _pack(cmn, ctn), fn, gn
+        c, f, g = cn, fn, gn
         iterations += 1
         log.append(LogRow(iterations, f, float(np.linalg.norm(g)), minsep, step))
 
-    cm, ct = _unpack(x, nm)
+    main, triple = np.split(c, [len(ws.main_freqs)])
     final = SystemLoop(
         params,
-        GeneratorSpectrum(ROLE_MAIN, tuple(int(m) for m in ws.main_freqs), cm),
-        GeneratorSpectrum(ROLE_TRIPLE, tuple(int(m) for m in ws.triple_freqs), ct),
+        GeneratorSpectrum(ROLE_MAIN, tuple(int(m) for m in ws.main_freqs), main),
+        GeneratorSpectrum(ROLE_TRIPLE, tuple(int(m) for m in ws.triple_freqs), triple),
     )
     traj = sample(final, m_samples)
     windings = winding_table(traj)

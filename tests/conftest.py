@@ -121,7 +121,7 @@ def random_admissible_system(
                 for m in ft
             ]
         )
-        cm, ct = ws.project(cm, ct)
+        cm, ct = np.split(ws.project(np.concatenate([cm, ct])), [len(fm)])
         system = SystemLoop(
             params,
             GeneratorSpectrum(ROLE_MAIN, tuple(fm), cm),
@@ -334,14 +334,15 @@ def brute_potential(system: SystemLoop, m_samples: int) -> float:
     return total
 
 
-def full_grid_evaluation(ws, cm, ct):
+def full_grid_evaluation(ws, c):
     """Reference for ActionWorkspace: per-body phase tables on all M nodes.
 
     Every body of both chains is evaluated on the whole grid, and the value,
     projected gradient and minimum separation come from the kernels over all
-    (N+3)(N+2)/2 pairs and M nodes. Returns (value, gm, gt, min separation).
+    (N+3)(N+2)/2 pairs and M nodes. Returns (value, gradient, min separation).
     """
     n, m_samples = ws.params.n_main, ws.m_samples
+    cm, ct = np.split(c, [len(ws.main_freqs)])
     times = np.arange(m_samples) / m_samples
 
     def table(freqs, chain):
@@ -352,13 +353,14 @@ def full_grid_evaluation(ws, cm, ct):
     em, et = table(ws.main_freqs, n), table(ws.triple_freqs, 3)
     z = np.concatenate([np.einsum("f,bft->bt", cm, em), np.einsum("f,bft->bt", ct, et)])
     pos = np.ascontiguousarray(np.stack([z.real, z.imag], axis=-1))
-    value = ws.kinetic(cm, ct) + float(kernels.pair_mean_inverse_distance(pos).sum())
+    value = ws.kinetic(c) + float(kernels.pair_mean_inverse_distance(pos).sum())
     forces = kernels.pair_forces(pos)
     fz = forces[..., 0] + 1j * forces[..., 1]
-    gm = ws.kinetic_weights_main * cm + np.einsum("bt,bft->f", fz[:n], np.conj(em)) / m_samples
-    gt = ws.kinetic_weights_triple * ct + np.einsum("bt,bft->f", fz[n:], np.conj(et)) / m_samples
-    gm, gt = ws.project(gm, gt)
-    return value, gm, gt, kernels.min_separation_scan(pos)[0]
+    potential = np.concatenate(
+        [np.einsum("bt,bft->f", fz[:n], np.conj(em)), np.einsum("bt,bft->f", fz[n:], np.conj(et))]
+    )
+    gradient = ws.project(ws.kinetic_weights * c + potential / m_samples)
+    return value, gradient, kernels.min_separation_scan(pos)[0]
 
 
 def circular_kinetic(params: SymmetryParams, a: float, b: float) -> float:

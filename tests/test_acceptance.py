@@ -211,16 +211,13 @@ def test_criterion_7_gradient_vs_finite_differences():
         params = PARAMS[(4, 5, 7)[i % 3]]
         system = random_admissible_system(params, 40, seed=2000 + i)
         ws = ActionWorkspace.for_system(system, 4 * params.grid_unit)
-        cm, ct = ws.project(*ws.coefficients_of(system))
-        _, gm, gt = ws.value_and_gradient(cm, ct)
-        analytic = np.concatenate([gm.view(float), gt.view(float)])
-        x0 = np.concatenate([cm.view(float), ct.view(float)])
-        k = 2 * len(cm)
+        c = ws.project(ws.coefficients_of(system))
+        _, g = ws.value_and_gradient(c)
+        analytic = g.view(float)
+        x0 = c.view(float)
 
         def value(vec):
-            c = np.ascontiguousarray(vec[:k]).view(complex)
-            t = np.ascontiguousarray(vec[k:]).view(complex)
-            return ws.value(*ws.project(c, t))
+            return ws.value(ws.project(vec.view(complex)))
 
         for idx in range(len(x0)):
             plus, minus = x0.copy(), x0.copy()

@@ -17,7 +17,7 @@ from choreocert.loops import (
     sample,
     winding_table,
 )
-from choreocert.solver import MinimizeOptions, _pack, _unpack, minimize
+from choreocert.solver import MinimizeOptions, minimize
 from choreocert.symmetry import SymmetryParams, pair_kinds
 from choreocert.testorbits import build_test_orbit
 
@@ -196,14 +196,11 @@ class TestInvariance:
 
 
 class TestGradient:
-    def _finite_difference(self, ws, cm, ct, h=1e-6):
-        x = np.concatenate([cm.view(float), ct.view(float)])
-        k = 2 * len(cm)
+    def _finite_difference(self, ws, c, h=1e-6):
+        x = c.view(float).copy()
 
         def value(vec):
-            c = np.ascontiguousarray(vec[:k]).view(complex)
-            t = np.ascontiguousarray(vec[k:]).view(complex)
-            return ws.value(*ws.project(c, t))
+            return ws.value(ws.project(vec.view(complex)))
 
         grad = np.empty_like(x)
         for idx in range(len(x)):
@@ -217,10 +214,10 @@ class TestGradient:
         for seed in (31, 32, 33):
             system = random_admissible_system(PARAMS4, 45, seed=seed)
             ws = ActionWorkspace.for_system(system, 4 * PARAMS4.grid_unit)
-            cm, ct = ws.project(*ws.coefficients_of(system))
-            _, gm, gt = ws.value_and_gradient(cm, ct)
-            analytic = np.concatenate([gm.view(float), gt.view(float)])
-            numeric = self._finite_difference(ws, cm, ct)
+            c = ws.project(ws.coefficients_of(system))
+            _, g = ws.value_and_gradient(c)
+            analytic = g.view(float)
+            numeric = self._finite_difference(ws, c)
             err = np.abs(analytic - numeric)
             assert (err <= 1e-6 * np.maximum(1.0, np.abs(analytic))).all()
 
@@ -233,12 +230,10 @@ class TestGradient:
             GeneratorSpectrum("triple", system.triple.freqs, scale * system.triple.coeffs),
         )
         ws = ActionWorkspace.for_system(big, 672)
-        cm, ct = ws.coefficients_of(big)
-        _, gm, gt = ws.value_and_gradient(cm, ct)
-        kin_m, kin_t = ws.project(ws.kinetic_weights_main * cm, ws.kinetic_weights_triple * ct)
-        scale_ref = max(np.abs(kin_m).max(), np.abs(kin_t).max())
-        rel = max(np.abs(gm - kin_m).max(), np.abs(gt - kin_t).max()) / scale_ref
-        assert rel <= 1e-6
+        c = ws.coefficients_of(big)
+        _, g = ws.value_and_gradient(c)
+        kin = ws.project(ws.kinetic_weights * c)
+        assert np.abs(g - kin).max() / np.abs(kin).max() <= 1e-6
 
     def test_gradient_is_com_projected(self):
         system = SystemLoop(
@@ -247,32 +242,59 @@ class TestGradient:
             GeneratorSpectrum("triple", (-4, 24), np.array([0.088 + 0j, 0.0 + 0j])),
         )
         ws = ActionWorkspace.for_system(system, 1344)
-        _, gm, gt = ws.value_and_gradient(*ws.coefficients_of(system))
-        c = gm[list(ws.main_freqs).index(24)]
-        b = gt[list(ws.triple_freqs).index(24)]
+        _, g = ws.value_and_gradient(ws.coefficients_of(system))
+        c = g[list(ws.main_freqs).index(24)]
+        b = g[len(ws.main_freqs) + list(ws.triple_freqs).index(24)]
         assert abs(4 * c + 3 * b) <= 1e-12 * max(1.0, abs(c))
+
+
+class TestCoefficientVector:
+    """One complex vector c: the main coefficients, then the triple ones."""
+
+    def test_coupled_frequency_fills_each_roles_slot(self):
+        # N=4, r=7: frequency 24 is in both bases, with other coefficients
+        system = SystemLoop(
+            PARAMS4,
+            GeneratorSpectrum("main", (3, 24), np.array([0.23 + 0j, 0.01 - 0.02j])),
+            GeneratorSpectrum("triple", (-4, 24), np.array([0.088 + 0j, -0.03 + 0.005j])),
+        )
+        ws = ActionWorkspace(PARAMS4, (3, 24, -18), (-4, 24), 1344)
+        assert ws.freqs.tolist() == [-18, 3, 24, -4, 24]
+        assert ws.main_freqs.tolist() == [-18, 3, 24] and ws.triple_freqs.tolist() == [-4, 24]
+        c = ws.coefficients_of(system)
+        assert c.tolist() == [0, 0.23, 0.01 - 0.02j, 0.088, -0.03 + 0.005j]
+        assert ws._coupled == [(2, 4)]  # absolute indices into c
+
+    @pytest.mark.parametrize("role", ["main", "triple"])
+    def test_frequency_outside_the_basis_names_its_role(self, role):
+        system = build_test_orbit(PARAMS4, 0.23, 0.088)
+        basis = {"main": ([24], system.triple.freqs), "triple": (system.main.freqs, [24])}[role]
+        ws = ActionWorkspace(PARAMS4, *basis, 1344)
+        frequency = {"main": 3, "triple": -4}[role]
+        with pytest.raises(ValueError, match=f"^{role} frequency {frequency} outside"):
+            ws.coefficients_of(system)
 
 
 HESSIAN_CUTOFFS = {4: 24, 5: 48, 7: 96}
 
 
 class TestHessian:
-    """ActionWorkspace.hessian in solver._pack's (Re c, Im c) coordinates."""
+    """ActionWorkspace.hessian in the (Re c, Im c) coordinates of c.view(float)."""
 
     @staticmethod
     def _workspace(params, seed):
         system = random_admissible_system(params, HESSIAN_CUTOFFS[params.n_main], seed=seed)
         ws = ActionWorkspace.for_system(system, params.default_grid())
-        return ws, ws.project(*ws.coefficients_of(system))
+        return ws, ws.project(ws.coefficients_of(system))
 
     @staticmethod
-    def _gradient_jacobian(ws, cm, ct, h=1e-6):
-        """Central differences of the projected gradient, one packed coordinate a column."""
-        x, nm = _pack(cm, ct), len(cm)
+    def _gradient_jacobian(ws, c, h=1e-6):
+        """Central differences of the projected gradient, one real coordinate a column."""
+        x = c.view(float)
 
         def gradient(vec):
-            c, t = _unpack(vec, nm)
-            return _pack(*ws.gradient(c, t, ws.positions(c, t)))
+            c = vec.view(complex)
+            return ws.gradient(c, ws.positions(c)).view(float)
 
         columns = []
         for idx in range(len(x)):
@@ -282,26 +304,25 @@ class TestHessian:
         return np.stack(columns, axis=1)
 
     @staticmethod
-    def _projector(ws, nm):
-        """ActionWorkspace.project applied to every packed unit vector, as a matrix."""
-        size = 2 * (nm + len(ws.triple_freqs))
-        return np.stack([_pack(*ws.project(*_unpack(unit, nm))) for unit in np.eye(size)],
-                        axis=1)
+    def _projector(ws):
+        """ActionWorkspace.project applied to every real unit vector, as a matrix."""
+        units = np.eye(2 * len(ws.freqs))
+        return np.stack([ws.project(unit.view(complex)).view(float) for unit in units], axis=1)
 
     @pytest.mark.parametrize("case", REFERENCE_CASES, ids=["N4K24", "N5K48", "N7K96"])
     def test_matches_central_differences_of_the_gradient(self, case):
         params = case["params"]
         for seed in (41, 42):
-            ws, (cm, ct) = self._workspace(params, seed)
-            hess = ws.hessian(cm, ct, ws.positions(cm, ct))
+            ws, c = self._workspace(params, seed)
+            hess = ws.hessian(ws.positions(c))
             # the gradient is projected, so its Jacobian is P H: P H P is it times P
-            numeric = self._gradient_jacobian(ws, cm, ct) @ self._projector(ws, len(cm))
+            numeric = self._gradient_jacobian(ws, c) @ self._projector(ws)
             assert np.abs(hess - numeric).max() <= 1e-6 * np.abs(hess).max()
 
     @pytest.mark.parametrize("case", REFERENCE_CASES, ids=["N4", "N5", "N7"])
     def test_symmetric(self, case):
-        ws, (cm, ct) = self._workspace(case["params"], 43)
-        hess = ws.hessian(cm, ct, ws.positions(cm, ct))
+        ws, c = self._workspace(case["params"], 43)
+        hess = ws.hessian(ws.positions(c))
         assert np.abs(hess - hess.T).max() <= 1e-13 * np.abs(hess).max()
 
     def test_rotation_and_time_shift_are_null_at_a_descended_loop(self):
@@ -309,24 +330,21 @@ class TestHessian:
                        MinimizeOptions(cutoff=24, m_samples=1344))
         assert res.termination == "converged"
         ws = ActionWorkspace.for_system(res.system, 1344)
-        cm, ct = ws.coefficients_of(res.system)
-        hess = ws.hessian(cm, ct, ws.positions(cm, ct))
+        c = ws.coefficients_of(res.system)
+        hess = ws.hessian(ws.positions(c))
         scale = np.abs(np.linalg.eigvalsh(hess)).max()
-        shift_m = 2j * np.pi * ws.main_freqs
-        shift_t = 2j * np.pi * ws.triple_freqs
-        for tangent in (_pack(1j * cm, 1j * ct), _pack(shift_m * cm, shift_t * ct)):
+        for tangent in ((1j * c).view(float), (2j * np.pi * ws.freqs * c).view(float)):
             assert np.linalg.norm(hess @ tangent) <= 1e-8 * scale * np.linalg.norm(tangent)
 
     def test_center_of_mass_direction_maps_to_zero(self):
-        ws, (cm, ct) = self._workspace(PARAMS4, 44)
+        ws, c = self._workspace(PARAMS4, 44)
         assert ws._coupled  # frequency 24 is in both bases
-        hess = ws.hessian(cm, ct, ws.positions(cm, ct))
+        hess = ws.hessian(ws.positions(c))
         scale = np.abs(hess).max()
-        nm = len(cm)
         for im, it in ws._coupled:
             for part in (0, 1):  # the real and the imaginary part of N c_m + 3 b_m
                 breaking = np.zeros(len(hess))
-                breaking[2 * im + part], breaking[2 * (nm + it) + part] = 4.0, 3.0
+                breaking[2 * im + part], breaking[2 * it + part] = 4.0, 3.0
                 assert np.abs(hess @ breaking).max() <= 1e-12 * scale
 
 
@@ -347,43 +365,55 @@ class TestPhaseTables:
         for m_samples in (params.grid_unit, params.default_grid()):
             ws = ActionWorkspace.for_system(system, m_samples)
             roots = roots_of_unity(m_samples)
-            for table, freqs in ((ws._em, ws.main_freqs), (ws._et, ws.triple_freqs)):
-                assert np.array_equal(table, direct_phase_table(freqs, roots, ws.m_domain))
+            want = direct_phase_table(ws.freqs, roots, ws.m_domain)
+            assert np.array_equal(ws._table, want)
+            assert np.array_equal(ws._table_h, want.conj().T)
+
+    def test_row_phases_are_zero_off_their_chain(self, reference_case):
+        params = reference_case["params"]
+        system = random_admissible_system(params, 48, seed=5 * params.n_main)
+        ws = ActionWorkspace.for_system(system, params.grid_unit)
+        rows, nm = params.n_main // 2 + 1, len(ws.main_freqs)
+        assert ws._phases.shape == (rows + 2, len(ws.freqs))
+        assert not ws._phases[:rows, nm:].any() and not ws._phases[rows:, :nm].any()
+        assert np.array_equal(ws._phases_conj, ws._phases.conj())
 
 
 class TestPlanarPositions:
-    """positions is a float64 view of one complex array; the gradient reads
+    """positions is a float64 view of one complex product; the gradient reads
     conjugated tables built with the workspace. Both against the forms they
-    replace, bit for bit."""
+    replace: the product and the gradient bit for bit, the per-chain stack of
+    the rows to rounding."""
 
     @pytest.mark.parametrize("m_multiple", [1, 16])
     def test_positions_match_concatenated_stack(self, reference_case, m_multiple):
         params = reference_case["params"]
         orbit = build_test_orbit(params, reference_case["a"], reference_case["b"])
+        rows = params.n_main // 2 + 1
         for system in (orbit, random_admissible_system(params, 48, seed=9 * params.n_main)):
             ws = ActionWorkspace.for_system(system, m_multiple * params.grid_unit)
-            cm, ct = ws.coefficients_of(system)
-            z = np.concatenate([(cm * ws._main_phase) @ ws._em, (ct * ws._triple_phase) @ ws._et])
+            c, nm = ws.coefficients_of(system), len(ws.main_freqs)
+            z = (c * ws._phases) @ ws._table
             want = np.stack([z.real, z.imag], axis=-1)
-            got = ws.positions(cm, ct)
+            got = ws.positions(c)
             assert got.shape == (len(ws.bodies), ws.m_domain, 2) and got.flags.c_contiguous
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            # each chain's rows from its own coefficients and table rows alone
+            stack = np.concatenate([(c[:nm] * ws._phases[:rows, :nm]) @ ws._table[:nm],
+                                    (c[nm:] * ws._phases[rows:, nm:]) @ ws._table[nm:]])
+            assert np.abs(z - stack).max() <= 1e-15 * np.abs(z).max()
 
     def test_gradient_matches_conjugating_per_call(self, reference_case):
         params = reference_case["params"]
         system = random_admissible_system(params, 48, seed=11 * params.n_main)
         ws = ActionWorkspace.for_system(system, params.default_grid())
-        cm, ct = ws.coefficients_of(system)
-        pos = ws.positions(cm, ct)
+        c = ws.coefficients_of(system)
+        pos = ws.positions(c)
         forces = kernels.pair_forces(pos, ws._pairs, ws._weights)
         fz = forces[..., 0] + 1j * forces[..., 1]
-        rows, md = ws._n_main_rows, ws.m_domain
-        gm = ws.kinetic_weights_main * cm + (
-            ((fz[:rows] @ ws._em.conj().T) * ws._main_phase.conj()).sum(axis=0) / md)
-        gt = ws.kinetic_weights_triple * ct + (
-            ((fz[rows:] @ ws._et.conj().T) * ws._triple_phase.conj()).sum(axis=0) / md)
-        for got, want in zip(ws.gradient(cm, ct, pos), ws.project(gm, gt)):
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        potential = ((fz @ ws._table.conj().T) * ws._phases.conj()).sum(axis=0)
+        want = ws.project(ws.kinetic_weights * c + potential / ws.m_domain)
+        assert np.array_equal(ws.gradient(c, pos).view(np.uint64), want.view(np.uint64))
 
 
 class TestFundamentalDomain:
@@ -397,19 +427,18 @@ class TestFundamentalDomain:
         system = random_admissible_system(params, cutoff, seed=1000 * params.n_main + cutoff)
         m_samples = params.default_grid()
         ws = ActionWorkspace.for_system(system, m_samples)
-        assert ws.positions(*ws.coefficients_of(system)).shape == (
+        assert ws.positions(ws.coefficients_of(system)).shape == (
             params.n_main // 2 + 3, m_samples // params.r, 2)
-        cm, ct = ws.project(*ws.coefficients_of(system))
-        value, gm, gt = ws.value_and_gradient(cm, ct)
-        ref_value, ref_gm, ref_gt, ref_sep = full_grid_evaluation(ws, cm, ct)
+        c = ws.project(ws.coefficients_of(system))
+        value, grad = ws.value_and_gradient(c)
+        ref_value, ref_grad, ref_sep = full_grid_evaluation(ws, c)
         assert abs(value - ref_value) <= 1e-13 * abs(ref_value)
-        assert ws.value(cm, ct) == value
-        grad, ref_grad = np.concatenate([gm, gt]), np.concatenate([ref_gm, ref_gt])
+        assert ws.value(c) == value
         assert np.abs(grad - ref_grad).max() <= 1e-11 * max(1.0, np.abs(grad).max())
-        sep = kernels.min_separation_scan(ws.positions(cm, ct))[0]
+        sep = kernels.min_separation_scan(ws.positions(c))[0]
         assert abs(sep - ref_sep) <= 1e-13 * ref_sep
         table = all_pairs_winding_table(direct_trajectory(system, m_samples))
-        assert ws.windings(ws.positions(cm, ct)) == table
+        assert ws.windings(ws.positions(c)) == table
 
     @pytest.mark.parametrize(
         "params", DOMAIN_FAMILIES, ids=lambda p: f"N{p.n_main}r{p.r}"
@@ -418,7 +447,7 @@ class TestFundamentalDomain:
         system = random_admissible_system(params, 48, seed=300 * params.n_main + params.r)
         m_samples = params.default_grid()
         ws = ActionWorkspace.for_system(system, m_samples)
-        info = ws.min_separation(ws.positions(*ws.coefficients_of(system)))
+        info = ws.min_separation(ws.positions(ws.coefficients_of(system)))
         want = all_pairs_min_separation(direct_trajectory(system, m_samples))
         assert abs(info.distance - want) <= 1e-13 * want
         assert info.pair in {kind.pair for kind in pair_kinds(params)}
@@ -429,7 +458,7 @@ class TestFundamentalDomain:
         # offset-1 pairs, so the expansion must place each offset's value
         system = offset_loop(-18)
         ws = ActionWorkspace.for_system(system, 1344)
-        table = ws.windings(ws.positions(*ws.coefficients_of(system)))
+        table = ws.windings(ws.positions(ws.coefficients_of(system)))
         assert table == all_pairs_winding_table(direct_trajectory(system, 1344))
         assert {w for _, _, w in table["main"]} == {-18, 3}
 
@@ -439,8 +468,7 @@ class TestFundamentalDomain:
         system = offset_loop(-102)
         for m_samples in (84, 168, 252, 672):
             ws = ActionWorkspace.for_system(system, m_samples)
-            cm, ct = ws.coefficients_of(system)
-            table = ws.windings(ws.positions(cm, ct))
+            table = ws.windings(ws.positions(ws.coefficients_of(system)))
             assert table == all_pairs_winding_table(direct_trajectory(system, m_samples))
         assert {w for _, _, w in table["main"]} == {-102, 3}
 
@@ -453,7 +481,7 @@ class TestFundamentalDomain:
         with pytest.raises(ValueError, match="undersampled"):
             all_pairs_winding_table(direct_trajectory(system, m_samples))
         with pytest.raises(ValueError, match="undersampled"):
-            ws.windings(ws.positions(*ws.coefficients_of(system)))
+            ws.windings(ws.positions(ws.coefficients_of(system)))
 
     def test_winding_table_matches_all_pairs_oracle(self):
         # the loops above and an N=5 loop whose offsets 1 and 2 differ, sampled
@@ -480,22 +508,22 @@ class TestFundamentalDomain:
             GeneratorSpectrum("triple", (-4,), np.array([0.1 + 0j])),
         )
         ws = ActionWorkspace.for_system(system, 168)
-        cm, ct = ws.coefficients_of(system)
+        c = ws.coefficients_of(system)
         with pytest.raises(ValueError, match="near-collision sample") as err:
-            ws.value(cm, ct)
+            ws.value(c)
         i, j = (int(b) for b in re.search(r"bodies (\d+) and (\d+)", str(err.value)).groups())
         assert 1 <= i <= 4 < j <= 7
-        assert ws.min_separation(ws.positions(cm, ct)).pair == (i, j)
+        assert ws.min_separation(ws.positions(c)).pair == (i, j)
 
     def test_nan_coefficient_raises(self):
         system = build_test_orbit(PARAMS4, 0.23, 0.088)
         ws = ActionWorkspace.for_system(system, 168)
-        cm, ct = ws.coefficients_of(system)
-        cm[0] = np.nan
+        c = ws.coefficients_of(system)
+        c[0] = np.nan
         with pytest.raises(ValueError, match=r"NaN separation: bodies \d+ and \d+ at node \d+"):
-            ws.value(cm, ct)
+            ws.value(c)
         with pytest.raises(ValueError, match="NaN separation"):
-            ws.value_and_gradient(cm, ct)
+            ws.value_and_gradient(c)
 
 
 def _moved(body: int, n: int, c: int, e: int) -> int:
@@ -517,7 +545,7 @@ class TestRepresentativePairs:
         system = random_admissible_system(params, 48, seed=params.n_main)
         m_samples = params.default_grid()
         ws = ActionWorkspace.for_system(system, m_samples)
-        rows = ws.positions(*ws.coefficients_of(system))
+        rows = ws.positions(ws.coefficients_of(system))
         bodies = sample(system, m_samples).positions[np.array(ws.bodies) - 1, : ws.m_domain]
         assert np.abs(rows - bodies).max() <= 1e-13
 

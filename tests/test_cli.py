@@ -839,3 +839,16 @@ class TestNoRefusalExits1:
         monkeypatch.setattr(cli, patched, self._boom)
         code, _, err = run_cli(capsys, *argv)
         assert (code, err) == (2, "error: boom\n")
+
+    @pytest.mark.parametrize("patched, argv", [
+        ("collision_threshold", ["bounds", *PARAMS4]),
+        ("verify_time_lemmas", ["lemmas", *PARAMS4]),
+    ], ids=["bounds", "lemmas"])
+    def test_out_of_memory_exit_2(self, capsys, monkeypatch, patched, argv):
+        # raised, never allocated: an allocation that succeeds could fill memory
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 21.8 TiB")
+
+        monkeypatch.setattr(cli, patched, exhausted)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: out of memory: Unable to allocate 21.8 TiB\n")

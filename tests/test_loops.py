@@ -430,7 +430,7 @@ class TestStackedWinding:
         # the same-chain representatives on one g1 domain, each r rotated arcs
         system = random_admissible_system(params, 48, seed=300 * params.n_main)
         ws = ActionWorkspace.for_system(system, params.default_grid())
-        pos = ws.positions(*ws.coefficients_of(system))
+        pos = ws.positions(ws.coefficients_of(system))
         same = [k for k, kind in enumerate(pair_kinds(params)) if kind.kind != "cross"]
         a, b = ws._pairs[same].T
         stack, turn = pos[a] - pos[b], 2.0 * np.pi * params.d / params.r
@@ -524,7 +524,7 @@ class TestOffGridTrajectory:
 def _projected(system: SystemLoop) -> SystemLoop:
     """The system after ActionWorkspace.project on its own basis."""
     ws = ActionWorkspace.for_system(system, system.params.grid_unit)
-    cm, ct = ws.project(system.main.coeffs, system.triple.coeffs)
+    cm, ct = np.split(ws.project(ws.coefficients_of(system)), [len(ws.main_freqs)])
     return SystemLoop(
         system.params,
         GeneratorSpectrum("main", system.main.freqs, cm),

@@ -234,7 +234,7 @@ class TestCircularAction:
             assert report.action == pytest.approx(exact, rel=1e-13)
             orbit = build_test_orbit(params, a, b)
             ws = ActionWorkspace.for_system(orbit, m_samples)
-            assert ws.value(*ws.coefficients_of(orbit)) == pytest.approx(exact, rel=1e-13)
+            assert ws.value(ws.coefficients_of(orbit)) == pytest.approx(exact, rel=1e-13)
             closest = min(2 * a * math.sin(math.pi / n), math.sqrt(3) * b, abs(a - b))
             assert report.min_separation == pytest.approx(closest, rel=1e-12)
 
