@@ -207,7 +207,7 @@ def minimize(start: SystemLoop, options: MinimizeOptions) -> MinimizeResult:
     ref_windings = ws.windings(pos)
 
     f, g = ws.value_and_gradient(c, pos)
-    g = g.view(float)  # c.view(float)'s coordinates, the Hessian's
+    g = g.view(float)  # in the Hessian's coordinates, those of c.view(float)
     evaluations = 1
     eps64 = float(np.finfo(float).eps)
     log = [LogRow(0, f, float(np.linalg.norm(g)), start_minsep, 0.0)]

@@ -251,28 +251,30 @@ class TestGradient:
 class TestCoefficientVector:
     """One complex vector c: the main coefficients, then the triple ones."""
 
+    # N=4, r=7: frequency 24 is in both roles, with other coefficients
+    SYSTEM = SystemLoop(
+        PARAMS4,
+        GeneratorSpectrum("main", (3, 24), np.array([0.23 + 0j, 0.01 - 0.02j])),
+        GeneratorSpectrum("triple", (-4, 24), np.array([0.088 + 0j, -0.03 + 0.005j])),
+    )
+
     def test_coupled_frequency_fills_each_roles_slot(self):
-        # N=4, r=7: frequency 24 is in both bases, with other coefficients
-        system = SystemLoop(
-            PARAMS4,
-            GeneratorSpectrum("main", (3, 24), np.array([0.23 + 0j, 0.01 - 0.02j])),
-            GeneratorSpectrum("triple", (-4, 24), np.array([0.088 + 0j, -0.03 + 0.005j])),
-        )
         ws = ActionWorkspace(PARAMS4, (3, 24, -18), (-4, 24), 1344)
         assert ws.freqs.tolist() == [-18, 3, 24, -4, 24]
         assert ws.main_freqs.tolist() == [-18, 3, 24] and ws.triple_freqs.tolist() == [-4, 24]
-        c = ws.coefficients_of(system)
+        c = ws.coefficients_of(self.SYSTEM)
         assert c.tolist() == [0, 0.23, 0.01 - 0.02j, 0.088, -0.03 + 0.005j]
         assert ws._coupled == [(2, 4)]  # absolute indices into c
 
-    @pytest.mark.parametrize("role", ["main", "triple"])
-    def test_frequency_outside_the_basis_names_its_role(self, role):
-        system = build_test_orbit(PARAMS4, 0.23, 0.088)
-        basis = {"main": ([24], system.triple.freqs), "triple": (system.main.freqs, [24])}[role]
-        ws = ActionWorkspace(PARAMS4, *basis, 1344)
-        frequency = {"main": 3, "triple": -4}[role]
-        with pytest.raises(ValueError, match=f"^{role} frequency {frequency} outside"):
-            ws.coefficients_of(system)
+    @pytest.mark.parametrize("role, main, triple", [
+        ("main", (3,), (-4, 24)),
+        ("triple", (3, 24), (-4,)),
+    ], ids=["main", "triple"])
+    def test_frequency_outside_its_roles_basis_names_the_role(self, role, main, triple):
+        # 24 is missing from its role's basis although the other role's has it
+        ws = ActionWorkspace(PARAMS4, main, triple, 1344)
+        with pytest.raises(ValueError, match=f"^{role} frequency 24 outside"):
+            ws.coefficients_of(self.SYSTEM)
 
 
 HESSIAN_CUTOFFS = {4: 24, 5: 48, 7: 96}
