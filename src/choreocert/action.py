@@ -231,7 +231,7 @@ class ActionWorkspace:
         self.bodies, self._pairs = representative_rows(params)
         self._weights = np.array([kind.multiplicity for kind in pair_kinds(params)], dtype=float)
         roots = roots_of_unity(m_samples)
-        self._table = _phase_table(self.freqs, roots, md)             # (F, M/r)
+        self._table = _phase_table(self.freqs, roots, md)  # (F, M/r)
         self._table_h = self._table.conj().T
         rows = n // 2 + 1
         self._phases = np.zeros((rows + 2, len(self.freqs)), dtype=complex)  # (rows + 2, F)
